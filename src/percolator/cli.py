@@ -24,7 +24,7 @@ from .exact import exact_all
 from .graph import EdgeListParseError, Graph, bfs_level_counts, load_edge_list
 from .percolation import PercolationModel, load_states, random_states
 from .progressive import RunReport, ScheduleConfig, estimate
-from .rng import combine, derive_rng
+from .rng import DIAMETER_STREAM, combine, derive_rng
 
 log = logging.getLogger("percolator")
 
@@ -34,14 +34,8 @@ EXIT_INPUT = 3
 EXIT_BUDGET = 4
 
 
-def _open_maybe_gzip(path: str):
-    if path.endswith(".gz"):
-        return gzip.open(path, "rt")
-    return open(path, "r")
-
-
 def _load_graph(args) -> Graph:
-    with _open_maybe_gzip(args.graph) as fh:
+    with (gzip.open if args.graph.endswith(".gz") else open)(args.graph, "rb") as fh:
         return load_edge_list(fh, directed=args.directed)
 
 
@@ -61,26 +55,25 @@ def _threads(args) -> int:
     return os.cpu_count() or 1
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _json_with_estimates(head: dict, graph: Graph, values: np.ndarray) -> str:
+    """``json.dumps({**head, "estimates": {id: value}}, indent=1) + "\n"`` in one join."""
+    text = json.dumps({**head, "estimates": {}}, indent=1)
+    # json's own float spellings (repr, or NaN/Infinity), split off one list
+    floats = json.dumps(values.tolist())[1:-1].split(", ")
+    block = ",\n  ".join(f'"{i}": {x}' for i, x in zip(graph.orig_ids.tolist(), floats))
+    return text[:-len("{}\n}")] + "{\n  " + block + "\n }\n}\n"
 
 
 def _write_estimates(path: str, graph: Graph, values: np.ndarray, fmt: str) -> None:
-    if fmt == "tsv":
-        with open(path, "w") as fh:
-            for v in range(graph.n):
-                fh.write(f"{graph.orig_ids[v]}\t{_fmt(values[v])}\n")
-    elif fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["original_id", "value"])
-            for v in range(graph.n):
-                writer.writerow([int(graph.orig_ids[v]), _fmt(values[v])])
-    else:
-        payload = {str(int(graph.orig_ids[v])): float(values[v]) for v in range(graph.n)}
-        with open(path, "w") as fh:
-            json.dump({"estimates": payload}, fh, indent=1)
-            fh.write("\n")
+    rows = zip(graph.orig_ids.tolist(), values.tolist())
+    if fmt == "json":
+        text = _json_with_estimates({}, graph, values)
+    elif fmt == "tsv":
+        text = "".join(f"{i}\t{x:.17g}\n" for i, x in rows)
+    else:  # as csv.writer writes it: no field needs quoting
+        text = "original_id,value\r\n" + "".join(f"{i},{x:.17g}\r\n" for i, x in rows)
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
 
 
 def cmd_exact(args) -> int:
@@ -133,7 +126,7 @@ def _sampled_vertex_diameter(graph: Graph, seed: int, probes: int = 16) -> int:
     eccentricity, which bounds the diameter on undirected graphs and is
     a labeled heuristic on directed ones.
     """
-    rng = derive_rng(seed, 97, 0)
+    rng = derive_rng(seed, DIAMETER_STREAM, 0)
     ecc = 0
     for _ in range(min(probes, graph.n)):
         s = int(rng.integers(graph.n))
@@ -148,13 +141,9 @@ def cmd_approx(args) -> int:
     model = PercolationModel(states)
     result = _run_algorithm(args.algorithm, graph, model, args, args.seed)
     estimates = np.asarray(result.pop("estimates"), dtype=np.float64)
-    result["n"] = graph.n
-    result["m"] = graph.m
-    result["estimates"] = {str(int(graph.orig_ids[v])): float(estimates[v])
-                           for v in range(graph.n)}
+    result.update(n=graph.n, m=graph.m)
     with open(args.output, "w") as fh:
-        json.dump(result, fh, indent=1)
-        fh.write("\n")
+        fh.write(_json_with_estimates(result, graph, estimates))
     if args.format == "tsv":
         _write_estimates(args.output + ".tsv", graph, estimates, "tsv")
     return EXIT_OK

@@ -7,8 +7,8 @@ Graphs are immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -24,7 +24,8 @@ class Graph:
     ``fwd_offsets``/``fwd_targets`` hold the out-adjacency. For directed
     graphs ``bwd_offsets``/``bwd_targets`` mirror it arc-for-arc; for
     undirected graphs they are the same arrays (every edge is stored in
-    both orientations, so offsets[n] == 2*m).
+    both orientations, so offsets[n] == 2*m). ``_sorted_ids`` holds the
+    distinct original ids ascending, ``_dense_of_sorted`` their dense ids.
     """
 
     n: int
@@ -35,9 +36,18 @@ class Graph:
     bwd_offsets: np.ndarray
     bwd_targets: np.ndarray
     orig_ids: np.ndarray
+    _sorted_ids: np.ndarray = field(repr=False)
+    _dense_of_sorted: np.ndarray = field(repr=False)
     self_loops_dropped: int = 0
     duplicates_dropped: int = 0
-    _dense_of: dict = field(default_factory=dict, repr=False)
+    out_degrees: np.ndarray = field(init=False, repr=False)
+    in_degrees: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        degrees = np.diff(self.fwd_offsets)
+        object.__setattr__(self, "out_degrees", degrees)
+        object.__setattr__(self, "in_degrees",
+                           np.diff(self.bwd_offsets) if self.directed else degrees)
 
     def out_neighbors(self, v: int) -> np.ndarray:
         self._check_vertex(v)
@@ -51,30 +61,18 @@ class Graph:
         self._check_vertex(v)
         return int(self.fwd_offsets[v + 1] - self.fwd_offsets[v])
 
-    @property
-    def out_degrees(self) -> np.ndarray:
-        return np.diff(self.fwd_offsets)
-
-    @property
-    def in_degrees(self) -> np.ndarray:
-        return np.diff(self.bwd_offsets)
-
     def dense_id(self, original_id: int) -> int:
-        return self._dense_of[original_id]
+        i = int(np.searchsorted(self._sorted_ids, original_id))
+        if i == self.n or self._sorted_ids[i] != original_id:
+            raise KeyError(original_id)
+        return int(self._dense_of_sorted[i])
 
     def reversed(self) -> "Graph":
         """Graph with every arc flipped (identity for undirected graphs)."""
         if not self.directed:
             return self
-        return Graph(
-            n=self.n, m=self.m, directed=True,
-            fwd_offsets=self.bwd_offsets, fwd_targets=self.bwd_targets,
-            bwd_offsets=self.fwd_offsets, bwd_targets=self.fwd_targets,
-            orig_ids=self.orig_ids,
-            self_loops_dropped=self.self_loops_dropped,
-            duplicates_dropped=self.duplicates_dropped,
-            _dense_of=self._dense_of,
-        )
+        return replace(self, fwd_offsets=self.bwd_offsets, fwd_targets=self.bwd_targets,
+                       bwd_offsets=self.fwd_offsets, bwd_targets=self.fwd_targets)
 
     def expand_frontier(self, frontier: np.ndarray, backward: bool = False):
         """All arcs leaving ``frontier``: (repeated sources, targets).
@@ -101,100 +99,115 @@ class Graph:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
 
 
-def _iter_lines(source):
-    """Lines of a path, blob, or stream; bytes are decoded as ascii."""
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("ascii")).readlines()
-    if isinstance(source, str):
-        if "\n" in source:
-            return io.StringIO(source).readlines()
-        with open(source, "rb") as fh:
-            return [line.decode("ascii") for line in fh]
-    lines = source.readlines()
-    if lines and isinstance(lines[0], bytes):
-        return [line.decode("ascii") for line in lines]
-    return lines
+_WS, _DIGIT, _SIGN, _COMMENT = (np.isin(np.arange(256), list(chars))
+                                for chars in (b" \t\r\n", b"0123456789", b"+-", b"#%"))
+_ALLOWED = _WS | _DIGIT | _SIGN
+_INT64 = np.iinfo(np.int64)
+_LINE = re.compile(rb"[ \t\r]*(?:[#%].*|([+-]?[0-9]+)[ \t\r]+([+-]?[0-9]+)[ \t\r]*)?")
+
+
+def _line_error(data: bytes) -> EdgeListParseError:
+    """The error naming the first line of ``data`` that breaks the grammar."""
+    for lineno, line in enumerate(data.split(b"\n"), start=1):
+        match = _LINE.fullmatch(line)
+        if not match or match[1] and not all(
+                _INT64.min <= int(token) <= _INT64.max for token in match.groups()):
+            text = line.strip().decode("ascii", "backslashreplace")
+            return EdgeListParseError(f"line {lineno}: expected two int64 ids, got '{text}'")
+    return EdgeListParseError("empty graph: no edges found")
+
+
+def _parse_ids(data: bytes) -> np.ndarray | None:
+    """Id tokens of ``data`` (framed by newlines) outside comments, in order,
+    or None if a line breaks the grammar. It is all checked on byte masks
+    first: ``np.fromstring`` stops silently at a bad token and saturates."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    ws = _WS[buf]
+    bounds = np.flatnonzero(ws[1:] != ws[:-1]) + 1
+    starts, ends = bounds[0::2], bounds[1::2]
+    # last[i]: a newline lies between token i and the next (always after the last token)
+    last = np.logical_or.reduceat(buf == ord("\n"), ends)
+    heads = np.flatnonzero(np.concatenate(([True], last)))[:-1]     # first token of each line
+    comment = np.repeat(_COMMENT[buf[starts[heads]]], np.diff(heads, append=len(starts)))
+    if comment.any():     # whole lines, so ``last`` of the other tokens holds
+        marks = np.zeros(len(buf) + 1, dtype=np.int8)
+        marks[starts[comment]], marks[ends[comment]] = 1, -1
+        buf = np.where(np.cumsum(marks[:-1], dtype=np.int8), ord(" "), buf)
+        starts, ends, last = starts[~comment], ends[~comment], last[~comment]
+    signs = np.flatnonzero(_SIGN[buf])
+    long = ends - starts >= 19
+    if (not len(last) or len(last) % 2 or last[0::2].any() or not last[1::2].all()
+            or not _ALLOWED[buf].all()
+            or not (_WS[buf[signs - 1]].all() and _DIGIT[buf[signs + 1]].all())
+            or not all(_INT64.min <= int(data[s:e]) <= _INT64.max
+                       for s, e in zip(starts[long].tolist(), ends[long].tolist()))):
+        return None
+    return np.fromstring(buf, dtype=np.int64, sep=" ")
+
+
+def _renumber(ids: np.ndarray):
+    """Dense ids numbered by first appearance, the distinct ids in that
+    order, the distinct ids ascending, and the dense ids of the latter."""
+    order = np.argsort(ids)
+    ordered = ids[order]
+    fresh = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    heads = np.flatnonzero(fresh)
+    by_first = np.argsort(np.minimum.reduceat(order, heads))
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(heads))
+    dense = np.empty_like(ids)
+    dense[order] = rank[np.cumsum(fresh) - 1]
+    return dense, ordered[heads[by_first]], ordered[heads], rank
 
 
 def _build_csr(n: int, src: np.ndarray, dst: np.ndarray):
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
+    """CSR of the distinct arcs src->dst; targets ascend within a row."""
+    keys = src * n + dst
+    keys.sort()
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(offsets, src + 1, 1)
-    np.cumsum(offsets, out=offsets)
-    return offsets, dst.astype(np.int64, copy=False)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    return offsets, keys % n
 
 
 def load_edge_list(source, directed: bool = False) -> Graph:
     """Parse a SNAP-style edge list into a :class:`Graph`.
 
     ``source`` may be a path, a text or binary stream, or a str/bytes blob.
-    Lines starting with '#' or '%' are comments. Each remaining line must
-    hold exactly two integer tokens. Self-loops and duplicate edges are
-    dropped (duplicates orientation-insensitively for undirected graphs);
-    counters of both are kept on the returned graph.
+    Lines end with LF; space, tab and CR separate tokens. Lines whose first
+    token starts with '#' or '%' are comments; every other non-blank line
+    holds two ids, each matching ``[+-]?[0-9]+`` within int64. Self-loops
+    and duplicate edges are dropped (duplicates orientation-insensitively
+    for undirected graphs); counters of both are kept on the graph.
     """
-    lines = _iter_lines(source)
-    dense_of: dict[int, int] = {}
-    orig_ids: list[int] = []
-    edges: list[tuple[int, int]] = []
-    loops = 0
-
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped[0] in "#%":
-            continue
-        tokens = stripped.split()
-        if len(tokens) != 2:
-            raise EdgeListParseError(
-                f"line {lineno}: expected two integer tokens, got {len(tokens)}")
-        try:
-            u_orig, v_orig = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise EdgeListParseError(
-                f"line {lineno}: non-integer token in {stripped!r}") from None
-        u = dense_of.setdefault(u_orig, len(dense_of))
-        if u == len(orig_ids):
-            orig_ids.append(u_orig)
-        v = dense_of.setdefault(v_orig, len(dense_of))
-        if v == len(orig_ids):
-            orig_ids.append(v_orig)
-        if u == v:
-            loops += 1
-            continue
-        edges.append((u, v))
-
-    if not dense_of or not edges:
-        raise EdgeListParseError("empty graph: no edges found")
-
+    if isinstance(source, str) and "\n" not in source:
+        with open(source, "rb") as fh:
+            source = fh.read()
+    data = source if isinstance(source, (str, bytes)) else source.read()
+    data = data.encode() if isinstance(data, str) else data
+    ids = _parse_ids(b"\n" + data + b"\n")
+    if ids is None:
+        raise _line_error(data)
+    dense, orig_ids, sorted_ids, dense_of_sorted = _renumber(ids)
     n = len(orig_ids)
-    raw = len(edges)
+    loop = dense[0::2] == dense[1::2]
+    u, v = dense[0::2][~loop], dense[1::2][~loop]
+    loops, edges = int(loop.sum()), len(u)
+    if not edges:
+        raise EdgeListParseError("empty graph: no edges found")
+    if not directed:
+        u, v = np.minimum(u, v), np.maximum(u, v)
+    keys = np.sort(u * n + v)
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    u, v = np.divmod(keys, n)
     if directed:
-        uniq = sorted(set(edges))
-        src = np.fromiter((e[0] for e in uniq), dtype=np.int64, count=len(uniq))
-        dst = np.fromiter((e[1] for e in uniq), dtype=np.int64, count=len(uniq))
-        m = len(uniq)
-        fwd_off, fwd_tgt = _build_csr(n, src, dst)
-        bwd_off, bwd_tgt = _build_csr(n, dst, src)
+        fwd, bwd = _build_csr(n, u, v), _build_csr(n, v, u)
     else:
-        uniq = sorted({(u, v) if u < v else (v, u) for (u, v) in edges})
-        m = len(uniq)
-        src = np.fromiter((e[i] for e in uniq for i in (0, 1)), dtype=np.int64, count=2 * m)
-        both_src = src[0::2]
-        both_dst = src[1::2]
-        all_src = np.concatenate([both_src, both_dst])
-        all_dst = np.concatenate([both_dst, both_src])
-        fwd_off, fwd_tgt = _build_csr(n, all_src, all_dst)
-        bwd_off, bwd_tgt = fwd_off, fwd_tgt
-
+        fwd = bwd = _build_csr(n, np.concatenate([u, v]), np.concatenate([v, u]))
     return Graph(
-        n=n, m=m, directed=directed,
-        fwd_offsets=fwd_off, fwd_targets=fwd_tgt,
-        bwd_offsets=bwd_off, bwd_targets=bwd_tgt,
-        orig_ids=np.asarray(orig_ids, dtype=np.int64),
-        self_loops_dropped=loops,
-        duplicates_dropped=raw - m,
-        _dense_of=dense_of,
+        n=n, m=len(keys), directed=directed,
+        fwd_offsets=fwd[0], fwd_targets=fwd[1], bwd_offsets=bwd[0], bwd_targets=bwd[1],
+        orig_ids=orig_ids, _sorted_ids=sorted_ids, _dense_of_sorted=dense_of_sorted,
+        self_loops_dropped=loops, duplicates_dropped=edges - len(keys),
     )
 
 
@@ -204,18 +217,15 @@ def write_edge_list(graph: Graph, target) -> None:
     Undirected edges are emitted once; directed arcs all. Reloading the
     output reproduces an isomorphic graph.
     """
-    own = isinstance(target, str)
-    fh = open(target, "w") if own else target
-    try:
-        ids = graph.orig_ids
-        for u in range(graph.n):
-            for v in graph.out_neighbors(u):
-                v = int(v)
-                if graph.directed or u < v:
-                    fh.write(f"{ids[u]} {ids[v]}\n")
-    finally:
-        if own:
-            fh.close()
+    src, dst = np.repeat(np.arange(graph.n), graph.out_degrees), graph.fwd_targets
+    keep = slice(None) if graph.directed else src < dst
+    ids = graph.orig_ids
+    text = "".join(f"{u} {v}\n" for u, v in zip(ids[src[keep]].tolist(), ids[dst[keep]].tolist()))
+    if isinstance(target, str):
+        with open(target, "w") as fh:
+            fh.write(text)
+    else:
+        target.write(text)
 
 
 def bfs_level_counts(graph: Graph, source: int, until: int | None = None):

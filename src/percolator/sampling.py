@@ -98,11 +98,9 @@ def balanced_bidirectional_bfs(graph: Graph, s: int, z: int) -> MeetResult:
     frontier_s = np.array([s], dtype=np.int64)
     frontier_z = np.array([z], dtype=np.int64)
     depth_s = depth_z = 0
-    out_deg = graph.out_degrees
-    in_deg = graph.in_degrees
 
     while frontier_s.size and frontier_z.size:
-        if out_deg[frontier_s].sum() <= in_deg[frontier_z].sum():
+        if graph.out_degrees[frontier_s].sum() <= graph.in_degrees[frontier_z].sum():
             frontier_s, cand_s, cand_z = _expand_side(
                 graph, frontier_s, depth_s, dist_s, sigma_s, dist_z, backward=False)
             depth_s += 1

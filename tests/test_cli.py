@@ -3,6 +3,7 @@ import gzip
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from percolator.cli import main
@@ -228,3 +229,54 @@ def test_env_thread_fallback(tmp_path, monkeypatch):
     out = str(tmp_path / "exact.tsv")
     assert main(["exact", "--graph", graph, "--states", "random:1",
                  "--output", out]) == 0
+
+
+@pytest.mark.parametrize("bad_line", [
+    b"9223372036854775808 1",        # outside int64
+    b"-9223372036854775809 1",
+    b"\xef\xbc\x91 2",               # non-ASCII (fullwidth digit one)
+    b"1_000 2",                      # int() spelling outside the grammar
+])
+def test_bad_id_exit_code_names_the_line(tmp_path, capsys, bad_line):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"# ids\n0 1\n" + bad_line + b"\n")
+    assert main(["exact", "--graph", str(path), "--states", "random:1",
+                 "--output", str(tmp_path / "o"), "--threads", "1"]) == 3
+    assert "input error: line 3:" in capsys.readouterr().err
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.1 + 0.2,
+                  1 / 3, 2 / 3, 1.0, 123456789.12345679, 1e16, float("inf"), float("nan")]
+
+
+def test_bulk_estimate_writers_match_per_row_writers(tmp_path):
+    """The bulk writers reproduce json.dump / csv.writer / per-row TSV byte for byte."""
+    from percolator.cli import _json_with_estimates, _write_estimates
+    from gen import build
+    graph = build([(10 * i - 30, 10 * i - 20) for i in range(len(SPECIAL_FLOATS) - 1)])
+    values = np.array(SPECIAL_FLOATS)
+    ids = graph.orig_ids
+    head = {"algorithm": "mcera", "r_final": 7, "xi": [0.5, 1e-300], "n": graph.n}
+    per_vertex = {str(int(ids[v])): float(values[v]) for v in range(graph.n)}
+    assert _json_with_estimates(head, graph, values) == json.dumps(
+        {**head, "estimates": per_vertex}, indent=1) + "\n"
+
+    for fmt in ("tsv", "csv", "json"):
+        out = tmp_path / f"est.{fmt}"
+        _write_estimates(str(out), graph, values, fmt)
+        ref = tmp_path / f"ref.{fmt}"
+        if fmt == "tsv":
+            with open(ref, "w") as fh:
+                for v in range(graph.n):
+                    fh.write(f"{ids[v]}\t{values[v]:.17g}\n")
+        elif fmt == "csv":
+            with open(ref, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["original_id", "value"])
+                for v in range(graph.n):
+                    writer.writerow([int(ids[v]), f"{values[v]:.17g}"])
+        else:
+            with open(ref, "w") as fh:
+                json.dump({"estimates": per_vertex}, fh, indent=1)
+                fh.write("\n")
+        assert out.read_bytes() == ref.read_bytes(), fmt
