@@ -11,7 +11,7 @@ from .graph import (EdgeListParseError, Graph, bfs_level_counts,
 from .percolation import (PercolationModel, load_states,
                           percolation_differences, random_states, save_states)
 from .progressive import RunReport, ScheduleConfig, estimate, stopping_condition
-from .sampling import (MeetResult, PathBag, bag_estimate,
+from .sampling import (BfsWorkspace, MeetResult, PathBag, bag_estimate,
                        balanced_bidirectional_bfs, pab_sample, prk_sample,
                        sample_pair, sample_paths)
 

@@ -19,7 +19,7 @@ from .exact import exact_rho_and_diameter
 from .graph import Graph
 from .percolation import PercolationModel
 from .rng import BASELINE_STREAM, derive_rng
-from .sampling import pab_sample, prk_sample, sample_pair
+from .sampling import BfsWorkspace, pab_sample, prk_sample, sample_pair
 
 
 def run_prk_fixed(graph: Graph, model: PercolationModel, epsilon: float,
@@ -35,9 +35,10 @@ def run_prk_fixed(graph: Graph, model: PercolationModel, epsilon: float,
     samples = vd_baseline_sample_size(vertex_diameter, epsilon, delta)
     t1 = time.perf_counter()
     sum_f = np.zeros(graph.n)
+    ws = BfsWorkspace(graph.n)
     for i in range(samples):
         rng = derive_rng(seed, BASELINE_STREAM, i)
-        for v, f in prk_sample(graph, model, rng).items():
+        for v, f in prk_sample(graph, model, rng, ws).items():
             sum_f[v] += f
     return {
         "algorithm": "p-rk-fixed",

@@ -70,8 +70,8 @@ def _source_sweep(graph: Graph, x: np.ndarray | None, s: int,
     return delta_p, delta_b, internal_sum, max_dist
 
 
-def _sweep_block(args):
-    graph, x, sources, want_p, want_b = args
+def _sweep_block(graph: Graph, x: np.ndarray | None, sources: range,
+                 want_p: bool, want_b: bool):
     n = graph.n
     acc_p = np.zeros(n) if want_p else None
     acc_b = np.zeros(n) if want_b else None
@@ -91,17 +91,29 @@ def _sweep_block(args):
 _BLOCK = 256    # fixed block size keeps the reduction tree, and hence the
                 # float result, independent of the worker count
 
+_worker_inputs: tuple = ()   # (graph, x), set once per pool worker
+
+
+def _install_inputs(graph: Graph, x: np.ndarray | None) -> None:
+    global _worker_inputs
+    _worker_inputs = (graph, x)
+
+
+def _sweep_block_in_worker(job):
+    return _sweep_block(*_worker_inputs, *job)
+
 
 def _run_all_sources(graph: Graph, x, want_p: bool, want_b: bool, threads: int):
     n = graph.n
-    parts = [list(range(i, min(i + _BLOCK, n))) for i in range(0, n, _BLOCK)]
-    jobs = [(graph, x, part, want_p, want_b) for part in parts]
-    if threads <= 1 or len(parts) < 2:
-        blocks = [_sweep_block(job) for job in jobs]
+    # jobs carry only their source range; pool workers get the graph once
+    jobs = [(range(i, min(i + _BLOCK, n)), want_p, want_b) for i in range(0, n, _BLOCK)]
+    if threads <= 1 or len(jobs) < 2:
+        blocks = [_sweep_block(graph, x, *job) for job in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=threads, initializer=_install_inputs,
+                                 initargs=(graph, x)) as pool:
             # map preserves block order, so the reduction below is deterministic
-            blocks = list(pool.map(_sweep_block, jobs))
+            blocks = list(pool.map(_sweep_block_in_worker, jobs))
     acc_p = np.zeros(n) if want_p else None
     acc_b = np.zeros(n) if want_b else None
     internal = 0.0

@@ -23,7 +23,7 @@ from .bounds import (McEraState, empirical_peeling, eps_bound, mcera,
 from .graph import Graph
 from .percolation import PercolationModel
 from .rng import BOOTSTRAP_STREAM, ESTIMATE_STREAM, derive_rng
-from .sampling import (DEFAULT_BAG_CAP, bag_estimate,
+from .sampling import (DEFAULT_BAG_CAP, BfsWorkspace, bag_estimate,
                        balanced_bidirectional_bfs, sample_pair, sample_paths)
 
 
@@ -122,10 +122,10 @@ def stopping_condition(epsilon: float, xi_values, ceiling: int, r_i: int) -> boo
 
 
 def _draw_pair_sample(graph: Graph, model: PercolationModel, rng,
-                      alpha: float, cap: int):
+                      alpha: float, cap: int, ws: BfsWorkspace | None = None):
     """One pair sample: (sparse contribution, internal-length obs, capped)."""
     s, z = sample_pair(graph.n, rng)
-    meet = balanced_bidirectional_bfs(graph, s, z)
+    meet = balanced_bidirectional_bfs(graph, s, z, ws)
     obs = float(meet.dist - 1) if meet.connected else 0.0
     if not meet.connected or model.pair_weight(s, z) == 0.0:
         return {}, obs, False
@@ -143,6 +143,7 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
     n = graph.n
     min_rho = 1.0 / (n * (n - 1))
     t0 = time.perf_counter()
+    ws = BfsWorkspace(n)
 
     # bootstrap: squared contributions for peeling, distances for rho
     r_boot = config.bootstrap_size
@@ -153,7 +154,7 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
     for j in range(r_boot):
         rng = derive_rng(seed, BOOTSTRAP_STREAM, j)
         contrib, obs, capped = _draw_pair_sample(graph, model, rng,
-                                                 config.alpha, config.bag_cap)
+                                                 config.alpha, config.bag_cap, ws)
         internal_sum += obs
         obs_count += 1
         cap_events += capped
@@ -195,7 +196,7 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
         for b in range(block):
             rng = derive_rng(seed, ESTIMATE_STREAM, state.r)
             contrib, obs, capped = _draw_pair_sample(graph, model, rng,
-                                                     config.alpha, config.bag_cap)
+                                                     config.alpha, config.bag_cap, ws)
             internal_sum += obs
             obs_count += 1
             cap_events += capped

@@ -22,7 +22,12 @@ DEFAULT_BAG_CAP = 1 << 16
 
 @dataclass
 class MeetResult:
-    """Outcome of one balanced bidirectional BFS between s and z."""
+    """Outcome of one balanced bidirectional BFS between s and z.
+
+    ``dist_*`` and ``sigma_*`` are views of the :class:`BfsWorkspace` the
+    search ran on: they stay valid only until the next search on that
+    workspace, which resets the entries this one wrote.
+    """
 
     graph: Graph
     s: int
@@ -37,6 +42,33 @@ class MeetResult:
     cand_z: np.ndarray             # candidate arcs, z-side endpoints
     sigma_sz: float = 0.0          # total shortest s-z path count
     cand_weights: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+
+class BfsWorkspace:
+    """Distance and path-count buffers reused by every search of one run.
+
+    Each side remembers the vertices it labelled (its frontiers), so a
+    reset costs what the previous search touched, not n.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.dist_s = np.full(n, -1, dtype=np.int64)
+        self.dist_z = np.full(n, -1, dtype=np.int64)
+        self.sigma_s = np.zeros(n)
+        self.sigma_z = np.zeros(n)
+        self.touched_s: list[np.ndarray] = []
+        self.touched_z: list[np.ndarray] = []
+
+    def reset(self) -> None:
+        """Return every entry written since the last reset to -1 / 0."""
+        for dist, sigma, touched in ((self.dist_s, self.sigma_s, self.touched_s),
+                                     (self.dist_z, self.sigma_z, self.touched_z)):
+            if touched:
+                idx = np.concatenate(touched)
+                dist[idx] = -1
+                sigma[idx] = 0.0
+                touched.clear()
 
 
 @dataclass
@@ -69,44 +101,56 @@ def _expand_side(graph: Graph, frontier: np.ndarray, depth: int,
     cand_other = nbrs[met]
     if met.any():
         srcs, nbrs = srcs[~met], nbrs[~met]
-    if nbrs.size:
-        new = np.unique(nbrs[dist_own[nbrs] < 0])
-        dist_own[new] = depth + 1
-        into_next = dist_own[nbrs] == depth + 1
-        if into_next.any():
-            sigma_own += np.bincount(nbrs[into_next],
-                                     weights=sigma_own[srcs[into_next]],
-                                     minlength=graph.n)
-    else:
-        new = empty
+    if nbrs.size == 0:
+        return empty, cand_own, cand_other
+    new = np.unique(nbrs[dist_own[nbrs] < 0])
+    dist_own[new] = depth + 1
+    # the vertices at depth+1 are exactly ``new``: sum their path counts
+    # in slots of ``new``, arc order kept, so each sum is the one
+    # bincount over all n vertices would give
+    into_next = dist_own[nbrs] == depth + 1
+    slots = np.searchsorted(new, nbrs[into_next])
+    sigma_own[new] = np.bincount(slots, weights=sigma_own[srcs[into_next]],
+                                 minlength=new.size)
     return new, cand_own, cand_other
 
 
-def balanced_bidirectional_bfs(graph: Graph, s: int, z: int) -> MeetResult:
-    """Meet-in-the-middle BFS yielding the candidate arcs and sigma_sz."""
+def balanced_bidirectional_bfs(graph: Graph, s: int, z: int,
+                               ws: BfsWorkspace | None = None) -> MeetResult:
+    """Meet-in-the-middle BFS yielding the candidate arcs and sigma_sz.
+
+    ``ws`` holds the distance and path-count arrays; a fresh one is made
+    when none is given. Passing the same workspace to every search of a
+    run makes each search cost what it explores instead of O(n).
+    """
     if s == z:
         raise ValueError("endpoints must be distinct")
-    n = graph.n
-    dist_s = np.full(n, -1, dtype=np.int64)
-    dist_z = np.full(n, -1, dtype=np.int64)
-    sigma_s = np.zeros(n)
-    sigma_z = np.zeros(n)
+    if ws is None:
+        ws = BfsWorkspace(graph.n)
+    elif ws.n != graph.n:
+        raise ValueError("workspace and graph disagree on vertex count")
+    ws.reset()
+    dist_s, dist_z, sigma_s, sigma_z = ws.dist_s, ws.dist_z, ws.sigma_s, ws.sigma_z
+    frontier_s = np.array([s], dtype=np.int64)
+    frontier_z = np.array([z], dtype=np.int64)
+    ws.touched_s.append(frontier_s)
+    ws.touched_z.append(frontier_z)
     dist_s[s] = 0
     sigma_s[s] = 1.0
     dist_z[z] = 0
     sigma_z[z] = 1.0
-    frontier_s = np.array([s], dtype=np.int64)
-    frontier_z = np.array([z], dtype=np.int64)
     depth_s = depth_z = 0
 
     while frontier_s.size and frontier_z.size:
         if graph.out_degrees[frontier_s].sum() <= graph.in_degrees[frontier_z].sum():
             frontier_s, cand_s, cand_z = _expand_side(
                 graph, frontier_s, depth_s, dist_s, sigma_s, dist_z, backward=False)
+            ws.touched_s.append(frontier_s)
             depth_s += 1
         else:
             frontier_z, cand_z, cand_s = _expand_side(
                 graph, frontier_z, depth_z, dist_z, sigma_z, dist_s, backward=True)
+            ws.touched_z.append(frontier_z)
             depth_z += 1
         if cand_s.size:
             totals = dist_s[cand_s] + 1 + dist_z[cand_z]
@@ -132,23 +176,33 @@ def balanced_bidirectional_bfs(graph: Graph, s: int, z: int) -> MeetResult:
 
 def _walk_down(graph: Graph, v: int, dist: np.ndarray, sigma: np.ndarray,
                rng, toward_z: bool) -> list[int]:
-    """Random descent to depth 0, weighting each step by its path count."""
+    """Random descent to depth 0, weighting each step by its path count.
+
+    Each step draws one uniform ``pick`` in [0, sigma[v]) and goes to the
+    first predecessor at which ``pick`` minus the running sum of
+    predecessor counts drops to <= 0, or to the last one when rounding
+    keeps it positive. ``subtract.accumulate`` subtracts in order, so the
+    choice is bit-for-bit that of subtracting one predecessor at a time.
+    """
+    offsets = graph.fwd_offsets if toward_z else graph.bwd_offsets
+    targets = graph.fwd_targets if toward_z else graph.bwd_targets
     path = [v]
-    while dist[v] > 0:
-        target_depth = dist[v] - 1
-        pick = rng.random() * sigma[v]
-        nbrs = graph.out_neighbors(v) if toward_z else graph.in_neighbors(v)
-        chosen = v
-        for u in nbrs:
-            u = int(u)
-            if dist[u] != target_depth:
-                continue
-            pick -= sigma[u]
-            chosen = u
-            if pick <= 0.0:
-                break
-        path.append(chosen)
-        v = chosen
+    depth = int(dist[v])
+    while depth > 0:
+        depth -= 1
+        draw = rng.random()
+        nbrs = targets[offsets[v]:offsets[v + 1]]
+        preds = nbrs[dist[nbrs] == depth]
+        if preds.size == 1:        # the usual case, even next to hubs
+            v = int(preds[0])
+        else:
+            left = np.empty(preds.size + 1)
+            left[0] = draw * sigma[v]
+            left[1:] = sigma[preds]
+            np.subtract.accumulate(left, out=left)
+            hit = np.flatnonzero(left[1:] <= 0.0)
+            v = int(preds[hit[0]] if hit.size else preds[-1])
+        path.append(v)
     return path
 
 
@@ -224,14 +278,16 @@ def sample_pair(n: int, rng) -> tuple[int, int]:
     return s, z
 
 
-def prk_sample(graph: Graph, model: PercolationModel, rng) -> dict[int, float]:
+def prk_sample(graph: Graph, model: PercolationModel, rng,
+               ws: BfsWorkspace | None = None) -> dict[int, float]:
     """One single-path sample: uniform pair, then one uniform shortest path.
 
     Contributes kappa(s, z, v) to every internal vertex of the drawn path;
-    zero for disconnected or non-percolated pairs.
+    zero for disconnected or non-percolated pairs. ``ws`` is the BFS
+    workspace to reuse, as in :func:`balanced_bidirectional_bfs`.
     """
     s, z = sample_pair(graph.n, rng)
-    meet = balanced_bidirectional_bfs(graph, s, z)
+    meet = balanced_bidirectional_bfs(graph, s, z, ws)
     if not meet.connected or model.pair_weight(s, z) == 0.0:
         return {}
     bag = sample_paths(meet, alpha=1.0, rng=rng, count=1)

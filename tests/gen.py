@@ -57,6 +57,19 @@ def erdos_renyi_edges(n, p, seed, directed=False):
     return edges
 
 
+def chung_lu_edges(n, mean_degree, exponent, seed):
+    """Heavy-tailed (power-law) edge list: both endpoints of each of the
+    n*mean_degree/2 lines are drawn with probability proportional to
+    (i + 1)^(-1/(exponent - 1)), so a few low ids become hubs. Self-loops
+    and duplicates are left for the loader to drop."""
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(np.arange(1, n + 1, dtype=np.float64) ** (-1.0 / (exponent - 1.0)))
+    lines = int(round(n * mean_degree / 2))
+    us = np.minimum(np.searchsorted(cum, rng.random(lines) * cum[-1], side="right"), n - 1)
+    vs = np.minimum(np.searchsorted(cum, rng.random(lines) * cum[-1], side="right"), n - 1)
+    return list(zip(us.tolist(), vs.tolist()))
+
+
 def newman_watts_edges(n, k, add_prob, seed):
     """Ring lattice with k/2 neighbors per side plus random chords.
 

@@ -1,0 +1,41 @@
+"""Same-seed goldens: digests of whole reports on a small heavy-tailed graph.
+
+The digests were computed with the per-neighbour path walk and the
+n-sized per-sample BFS arrays that the workspace-based sampler replaced;
+a rewrite of the sampler must reproduce them bit for bit.
+"""
+
+import hashlib
+import json
+
+from percolator import PercolationModel, ScheduleConfig, estimate, random_states
+from percolator.baselines import run_prk_fixed
+
+from gen import build, chung_lu_edges
+
+
+def digest(report: dict) -> str:
+    fields = {k: (v.tolist() if hasattr(v, "tolist") else v)
+              for k, v in report.items() if not k.startswith("elapsed")}
+    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode()).hexdigest()
+
+
+def hub_graph():
+    graph = build(chung_lu_edges(400, 6, 2.3, seed=5))
+    return graph, PercolationModel(random_states(graph.n, seed=9))
+
+
+def test_estimate_report_digest():
+    graph, model = hub_graph()
+    report = estimate(graph, model, ScheduleConfig(epsilon=0.05, delta=0.1), seed=3)
+    assert report.r_final == 395
+    assert digest(report.as_dict()) == (
+        "2102f4515d18be04c966a28fc71fcb88fb94ffb113fcee7a9f6940b1de454a21")
+
+
+def test_prk_fixed_report_digest():
+    graph, model = hub_graph()
+    out = run_prk_fixed(graph, model, 0.05, 0.1, seed=3)
+    assert out["r_final"] == 1061
+    assert digest(out) == (
+        "64ea27d1d101e7bd3a2c646f16296bf87b67b36a1904cc7e54d0e1b008db892b")

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from percolator import (PercolationModel, bag_estimate,
+from percolator import (BfsWorkspace, PercolationModel, bag_estimate,
                         balanced_bidirectional_bfs, bfs_level_counts,
                         pab_sample, prk_sample, random_states, sample_paths)
-from percolator.sampling import PathBag
+from percolator.sampling import PathBag, _walk_down
 
-from gen import build, cycle_edges, erdos_renyi_edges, layered_edges, path_edges
+import oracle_walk
+from gen import (build, chung_lu_edges, cycle_edges, erdos_renyi_edges,
+                 layered_edges, path_edges)
 
 
 def enumerate_shortest_paths(graph, s, z):
@@ -242,3 +244,139 @@ def test_prk_monte_carlo_mean():
             acc[v] += f
     # worst per-vertex standard error for values in [0, 1]
     assert np.abs(acc / draws - p).max() < 4 * 0.5 / np.sqrt(draws)
+
+
+class EdgeDraws:
+    """Stand-in rng cycling through draws at and next to 0 and 1, where the
+    predecessor choice is decided by the last bits of the running sum."""
+
+    def __init__(self, seed):
+        self.values = [0.0, 1.0 - 2.0 ** -53, 0.5, 2.0 ** -60, 1.0 - 2.0 ** -40]
+        self.i = seed
+
+    def random(self):
+        self.i += 1
+        return self.values[self.i % len(self.values)]
+
+
+def walk_graphs():
+    yield "er", build(erdos_renyi_edges(40, 0.1, seed=3))
+    yield "hubs", build(chung_lu_edges(300, 6, 2.1, seed=4))
+    yield "directed", build(erdos_renyi_edges(40, 0.08, seed=5, directed=True),
+                            directed=True)
+    # 3- and 5-wide layers: up to ~1e29 paths, far past 2^53, so the
+    # counts are rounded and the running subtraction is inexact
+    yield "layered", build(layered_edges([1] + [3, 5] * 20 + [1]))
+
+
+def walk_pairs(name, graph):
+    if name == "layered":
+        return [(0, graph.n - 1)]
+    rng = np.random.default_rng(11)
+    return [tuple(map(int, rng.choice(graph.n, 2, replace=False))) for _ in range(40)]
+
+
+@pytest.mark.parametrize("name,graph", [pytest.param(n, g, id=n) for n, g in walk_graphs()])
+def test_walk_matches_per_neighbour_loop(name, graph):
+    """Same path and same number of draws as the loop, from every labelled
+    vertex of each side. The counts are also taken slightly inflated, so a
+    vertex can count more than its predecessors sum to and the pick runs
+    past the last one."""
+    noise = 1.0 + 1e-6 * np.random.default_rng(2).random(graph.n)
+    checked = 0
+    for trial, (s, z) in enumerate(walk_pairs(name, graph)):
+        meet = balanced_bidirectional_bfs(graph, s, z)
+        if not meet.connected:
+            continue
+        if name == "layered":
+            assert meet.sigma_sz > 2.0 ** 53
+        for toward_z, dist, sigma in ((False, meet.dist_s, meet.sigma_s),
+                                      (True, meet.dist_z, meet.sigma_z)):
+            for counts in (sigma, sigma * noise):
+                for v in np.flatnonzero(dist > 0).tolist():
+                    for make in (np.random.default_rng, EdgeDraws):
+                        new_rng, old_rng = make(trial * 1000 + v), make(trial * 1000 + v)
+                        got = _walk_down(graph, v, dist, counts, new_rng, toward_z)
+                        want = oracle_walk._walk_down(graph, v, dist, counts, old_rng,
+                                                      toward_z)
+                        assert got == want
+                        assert new_rng.random() == old_rng.random()   # same draws used
+                        checked += 1
+    assert checked > 100
+
+
+def test_walk_subtracts_predecessors_in_order():
+    # v = 0 with predecessors 1, 2, 3 counting 1, 2^53 and 4 paths and a
+    # pick of 2^53 + 2: one at a time, 2^53 + 2 - 1 rounds to 2^53 and the
+    # walk stops at 2; pick minus the summed counts would go on to 3
+    g = build([(0, 1), (0, 2), (0, 3)])
+    dist = np.array([1, 0, 0, 0])
+    sigma = np.array([2.0 ** 54 + 4, 1.0, 2.0 ** 53, 4.0])
+
+    class Half:
+        def random(self):
+            return 0.5
+
+    assert oracle_walk._walk_down(g, 0, dist, sigma, Half(), toward_z=False) == [0, 2]
+    assert _walk_down(g, 0, dist, sigma, Half(), toward_z=False) == [0, 2]
+
+
+def random_layers(widths, p, seed):
+    """Random bipartite arcs between consecutive layers, each vertex with at
+    least one arc to the next layer, so path counts are large and uneven."""
+    rng = np.random.default_rng(seed)
+    starts = np.cumsum([0] + widths)
+    edges = []
+    for k in range(len(widths) - 1):
+        for i in range(starts[k], starts[k + 1]):
+            nxt = [j for j in range(starts[k + 1], starts[k + 2]) if rng.random() < p]
+            edges += [(i, j) for j in nxt or [starts[k + 1]]]
+    return edges
+
+
+def test_path_counts_match_single_source_bfs_past_2_53():
+    for directed in (False, True):
+        g = build(random_layers([1] + [7] * 50 + [1], 0.5, seed=4), directed=directed)
+        meet = balanced_bidirectional_bfs(g, 0, g.n - 1)
+        assert meet.sigma_sz > 2.0 ** 60
+        for dist, sigma, graph, root in ((meet.dist_s, meet.sigma_s, g, 0),
+                                         (meet.dist_z, meet.sigma_z, g.reversed(), g.n - 1)):
+            _, _, want = bfs_level_counts(graph, root)
+            seen = dist >= 0
+            assert np.array_equal(sigma[seen], want[seen])
+
+
+def two_component_graph():
+    edges = erdos_renyi_edges(30, 0.12, seed=8)
+    edges += [(u + 100, v + 100) for u, v in erdos_renyi_edges(25, 0.15, seed=9)]
+    return build(edges)
+
+
+@pytest.mark.parametrize("graph", [
+    two_component_graph(),
+    build(erdos_renyi_edges(60, 0.04, seed=12, directed=True), directed=True),
+], ids=["two-components", "directed"])
+def test_workspace_reuse_matches_fresh_searches(graph):
+    ws = BfsWorkspace(graph.n)
+    rng = np.random.default_rng(21)
+    outcomes = set()
+    for _ in range(150):
+        s, z = map(int, rng.choice(graph.n, 2, replace=False))
+        reused = balanced_bidirectional_bfs(graph, s, z, ws)
+        fresh = balanced_bidirectional_bfs(graph, s, z)
+        outcomes.add(reused.connected)
+        assert reused.connected == fresh.connected
+        assert reused.dist == fresh.dist and reused.sigma_sz == fresh.sigma_sz
+        for key in ("cand_s", "cand_z", "cand_weights",
+                    "dist_s", "dist_z", "sigma_s", "sigma_z"):
+            assert np.array_equal(getattr(reused, key), getattr(fresh, key)), key
+    assert outcomes == {True, False}
+    ws.reset()
+    assert (ws.dist_s == -1).all() and (ws.dist_z == -1).all()
+    assert (ws.sigma_s == 0.0).all() and (ws.sigma_z == 0.0).all()
+
+
+def test_workspace_size_must_match_graph():
+    g = build(path_edges(4))
+    with pytest.raises(ValueError):
+        balanced_bidirectional_bfs(g, 0, 3, BfsWorkspace(g.n + 1))
