@@ -1,10 +1,11 @@
 """Ground-truth computations: exact centralities, rho, and diameter.
 
 One level-synchronous BFS per source vertex builds the shortest-path DAG
-with path counts; a backward pass accumulates the per-source dependencies,
-weighted by the ramp difference of the endpoint states for percolation and
-by one for betweenness. Everything here is O(n*m) and used as the oracle
-side of the approximation tests, so clarity beats micro-optimization.
+with path counts and keeps its arcs; walking those arcs back from the
+deepest level accumulates the per-source dependencies, weighted by the
+ramp difference of the endpoint states for percolation and by one for
+betweenness. Everything here is O(n*m) and is the oracle side of the
+approximation tests.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, bfs_level_counts
+from .graph import Graph, bfs_level_counts, shortest_path_dag
 from .percolation import PercolationModel
 
 
@@ -37,37 +38,33 @@ def _source_sweep(graph: Graph, x: np.ndarray | None, s: int,
     """Brandes-style pass from one source.
 
     Returns (delta_p, delta_b, internal_sum, max_dist); the deltas are
-    raw dependency vectors (still to be normalized), with the source
-    entry zeroed.
+    raw dependency vectors (still to be normalized), zero at the source.
+    The DAG arcs are walked level by level from the deepest; a vertex's
+    dependency is summed over its successors w ascending, as the CSR rows
+    list them.
     """
     n = graph.n
-    levels, dist, sigma = bfs_level_counts(graph, s)
+    levels, _, sigma, arcs = shortest_path_dag(graph, s)
     delta_p = np.zeros(n) if want_p else None
     delta_b = np.zeros(n) if want_b else None
-    for depth in range(len(levels) - 1, 0, -1):
-        layer = levels[depth]
-        srcs, nbrs = graph.expand_frontier(layer, backward=True)
-        if nbrs.size == 0:
-            continue
-        pred = dist[nbrs] == depth - 1
-        if not pred.any():
-            continue
-        v = nbrs[pred]
-        w = srcs[pred]
+    place = np.empty(n, dtype=np.int64)
+    # depth 0 would only write the source's entry, whose dependency is zero
+    for depth in range(len(arcs) - 1, 0, -1):
+        level = levels[depth]
+        v, w = arcs[depth]
+        place[level] = np.arange(level.size)
+        slots = place[v]
         ratio = sigma[v] / sigma[w]
         if want_p:
             weight = np.maximum(x[s] - x[w], 0.0)
-            delta_p += np.bincount(v, weights=ratio * (weight + delta_p[w]), minlength=n)
+            delta_p[level] = np.bincount(slots, weights=ratio * (weight + delta_p[w]),
+                                         minlength=level.size)
         if want_b:
-            delta_b += np.bincount(v, weights=ratio * (1.0 + delta_b[w]), minlength=n)
-    if want_p:
-        delta_p[s] = 0.0
-    if want_b:
-        delta_b[s] = 0.0
-    reached = dist > 0
-    internal_sum = float((dist[reached] - 1).sum())
-    max_dist = int(dist.max())
-    return delta_p, delta_b, internal_sum, max_dist
+            delta_b[level] = np.bincount(slots, weights=ratio * (1.0 + delta_b[w]),
+                                         minlength=level.size)
+    # levels[1:][i] lies at distance i + 1: i internal vertices per path
+    internal_sum = float(sum(i * level.size for i, level in enumerate(levels[1:])))
+    return delta_p, delta_b, internal_sum, len(levels) - 1
 
 
 def _sweep_block(graph: Graph, x: np.ndarray | None, sources: range,
@@ -103,8 +100,9 @@ def _sweep_block_in_worker(job):
     return _sweep_block(*_worker_inputs, *job)
 
 
-def _run_all_sources(graph: Graph, x, want_p: bool, want_b: bool, threads: int):
+def _run_all_sources(graph: Graph, x, want_p: bool, want_b: bool, threads: int | None):
     n = graph.n
+    threads = max(1, int(threads or 1))     # None and 0 mean one process
     # jobs carry only their source range; pool workers get the graph once
     jobs = [(range(i, min(i + _BLOCK, n)), want_p, want_b) for i in range(0, n, _BLOCK)]
     if threads <= 1 or len(jobs) < 2:
@@ -128,11 +126,10 @@ def _run_all_sources(graph: Graph, x, want_p: bool, want_b: bool, threads: int):
     return acc_p, acc_b, internal, max_d
 
 
-def exact_all(graph: Graph, model: PercolationModel, threads: int = 1) -> ExactResult:
+def exact_all(graph: Graph, model: PercolationModel, threads: int | None = 1) -> ExactResult:
     """Exact percolation centrality, betweenness, rho, and diameter."""
     if model.n != graph.n:
         raise ValueError("model and graph disagree on vertex count")
-    threads = max(1, int(threads or 1))
     acc_p, acc_b, internal, max_d = _run_all_sources(
         graph, model.x, want_p=True, want_b=True, threads=threads)
     pairs = graph.n * (graph.n - 1)
@@ -146,23 +143,24 @@ def exact_all(graph: Graph, model: PercolationModel, threads: int = 1) -> ExactR
     )
 
 
-def exact_percolation(graph: Graph, model: PercolationModel, threads: int = 1) -> np.ndarray:
+def exact_percolation(graph: Graph, model: PercolationModel,
+                      threads: int | None = 1) -> np.ndarray:
     if model.n != graph.n:
         raise ValueError("model and graph disagree on vertex count")
-    acc_p, _, _, _ = _run_all_sources(graph, model.x, True, False, max(1, threads))
+    acc_p, _, _, _ = _run_all_sources(graph, model.x, True, False, threads)
     pairs = graph.n * (graph.n - 1)
     safe = np.where(model.minus_s > 0.0, model.minus_s, 1.0)
     return np.where(model.minus_s > 0.0, acc_p / (pairs * safe), 0.0)
 
 
-def exact_betweenness(graph: Graph, threads: int = 1) -> np.ndarray:
-    _, acc_b, _, _ = _run_all_sources(graph, None, False, True, max(1, threads))
+def exact_betweenness(graph: Graph, threads: int | None = 1) -> np.ndarray:
+    _, acc_b, _, _ = _run_all_sources(graph, None, False, True, threads)
     return acc_b / (graph.n * (graph.n - 1))
 
 
-def exact_rho_and_diameter(graph: Graph, threads: int = 1) -> tuple[float, int]:
+def exact_rho_and_diameter(graph: Graph, threads: int | None = 1) -> tuple[float, int]:
     """rho (disconnected pairs contribute 0) and the max finite distance."""
-    _, _, internal, max_d = _run_all_sources(graph, None, False, False, max(1, threads))
+    _, _, internal, max_d = _run_all_sources(graph, None, False, False, threads)
     return internal / (graph.n * (graph.n - 1)), max_d
 
 

@@ -228,38 +228,60 @@ def write_edge_list(graph: Graph, target) -> None:
         target.write(text)
 
 
-def bfs_level_counts(graph: Graph, source: int, until: int | None = None):
-    """Level-synchronous BFS with shortest-path counting.
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``values``, ascending, as ``np.unique`` gives
+    them: a sort and a neighbour compare. numpy 2.x routes ``np.unique`` of
+    integers through a hash table, several times slower on frontier-sized
+    arrays."""
+    ordered = np.sort(values)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
 
-    Returns (levels, dist, sigma): ``levels`` is the list of frontiers,
-    ``dist`` is -1 for unreached vertices, ``sigma[v]`` counts shortest
-    source->v paths (float64; counts can exceed integer range).
-    With ``until`` set, stops as soon as the level containing it is
-    complete, leaving deeper vertices unexplored.
+
+def shortest_path_dag(graph: Graph, source: int, until: int | None = None):
+    """Level-synchronous BFS with shortest-path counting that keeps its DAG.
+
+    Returns (levels, dist, sigma, arcs): ``levels[d]`` holds the vertices
+    at distance d, ascending; ``dist`` is -1 for unreached vertices;
+    ``sigma[v]`` counts shortest source->v paths (float64; counts can
+    exceed integer range); ``arcs[d]`` is the pair (tails at d, heads at
+    d+1) of the DAG arcs between those levels, grouped by tail ascending
+    and ascending within a tail, as the CSR rows list them. With ``until``
+    set, stops as soon as the level containing it is complete, leaving
+    deeper vertices unexplored.
     """
-    n = graph.n
-    dist = np.full(n, -1, dtype=np.int64)
-    sigma = np.zeros(n, dtype=np.float64)
+    dist = np.full(graph.n, -1, dtype=np.int64)
+    sigma = np.zeros(graph.n, dtype=np.float64)
+    place = np.empty(graph.n, dtype=np.int64)    # index of a vertex in its level
     dist[source] = 0
     sigma[source] = 1.0
     frontier = np.array([source], dtype=np.int64)
-    levels = [frontier]
-    depth = 0
-    while frontier.size:
+    levels, arcs = [frontier], []
+    while True:
         srcs, nbrs = graph.expand_frontier(frontier)
-        if nbrs.size == 0:
+        # every unseen head lands in the next level, so these are the DAG arcs
+        into_next = dist[nbrs] < 0
+        tails, heads = srcs[into_next], nbrs[into_next]
+        frontier = sorted_unique(heads)
+        if not frontier.size:
             break
-        fresh = nbrs[dist[nbrs] < 0]
-        new = np.unique(fresh)
-        dist[new] = depth + 1
-        into_next = dist[nbrs] == depth + 1
-        if into_next.any():
-            sigma += np.bincount(nbrs[into_next],
-                                 weights=sigma[srcs[into_next]], minlength=n)
-        frontier = new
-        depth += 1
-        if frontier.size:
-            levels.append(frontier)
+        depth = len(levels)
+        dist[frontier] = depth
+        # summed in slots of the new level, arc order kept: per vertex the
+        # same additions as one bincount over all n vertices
+        place[frontier] = np.arange(frontier.size)
+        sigma[frontier] = np.bincount(place[heads], weights=sigma[tails],
+                                      minlength=frontier.size)
+        levels.append(frontier)
+        arcs.append((tails, heads))
         if until is not None and dist[until] >= 0:
             break
+    return levels, dist, sigma, arcs
+
+
+def bfs_level_counts(graph: Graph, source: int, until: int | None = None):
+    """(levels, dist, sigma) of :func:`shortest_path_dag`, without the arcs."""
+    levels, dist, sigma, _ = shortest_path_dag(graph, source, until)
     return levels, dist, sigma

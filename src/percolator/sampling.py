@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, bfs_level_counts
+from .graph import Graph, shortest_path_dag, sorted_unique
 from .percolation import PercolationModel
 
 DEFAULT_BAG_CAP = 1 << 16
@@ -57,6 +57,8 @@ class BfsWorkspace:
         self.dist_z = np.full(n, -1, dtype=np.int64)
         self.sigma_s = np.zeros(n)
         self.sigma_z = np.zeros(n)
+        # index of a vertex in the frontier just built; read only there
+        self.place = np.empty(n, dtype=np.int64)
         self.touched_s: list[np.ndarray] = []
         self.touched_z: list[np.ndarray] = []
 
@@ -85,7 +87,7 @@ class PathBag:
 
 def _expand_side(graph: Graph, frontier: np.ndarray, depth: int,
                  dist_own: np.ndarray, sigma_own: np.ndarray,
-                 dist_other: np.ndarray, backward: bool):
+                 dist_other: np.ndarray, place: np.ndarray, backward: bool):
     """One full level of one side; returns (next_frontier, cand_own, cand_other).
 
     Per-arc rules: endpoint seen by the other side -> candidate arc;
@@ -103,15 +105,14 @@ def _expand_side(graph: Graph, frontier: np.ndarray, depth: int,
         srcs, nbrs = srcs[~met], nbrs[~met]
     if nbrs.size == 0:
         return empty, cand_own, cand_other
-    new = np.unique(nbrs[dist_own[nbrs] < 0])
+    into_next = dist_own[nbrs] < 0      # every unseen endpoint lands at depth+1
+    srcs, nbrs = srcs[into_next], nbrs[into_next]
+    new = sorted_unique(nbrs)
     dist_own[new] = depth + 1
-    # the vertices at depth+1 are exactly ``new``: sum their path counts
-    # in slots of ``new``, arc order kept, so each sum is the one
-    # bincount over all n vertices would give
-    into_next = dist_own[nbrs] == depth + 1
-    slots = np.searchsorted(new, nbrs[into_next])
-    sigma_own[new] = np.bincount(slots, weights=sigma_own[srcs[into_next]],
-                                 minlength=new.size)
+    # sum the path counts in slots of ``new``, arc order kept, so each sum
+    # is the one bincount over all n vertices would give
+    place[new] = np.arange(new.size)
+    sigma_own[new] = np.bincount(place[nbrs], weights=sigma_own[srcs], minlength=new.size)
     return new, cand_own, cand_other
 
 
@@ -144,12 +145,12 @@ def balanced_bidirectional_bfs(graph: Graph, s: int, z: int,
     while frontier_s.size and frontier_z.size:
         if graph.out_degrees[frontier_s].sum() <= graph.in_degrees[frontier_z].sum():
             frontier_s, cand_s, cand_z = _expand_side(
-                graph, frontier_s, depth_s, dist_s, sigma_s, dist_z, backward=False)
+                graph, frontier_s, depth_s, dist_s, sigma_s, dist_z, ws.place, backward=False)
             ws.touched_s.append(frontier_s)
             depth_s += 1
         else:
             frontier_z, cand_z, cand_s = _expand_side(
-                graph, frontier_z, depth_z, dist_z, sigma_z, dist_s, backward=True)
+                graph, frontier_z, depth_z, dist_z, sigma_z, dist_s, ws.place, backward=True)
             ws.touched_z.append(frontier_z)
             depth_z += 1
         if cand_s.size:
@@ -298,34 +299,49 @@ def prk_sample(graph: Graph, model: PercolationModel, rng,
 def pab_sample(graph: Graph, model: PercolationModel, s: int, z: int) -> dict[int, float]:
     """Pair-conditional sample: full dependency split over the s-z DAG.
 
-    Runs a BFS from s truncated at z's level, then walks the DAG backward
-    from z, so each internal v contributes sigma_sz(v)/sigma_sz * kappa.
+    One BFS from s, truncated at z's level, keeps the DAG arcs. Walking
+    them back from z, level by level, gives each vertex v on a shortest
+    s-z path its count omega[v] of shortest v-z paths, and each internal
+    v contributes sigma[v] * omega[v] / sigma_sz * kappa. The order of
+    the additions is fixed, since past 2^53 it changes the rounding: a
+    level lists its vertices as they are first met when the arcs into
+    the level below are read head by head in that level's order, tails
+    ascending per head, and omega[v] adds its successors in that order.
     """
     if s == z:
         raise ValueError("endpoints must be distinct")
-    _, dist, sigma = bfs_level_counts(graph, s, until=z)
+    _, dist, sigma, arcs = shortest_path_dag(graph, s, until=z)
     if dist[z] < 0:
         return {}
     weight = model.pair_weight(s, z)
     if weight == 0.0:
         return {}
-    sigma_sz = sigma[z]
-    # path counts from v to z, restricted to vertices on shortest s-z paths
-    omega: dict[int, float] = {z: 1.0}
-    level: list[int] = [z]
-    out: dict[int, float] = {}
-    for depth in range(int(dist[z]), 1, -1):
-        nxt: dict[int, float] = {}
-        for w in level:
-            share = omega[w]
-            for u in graph.in_neighbors(w):
-                u = int(u)
-                if dist[u] == depth - 1:
-                    nxt[u] = nxt.get(u, 0.0) + share
-        for v, om in nxt.items():
-            denom = model.minus_s[v]
-            if denom > 0.0:
-                out[v] = sigma[v] * om / sigma_sz * weight / denom
-        omega = nxt
-        level = list(nxt)
-    return out
+    place = np.full(graph.n, -1, dtype=np.int64)    # index of a vertex in its level
+    level = np.array([z], dtype=np.int64)
+    omega = np.ones(1)
+    found, values = [], []
+    for tails, heads in reversed(arcs[1:]):
+        place[level] = np.arange(level.size)
+        at = place[heads]
+        on_path = at >= 0
+        tails, at = tails[on_path], at[on_path]
+        # the arcs come grouped by tail ascending: a tail is first met at
+        # its head placed first, and tails first met at one head ascend
+        fresh = np.diff(tails, prepend=-1) != 0
+        starts = np.flatnonzero(fresh)
+        by_first = np.argsort(np.minimum.reduceat(at, starts), kind="stable")
+        level = tails[starts[by_first]]
+        rank = np.empty(level.size, dtype=np.int64)
+        rank[by_first] = np.arange(level.size)
+        # a tail's heads are distinct, so arcs ordered by head place add
+        # up each omega in the order above
+        by_head = np.argsort(at)
+        omega = np.bincount(rank[np.cumsum(fresh) - 1][by_head],
+                            weights=omega[at[by_head]], minlength=level.size)
+        denom = model.minus_s[level]
+        kept = denom > 0.0
+        found.append(level[kept])
+        values.append(sigma[level[kept]] * omega[kept] / sigma[z] * weight / denom[kept])
+    if not found:
+        return {}
+    return dict(zip(np.concatenate(found).tolist(), np.concatenate(values).tolist()))

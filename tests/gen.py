@@ -93,3 +93,16 @@ def newman_watts_edges(n, k, add_prob, seed):
             edges.add(e)
             extra -= 1
     return sorted(edges)
+
+
+def random_layers(widths, p, seed):
+    """Random bipartite arcs between consecutive layers, each vertex with at
+    least one arc to the next layer, so path counts are large and uneven."""
+    rng = np.random.default_rng(seed)
+    starts = np.cumsum([0] + widths)
+    edges = []
+    for k in range(len(widths) - 1):
+        for i in range(starts[k], starts[k + 1]):
+            nxt = [j for j in range(starts[k + 1], starts[k + 2]) if rng.random() < p]
+            edges += [(i, j) for j in nxt or [starts[k + 1]]]
+    return edges

@@ -1,0 +1,110 @@
+"""Reference shortest-path DAG code: the BFS, source sweep and pair sample
+that the one-pass DAG replaced.
+
+Kept only as a test oracle. ``bfs_level_counts``, ``_source_sweep`` and
+``pab_sample`` must give the same bits as their counterparts in
+``percolator``: the BFS deduplicates frontiers with ``np.unique``, the
+sweep re-expands every level over in-arcs and filters by distance, and
+the pair sample sums path counts in per-neighbour dict loops.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from percolator import Graph, PercolationModel
+
+
+def bfs_level_counts(graph: Graph, source: int, until: int | None = None):
+    """Level-synchronous BFS with shortest-path counting."""
+    n = graph.n
+    dist = np.full(n, -1, dtype=np.int64)
+    sigma = np.zeros(n, dtype=np.float64)
+    dist[source] = 0
+    sigma[source] = 1.0
+    frontier = np.array([source], dtype=np.int64)
+    levels = [frontier]
+    depth = 0
+    while frontier.size:
+        srcs, nbrs = graph.expand_frontier(frontier)
+        if nbrs.size == 0:
+            break
+        fresh = nbrs[dist[nbrs] < 0]
+        new = np.unique(fresh)
+        dist[new] = depth + 1
+        into_next = dist[nbrs] == depth + 1
+        if into_next.any():
+            sigma += np.bincount(nbrs[into_next],
+                                 weights=sigma[srcs[into_next]], minlength=n)
+        frontier = new
+        depth += 1
+        if frontier.size:
+            levels.append(frontier)
+        if until is not None and dist[until] >= 0:
+            break
+    return levels, dist, sigma
+
+
+def _source_sweep(graph: Graph, x: np.ndarray | None, s: int,
+                  want_p: bool, want_b: bool):
+    """Brandes-style pass from one source."""
+    n = graph.n
+    levels, dist, sigma = bfs_level_counts(graph, s)
+    delta_p = np.zeros(n) if want_p else None
+    delta_b = np.zeros(n) if want_b else None
+    for depth in range(len(levels) - 1, 0, -1):
+        layer = levels[depth]
+        srcs, nbrs = graph.expand_frontier(layer, backward=True)
+        if nbrs.size == 0:
+            continue
+        pred = dist[nbrs] == depth - 1
+        if not pred.any():
+            continue
+        v = nbrs[pred]
+        w = srcs[pred]
+        ratio = sigma[v] / sigma[w]
+        if want_p:
+            weight = np.maximum(x[s] - x[w], 0.0)
+            delta_p += np.bincount(v, weights=ratio * (weight + delta_p[w]), minlength=n)
+        if want_b:
+            delta_b += np.bincount(v, weights=ratio * (1.0 + delta_b[w]), minlength=n)
+    if want_p:
+        delta_p[s] = 0.0
+    if want_b:
+        delta_b[s] = 0.0
+    reached = dist > 0
+    internal_sum = float((dist[reached] - 1).sum())
+    max_dist = int(dist.max())
+    return delta_p, delta_b, internal_sum, max_dist
+
+
+def pab_sample(graph: Graph, model: PercolationModel, s: int, z: int) -> dict[int, float]:
+    """Pair-conditional sample: full dependency split over the s-z DAG."""
+    if s == z:
+        raise ValueError("endpoints must be distinct")
+    _, dist, sigma = bfs_level_counts(graph, s, until=z)
+    if dist[z] < 0:
+        return {}
+    weight = model.pair_weight(s, z)
+    if weight == 0.0:
+        return {}
+    sigma_sz = sigma[z]
+    # path counts from v to z, restricted to vertices on shortest s-z paths
+    omega: dict[int, float] = {z: 1.0}
+    level: list[int] = [z]
+    out: dict[int, float] = {}
+    for depth in range(int(dist[z]), 1, -1):
+        nxt: dict[int, float] = {}
+        for w in level:
+            share = omega[w]
+            for u in graph.in_neighbors(w):
+                u = int(u)
+                if dist[u] == depth - 1:
+                    nxt[u] = nxt.get(u, 0.0) + share
+        for v, om in nxt.items():
+            denom = model.minus_s[v]
+            if denom > 0.0:
+                out[v] = sigma[v] * om / sigma_sz * weight / denom
+        omega = nxt
+        level = list(nxt)
+    return out

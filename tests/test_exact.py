@@ -136,3 +136,22 @@ def test_parallel_bit_identical_to_serial():
     assert (one.p == two.p).all()
     assert (one.b == two.b).all()
     assert one.rho == two.rho and one.diameter == two.diameter
+
+
+@pytest.fixture(scope="module")
+def two_blocks():
+    """Enough sources for two 256-source blocks, so threads=2 uses the pool."""
+    g = build(erdos_renyi_edges(300, 0.03, seed=6))
+    m = PercolationModel(random_states(g.n, seed=7))
+    return g, m, exact_all(g, m, threads=1)
+
+
+@pytest.mark.parametrize("threads", [None, 0, 1, 2])
+def test_every_entry_point_takes_any_thread_count(two_blocks, threads):
+    g, m, serial = two_blocks
+    res = exact_all(g, m, threads=threads)
+    assert np.array_equal(res.p, serial.p) and np.array_equal(res.b, serial.b)
+    assert (res.rho, res.diameter) == (serial.rho, serial.diameter)
+    assert np.array_equal(exact_percolation(g, m, threads=threads), serial.p)
+    assert np.array_equal(exact_betweenness(g, threads=threads), serial.b)
+    assert exact_rho_and_diameter(g, threads=threads) == (serial.rho, serial.diameter)

@@ -1,15 +1,17 @@
 """Same-seed goldens: digests of whole reports on a small heavy-tailed graph.
 
 The digests were computed with the per-neighbour path walk and the
-n-sized per-sample BFS arrays that the workspace-based sampler replaced;
-a rewrite of the sampler must reproduce them bit for bit.
+n-sized per-sample BFS arrays that the workspace-based sampler replaced,
+and (the pair-sample and exact ones) with the two-pass source sweep and
+dict-based pair sample that the one-pass shortest-path DAG replaced; a
+rewrite of the sampler or the exact engine must reproduce them bit for bit.
 """
 
 import hashlib
 import json
 
-from percolator import PercolationModel, ScheduleConfig, estimate, random_states
-from percolator.baselines import run_prk_fixed
+from percolator import PercolationModel, ScheduleConfig, estimate, exact_all, random_states
+from percolator.baselines import run_pab_naive, run_prk_fixed
 
 from gen import build, chung_lu_edges
 
@@ -39,3 +41,17 @@ def test_prk_fixed_report_digest():
     assert out["r_final"] == 1061
     assert digest(out) == (
         "64ea27d1d101e7bd3a2c646f16296bf87b67b36a1904cc7e54d0e1b008db892b")
+
+
+def test_pab_naive_report_digest():
+    graph, model = hub_graph()
+    out = run_pab_naive(graph, model, 0.05, 0.1, seed=3, max_samples=4096)
+    assert out["r_final"] == 4096
+    assert digest(out) == (
+        "f7d8db5e2d69c47a7b6f1808c6501ca335f6475595360b2d41a170d59d690022")
+
+
+def test_exact_all_digest():
+    graph, model = hub_graph()
+    assert digest(vars(exact_all(graph, model))) == (
+        "839c916229292384ba9c253b8e7aa02d66c60a661f3d7db70f072a03c4baedfd")

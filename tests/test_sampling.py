@@ -8,7 +8,7 @@ from percolator.sampling import PathBag, _walk_down
 
 import oracle_walk
 from gen import (build, chung_lu_edges, cycle_edges, erdos_renyi_edges,
-                 layered_edges, path_edges)
+                 layered_edges, path_edges, random_layers)
 
 
 def enumerate_shortest_paths(graph, s, z):
@@ -319,19 +319,6 @@ def test_walk_subtracts_predecessors_in_order():
 
     assert oracle_walk._walk_down(g, 0, dist, sigma, Half(), toward_z=False) == [0, 2]
     assert _walk_down(g, 0, dist, sigma, Half(), toward_z=False) == [0, 2]
-
-
-def random_layers(widths, p, seed):
-    """Random bipartite arcs between consecutive layers, each vertex with at
-    least one arc to the next layer, so path counts are large and uneven."""
-    rng = np.random.default_rng(seed)
-    starts = np.cumsum([0] + widths)
-    edges = []
-    for k in range(len(widths) - 1):
-        for i in range(starts[k], starts[k + 1]):
-            nxt = [j for j in range(starts[k + 1], starts[k + 2]) if rng.random() < p]
-            edges += [(i, j) for j in nxt or [starts[k + 1]]]
-    return edges
 
 
 def test_path_counts_match_single_source_bfs_past_2_53():
