@@ -11,8 +11,8 @@ from .graph import (EdgeListParseError, Graph, bfs_level_counts,
 from .percolation import (PercolationModel, load_states,
                           percolation_differences, random_states, save_states)
 from .progressive import RunReport, ScheduleConfig, estimate, stopping_condition
-from .sampling import (BfsWorkspace, MeetResult, PathBag, bag_estimate,
-                       balanced_bidirectional_bfs, pab_sample, prk_sample,
-                       sample_pair, sample_paths)
+from .sampling import (BfsWorkspace, Contribution, MeetResult, PathBag,
+                       bag_estimate, balanced_bidirectional_bfs, pab_sample,
+                       prk_sample, sample_pair, sample_paths)
 
 __version__ = "0.1.0"

@@ -38,8 +38,8 @@ def run_prk_fixed(graph: Graph, model: PercolationModel, epsilon: float,
     ws = BfsWorkspace(graph.n)
     for i in range(samples):
         rng = derive_rng(seed, BASELINE_STREAM, i)
-        for v, f in prk_sample(graph, model, rng, ws).items():
-            sum_f[v] += f
+        contrib = prk_sample(graph, model, rng, ws)
+        sum_f[contrib.idx] += contrib.val
     return {
         "algorithm": "p-rk-fixed",
         "estimates": sum_f / samples,
@@ -82,8 +82,7 @@ def run_pab_naive(graph: Graph, model: PercolationModel, epsilon: float,
             rng = derive_rng(seed, BASELINE_STREAM, state.r)
             s, z = sample_pair(n, rng)
             contrib = pab_sample(graph, model, s, z)
-            for v, f in contrib.items():
-                sum_f[v] += f
+            sum_f[contrib.idx] += contrib.val
             state.add_sample(contrib, signs[b])
         delta_i = delta / 2.0 ** (iterations + 1)
         rc = mcera(state, everyone)

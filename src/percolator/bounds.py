@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import rademacher_signs
+from .sampling import Contribution
 
 log = logging.getLogger(__name__)
 
@@ -60,11 +61,10 @@ class McEraState:
         """Sign rows for the next ``count`` samples (row i -> sample r+i)."""
         return rademacher_signs(self.seed, self.r, count, self.c)
 
-    def add_sample(self, contrib: dict[int, float], signs: np.ndarray) -> None:
+    def add_sample(self, contrib: Contribution, signs: np.ndarray) -> None:
         """Fold one sample's sparse contributions in; advances r."""
-        for v, f in contrib.items():
-            self.signed_sums[v] += f * signs
-            self.sq_sums[v] += f * f
+        self.signed_sums[contrib.idx] += contrib.val[:, None] * signs
+        self.sq_sums[contrib.idx] += contrib.val * contrib.val
         self.r += 1
 
 
@@ -244,6 +244,8 @@ def vd_baseline_sample_size(vertex_diameter: int, eps: float, delta: float) -> i
     Scales with log2 of the internal-vertex count of the longest
     shortest path; independent of n.
     """
+    if not 0.0 < eps < 1.0 or not 0.0 < delta < 1.0:
+        raise ValueError("eps and delta must lie in (0, 1)")
     if vertex_diameter < 2:
         raise ValueError("vertex diameter must be at least 2")
     if vertex_diameter == 2:

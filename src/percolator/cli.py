@@ -103,20 +103,21 @@ def cmd_exact(args) -> int:
 
 def _run_algorithm(name: str, graph: Graph, model: PercolationModel,
                    args, seed: int, vertex_diameter: int | None = None) -> dict:
+    # built for every algorithm, so the baselines get its checks too
+    config = ScheduleConfig(epsilon=args.epsilon, delta=args.delta,
+                            mc_trials=args.mc_trials, beta=args.beta,
+                            bag_cap=args.alpha_cap)
     if name == "mcera":
-        config = ScheduleConfig(epsilon=args.epsilon, delta=args.delta,
-                                mc_trials=args.mc_trials, beta=args.beta,
-                                bag_cap=args.alpha_cap)
         report: RunReport = estimate(graph, model, config, seed)
         out = report.as_dict()
         out["algorithm"] = "mcera"
         out["estimates"] = report.estimates
         return out
     if name == "p-rk-fixed":
-        return run_prk_fixed(graph, model, args.epsilon, args.delta, seed,
+        return run_prk_fixed(graph, model, config.epsilon, config.delta, seed,
                              vertex_diameter=vertex_diameter)
-    return run_pab_naive(graph, model, args.epsilon, args.delta, seed,
-                         mc_trials=args.mc_trials)
+    return run_pab_naive(graph, model, config.epsilon, config.delta, seed,
+                         mc_trials=config.mc_trials)
 
 
 def _sampled_vertex_diameter(graph: Graph, seed: int, probes: int = 16) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,8 +23,9 @@ from .bounds import (McEraState, empirical_peeling, eps_bound, mcera,
 from .graph import Graph
 from .percolation import PercolationModel
 from .rng import BOOTSTRAP_STREAM, ESTIMATE_STREAM, derive_rng
-from .sampling import (DEFAULT_BAG_CAP, BfsWorkspace, bag_estimate,
-                       balanced_bidirectional_bfs, sample_pair, sample_paths)
+from .sampling import (DEFAULT_BAG_CAP, NO_CONTRIBUTION, BfsWorkspace,
+                       bag_estimate, balanced_bidirectional_bfs, sample_pair,
+                       sample_paths)
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,6 @@ class RunReport:
     all_states_equal: bool = False
     rho_substituted: bool = False
     bag_cap_events: int = 0
-    sample_log: list | None = field(default=None, repr=False)
 
     def as_dict(self) -> dict:
         return {
@@ -128,13 +128,13 @@ def _draw_pair_sample(graph: Graph, model: PercolationModel, rng,
     meet = balanced_bidirectional_bfs(graph, s, z, ws)
     obs = float(meet.dist - 1) if meet.connected else 0.0
     if not meet.connected or model.pair_weight(s, z) == 0.0:
-        return {}, obs, False
+        return NO_CONTRIBUTION, obs, False
     bag = sample_paths(meet, alpha, rng, cap=cap)
     return bag_estimate(bag, model), obs, bag.capped
 
 
 def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
-             seed: int, keep_sample_log: bool = False) -> RunReport:
+             seed: int) -> RunReport:
     """Full progressive run; see the module docstring for the phases."""
     if graph.n < 3:
         raise ValueError("need at least 3 vertices for internal vertices to exist")
@@ -149,20 +149,17 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
     r_boot = config.bootstrap_size
     sq_boot = np.zeros(n)
     internal_sum = 0.0
-    obs_count = 0
     cap_events = 0
     for j in range(r_boot):
         rng = derive_rng(seed, BOOTSTRAP_STREAM, j)
         contrib, obs, capped = _draw_pair_sample(graph, model, rng,
                                                  config.alpha, config.bag_cap, ws)
         internal_sum += obs
-        obs_count += 1
         cap_events += capped
-        for v, f in contrib.items():
-            sq_boot[v] += f * f
+        sq_boot[contrib.idx] += contrib.val * contrib.val
 
     rho_substituted = False
-    rho = internal_sum / obs_count
+    rho = internal_sum / r_boot
     if rho == 0.0:
         rho = min_rho
         rho_substituted = True
@@ -185,7 +182,6 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
     xi = np.zeros(partition.t)
     for j in occupied:
         xi[j] = 1.0
-    sample_log: list | None = [] if keep_sample_log else None
     target = min(config.first_target, ceiling)
     iterations = 0
 
@@ -198,16 +194,12 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
             contrib, obs, capped = _draw_pair_sample(graph, model, rng,
                                                      config.alpha, config.bag_cap, ws)
             internal_sum += obs
-            obs_count += 1
             cap_events += capped
-            for v, f in contrib.items():
-                sum_f[v] += f
+            sum_f[contrib.idx] += contrib.val
             state.add_sample(contrib, signs[b])
-            if sample_log is not None:
-                sample_log.append(contrib)
 
         # refresh rho and, one-sidedly, the ceiling
-        rho = internal_sum / obs_count
+        rho = internal_sum / (r_boot + state.r)
         if rho == 0.0:
             rho = min_rho
             rho_substituted = True
@@ -243,5 +235,4 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
         all_states_equal=model.all_equal,
         rho_substituted=rho_substituted,
         bag_cap_events=cap_events,
-        sample_log=sample_log,
     )

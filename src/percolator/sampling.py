@@ -73,6 +73,21 @@ class BfsWorkspace:
                 touched.clear()
 
 
+@dataclass(frozen=True, eq=False)
+class Contribution:
+    """One sample's sparse f, ``val[i]`` at vertex ``idx[i]``. ``idx`` has no repeats, so
+    ``a[idx] += val`` adds each value once; ``len`` counts the (nonzero) entries."""
+
+    idx: np.ndarray                # int64 vertex ids
+    val: np.ndarray                # float64 values
+
+    def __len__(self) -> int:
+        return self.idx.size
+
+
+NO_CONTRIBUTION = Contribution(np.empty(0, dtype=np.int64), np.empty(0))
+
+
 @dataclass
 class PathBag:
     s: int
@@ -245,29 +260,24 @@ def sample_paths(meet: MeetResult, alpha: float, rng,
     return PathBag(s=meet.s, z=meet.z, paths=paths, requested=requested)
 
 
-def bag_estimate(bag: PathBag, model: PercolationModel) -> dict[int, float]:
+def bag_estimate(bag: PathBag, model: PercolationModel) -> Contribution:
     """Per-vertex contribution of one bag: (hits/|bag|) * kappa.
 
     Empty bags (disconnected pairs) contribute nothing but still count
     as one sample on the caller's side. Only vertices with a nonzero
-    contribution appear in the result.
+    contribution appear in the result, each once.
     """
-    if not bag.paths:
-        return {}
     weight = model.pair_weight(bag.s, bag.z)
-    if weight == 0.0:
-        return {}
-    counts: dict[int, int] = {}
-    for path in bag.paths:
-        for v in path[1:-1]:
-            counts[v] = counts.get(v, 0) + 1
-    inv = 1.0 / len(bag.paths)
-    out = {}
-    for v, c in counts.items():
-        denom = model.minus_s[v]
-        if denom > 0.0:
-            out[v] = c * inv * weight / denom
-    return out
+    if not bag.paths or weight == 0.0:
+        return NO_CONTRIBUTION
+    hits = np.sort(np.array([v for path in bag.paths for v in path[1:-1]], dtype=np.int64))
+    edge = np.ones(hits.size + 1, dtype=bool)      # run starts, then one past the end
+    np.not_equal(hits[1:], hits[:-1], out=edge[1:-1])
+    first = np.flatnonzero(edge)
+    idx, counts = hits[first[:-1]], first[1:] - first[:-1]
+    denom = model.minus_s[idx]
+    kept = denom > 0.0
+    return Contribution(idx[kept], counts[kept] * (1.0 / len(bag.paths)) * weight / denom[kept])
 
 
 def sample_pair(n: int, rng) -> tuple[int, int]:
@@ -280,23 +290,21 @@ def sample_pair(n: int, rng) -> tuple[int, int]:
 
 
 def prk_sample(graph: Graph, model: PercolationModel, rng,
-               ws: BfsWorkspace | None = None) -> dict[int, float]:
+               ws: BfsWorkspace | None = None) -> Contribution:
     """One single-path sample: uniform pair, then one uniform shortest path.
 
-    Contributes kappa(s, z, v) to every internal vertex of the drawn path;
-    zero for disconnected or non-percolated pairs. ``ws`` is the BFS
-    workspace to reuse, as in :func:`balanced_bidirectional_bfs`.
+    Contributes kappa(s, z, v) to every internal vertex of the drawn path
+    (a one-path bag); zero for disconnected or non-percolated pairs. ``ws``
+    is the BFS workspace to reuse, as in :func:`balanced_bidirectional_bfs`.
     """
     s, z = sample_pair(graph.n, rng)
     meet = balanced_bidirectional_bfs(graph, s, z, ws)
     if not meet.connected or model.pair_weight(s, z) == 0.0:
-        return {}
-    bag = sample_paths(meet, alpha=1.0, rng=rng, count=1)
-    path = bag.paths[0]
-    return {v: model.kappa(s, z, v) for v in path[1:-1]}
+        return NO_CONTRIBUTION
+    return bag_estimate(sample_paths(meet, alpha=1.0, rng=rng, count=1), model)
 
 
-def pab_sample(graph: Graph, model: PercolationModel, s: int, z: int) -> dict[int, float]:
+def pab_sample(graph: Graph, model: PercolationModel, s: int, z: int) -> Contribution:
     """Pair-conditional sample: full dependency split over the s-z DAG.
 
     One BFS from s, truncated at z's level, keeps the DAG arcs. Walking
@@ -312,14 +320,14 @@ def pab_sample(graph: Graph, model: PercolationModel, s: int, z: int) -> dict[in
         raise ValueError("endpoints must be distinct")
     _, dist, sigma, arcs = shortest_path_dag(graph, s, until=z)
     if dist[z] < 0:
-        return {}
+        return NO_CONTRIBUTION
     weight = model.pair_weight(s, z)
     if weight == 0.0:
-        return {}
+        return NO_CONTRIBUTION
     place = np.full(graph.n, -1, dtype=np.int64)    # index of a vertex in its level
     level = np.array([z], dtype=np.int64)
     omega = np.ones(1)
-    found, values = [], []
+    found, values = [NO_CONTRIBUTION.idx], [NO_CONTRIBUTION.val]    # z next to s: none
     for tails, heads in reversed(arcs[1:]):
         place[level] = np.arange(level.size)
         at = place[heads]
@@ -342,6 +350,4 @@ def pab_sample(graph: Graph, model: PercolationModel, s: int, z: int) -> dict[in
         kept = denom > 0.0
         found.append(level[kept])
         values.append(sigma[level[kept]] * omega[kept] / sigma[z] * weight / denom[kept])
-    if not found:
-        return {}
-    return dict(zip(np.concatenate(found).tolist(), np.concatenate(values).tolist()))
+    return Contribution(np.concatenate(found), np.concatenate(values))

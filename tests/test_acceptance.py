@@ -158,9 +158,8 @@ def test_criterion_5_unbiasedness():
             for _ in range(draws):
                 contrib, _, _ = _draw_pair_sample(g, model, rng,
                                                   alpha=math.log(10), cap=1 << 16)
-                for v, f in contrib.items():
-                    sums[v] += f
-                    sqs[v] += f * f
+                sums[contrib.idx] += contrib.val
+                sqs[contrib.idx] += contrib.val * contrib.val
             mean = sums / draws
             se = np.sqrt(np.maximum(sqs / draws - mean ** 2, 0.0) / draws)
             gap = np.abs(mean - p)
@@ -206,9 +205,9 @@ def test_criterion_6_variance_ordering():
                 for z in range(n):
                     if z == s or dist[z] < 0:
                         continue
-                    for v, f in pab_sample(g, model, s, z).items():
-                        mean[v] += f / pairs
-                        ab_sq[v] += f * f / pairs
+                    contrib = pab_sample(g, model, s, z)
+                    mean[contrib.idx] += contrib.val / pairs
+                    ab_sq[contrib.idx] += contrib.val * contrib.val / pairs
                     paths = enumerate_shortest_paths(g, dist, z)
                     for path in paths:
                         for v in path[1:-1]:

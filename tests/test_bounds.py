@@ -161,6 +161,13 @@ def test_vd_baseline_independent_of_n_and_doubling():
     assert vd_baseline_sample_size(2, 0.05, 0.1) >= 1
 
 
+@pytest.mark.parametrize("eps,delta", [(0.0, 0.1), (-1.0, 0.1), (1.0, 0.1), (1.5, 0.1),
+                                       (0.05, 0.0), (0.05, 1.0), (0.05, -0.5)])
+def test_vd_baseline_rejects_epsilon_delta_outside_unit_interval(eps, delta):
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        vd_baseline_sample_size(10, eps, delta)
+
+
 def test_rademacher_signs_deterministic_and_appendable():
     a = rademacher_signs(7, 0, 100, 25)
     b = rademacher_signs(7, 0, 100, 25)
@@ -189,8 +196,7 @@ def test_deviation_bound_coverage():
         for i in range(r):
             rng = derive_rng(1000 + trial, 5, i)
             contrib, _, _ = _draw_pair_sample(g, model, rng, alpha=math.log(10), cap=1 << 16)
-            for v, f in contrib.items():
-                sum_f[v] += f
+            sum_f[contrib.idx] += contrib.val
             state.add_sample(contrib, signs[i])
         everyone = np.arange(g.n)
         xi = eps_bound(mcera(state, everyone), wimpy_variance(state, everyone),

@@ -129,6 +129,20 @@ def test_approx_baselines_run(tmp_path, algorithm):
     assert all(0.0 <= v <= 1.0 for v in report["estimates"].values())
 
 
+@pytest.mark.parametrize("algorithm", ["mcera", "p-rk-fixed", "p-ab-progressive-naive"])
+@pytest.mark.parametrize("flag,value", [("--epsilon", "0"), ("--epsilon", "-1"),
+                                        ("--epsilon", "1.5"), ("--delta", "0"),
+                                        ("--delta", "1")])
+def test_approx_rejects_epsilon_delta_outside_unit_interval(tmp_path, capsys,
+                                                            algorithm, flag, value):
+    graph = write_graph(tmp_path, "0 1\n1 2\n2 3\n3 0\n")
+    out = tmp_path / "r.json"
+    assert main(["approx", "--graph", graph, "--states", "random:4",
+                 "--output", str(out), "--algorithm", algorithm, flag, value]) == 3
+    assert "must lie in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_csv_schema_and_aggregation(tmp_path):
     graph = write_graph(tmp_path, "0 1\n1 2\n2 3\n3 0\n0 2\n")
     out = str(tmp_path / "cmp.csv")

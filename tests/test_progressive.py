@@ -82,20 +82,6 @@ def test_deterministic_given_seed():
     assert c["estimates"] != a["estimates"]
 
 
-def test_sample_log_replays_estimates_exactly():
-    g = build(cycle_edges(6))
-    m = PercolationModel(random_states(6, seed=1))
-    report = estimate(g, m, ScheduleConfig(epsilon=0.1, delta=0.1), seed=2,
-                      keep_sample_log=True)
-    assert len(report.sample_log) == report.r_final
-    replay = np.zeros(g.n)
-    for contrib in report.sample_log:
-        for v, f in contrib.items():
-            replay[v] += f
-    replay /= report.r_final
-    assert np.abs(replay - report.estimates).max() < 1e-12
-
-
 def test_guarantee_on_path_graph():
     g = build(path_edges(3))
     m = PercolationModel([1.0, 0.5, 0.0])

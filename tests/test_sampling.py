@@ -7,6 +7,7 @@ from percolator import (BfsWorkspace, PercolationModel, bag_estimate,
 from percolator.sampling import PathBag, _walk_down
 
 import oracle_walk
+from oracle_contrib import as_dict
 from gen import (build, chung_lu_edges, cycle_edges, erdos_renyi_edges,
                  layered_edges, path_edges, random_layers)
 
@@ -169,31 +170,31 @@ def test_sample_paths_rejects_disconnected():
 def test_bag_estimate_examples():
     m = PercolationModel([1.0, 0.5, 0.0])
     bag = PathBag(s=0, z=2, paths=[[0, 1, 2]], requested=1)
-    assert bag_estimate(bag, m) == {1: pytest.approx(1.0)}
+    assert as_dict(bag_estimate(bag, m)) == {1: pytest.approx(1.0)}
 
     m_eq = PercolationModel([0.5, 0.1, 0.5])
-    assert bag_estimate(PathBag(s=0, z=2, paths=[[0, 1, 2]], requested=1), m_eq) == {}
+    assert as_dict(bag_estimate(PathBag(s=0, z=2, paths=[[0, 1, 2]], requested=1), m_eq)) == {}
 
     m4 = PercolationModel([1.0, 0.5, 0.5, 0.0])
     bag4 = PathBag(s=0, z=2, paths=[[0, 1, 2], [0, 3, 2]], requested=2)
-    out = bag_estimate(bag4, m4)
+    out = as_dict(bag_estimate(bag4, m4))
     assert out[1] == pytest.approx(0.5 * m4.kappa(0, 2, 1))
     assert out[3] == pytest.approx(0.5 * m4.kappa(0, 2, 3))
 
-    assert bag_estimate(PathBag(s=0, z=2, paths=[], requested=0), m) == {}
+    assert as_dict(bag_estimate(PathBag(s=0, z=2, paths=[], requested=0), m)) == {}
 
 
 def test_pab_path_example():
     g = build(path_edges(3))
     m = PercolationModel([1.0, 0.5, 0.0])
-    assert pab_sample(g, m, 0, 2) == {1: pytest.approx(1.0)}
-    assert pab_sample(g, m, 2, 0) == {}   # non-percolated direction
+    assert as_dict(pab_sample(g, m, 0, 2)) == {1: pytest.approx(1.0)}
+    assert as_dict(pab_sample(g, m, 2, 0)) == {}   # non-percolated direction
 
 
 def test_pab_disconnected_zero():
     g = build([(0, 1), (2, 3)])
     m = PercolationModel([1.0, 0.8, 0.3, 0.0])
-    assert pab_sample(g, m, 0, 3) == {}
+    assert as_dict(pab_sample(g, m, 0, 3)) == {}
 
 
 def test_pab_enumeration_equals_exact():
@@ -209,8 +210,8 @@ def test_pab_enumeration_equals_exact():
             for z in range(n):
                 if s == z:
                     continue
-                for v, f in pab_sample(g, m, s, z).items():
-                    acc[v] += f
+                contrib = pab_sample(g, m, s, z)
+                acc[contrib.idx] += contrib.val
         assert np.abs(acc / (n * (n - 1)) - exact_percolation(g, m)).max() < 1e-9
 
 
@@ -240,8 +241,8 @@ def test_prk_monte_carlo_mean():
     acc = np.zeros(g.n)
     draws = 20_000
     for _ in range(draws):
-        for v, f in prk_sample(g, m, rng).items():
-            acc[v] += f
+        contrib = prk_sample(g, m, rng)
+        acc[contrib.idx] += contrib.val
     # worst per-vertex standard error for values in [0, 1]
     assert np.abs(acc / draws - p).max() < 4 * 0.5 / np.sqrt(draws)
 
