@@ -90,9 +90,13 @@ NO_CONTRIBUTION = Contribution(np.empty(0, dtype=np.int64), np.empty(0))
 
 @dataclass
 class PathBag:
+    """The paths drawn for one pair: row i of ``paths``, a (k, d + 1) int64
+    array, is path i from s to z. ``sample_paths`` spends d uniforms per
+    path, in arc, s-side, z-side order."""
+
     s: int
     z: int
-    paths: list[list[int]]
+    paths: np.ndarray
     requested: int                 # ceil(alpha * sigma_sz) before capping
 
     @property
@@ -190,36 +194,79 @@ def balanced_bidirectional_bfs(graph: Graph, s: int, z: int,
                       cand_s=empty, cand_z=empty)
 
 
-def _walk_down(graph: Graph, v: int, dist: np.ndarray, sigma: np.ndarray,
-               rng, toward_z: bool) -> list[int]:
-    """Random descent to depth 0, weighting each step by its path count.
+def _walk_down(graph: Graph, v: np.ndarray, z_side: np.ndarray, dist, sigma,
+               uniforms: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Random descents to depth 0 from every ``v[i]`` at once, weighting each
+    step by its path count.
 
-    Each step draws one uniform ``pick`` in [0, sigma[v]) and goes to the
-    first predecessor at which ``pick`` minus the running sum of
-    predecessor counts drops to <= 0, or to the last one when rounding
-    keeps it positive. ``subtract.accumulate`` subtracts in order, so the
-    choice is bit-for-bit that of subtracting one predecessor at a time.
+    Walker i descends the s side (``z_side[i]`` False: in-arcs, ``dist[0]``,
+    ``sigma[0]``) or the z side (out-arcs, ``dist[1]``, ``sigma[1]``). Its
+    step t reads the uniform ``uniforms[first[i] + t]`` and sets
+    ``rem = draw * sigma[v]``; subtracting the predecessors' counts from
+    ``rem`` one at a time, in CSR order, it goes to the first predecessor at
+    which ``rem`` drops to <= 0, or to the last one when rounding keeps it
+    positive. That is bit for bit an in-order ``subtract.accumulate``,
+    never a cumsum. Every walker takes one step per iteration, and each
+    distinct (side, vertex) of a step has its neighbour list read once,
+    since a vertex's predecessors depend only on the vertex.
+
+    Returns ``trail`` of shape (len(v), deepest + 1): ``trail[i, t]`` is
+    walker i's vertex after t steps, for t up to its depth; later entries
+    are unspecified.
     """
-    offsets = graph.fwd_offsets if toward_z else graph.bwd_offsets
-    targets = graph.fwd_targets if toward_z else graph.bwd_targets
-    path = [v]
-    depth = int(dist[v])
-    while depth > 0:
-        depth -= 1
-        draw = rng.random()
-        nbrs = targets[offsets[v]:offsets[v + 1]]
-        preds = nbrs[dist[nbrs] == depth]
-        if preds.size == 1:        # the usual case, even next to hubs
-            v = int(preds[0])
+    n = graph.n
+    (dist_s, dist_z), (sigma_s, sigma_z) = dist, sigma
+    left = np.where(z_side, dist_z[v], dist_s[v])     # steps still to take
+    done_at = set(left.tolist())
+    steps = max(done_at, default=0)
+    trail = np.empty((steps + 1, v.size), dtype=np.int64)
+    trail[0] = v
+    rows, cur, zs, at = np.arange(v.size), v, z_side, first
+    # numpy's ndarray methods and ufuncs below skip the wrappers of the
+    # np.* functions, a large share of the cost at a bag's array sizes
+    for t in range(steps):
+        if t in done_at:                              # drop the walkers at depth 0
+            go = left > t
+            rows, cur, zs, at, left = rows[go], cur[go], zs[go], at[go], left[go]
+        # the step's distinct (side, vertex) keys, and each walker's slot among them
+        key = cur + n * zs
+        ukey = sorted_unique(key)
+        slot = ukey.searchsorted(key)
+        uz = ukey >= n
+        uv = ukey - n * uz
+        # their neighbour lists: in-arcs on the s side, out-arcs on the z side
+        if graph.directed:
+            lo = np.where(uz, graph.fwd_offsets[uv], graph.bwd_offsets[uv])
+            size = np.where(uz, graph.out_degrees[uv], graph.in_degrees[uv])
         else:
-            left = np.empty(preds.size + 1)
-            left[0] = draw * sigma[v]
-            left[1:] = sigma[preds]
-            np.subtract.accumulate(left, out=left)
-            hit = np.flatnonzero(left[1:] <= 0.0)
-            v = int(preds[hit[0]] if hit.size else preds[-1])
-        path.append(v)
-    return path
+            lo, size = graph.fwd_offsets[uv], graph.out_degrees[uv]
+        ends = np.add.accumulate(size)
+        arcs = np.arange(ends[-1]) + (lo - ends + size).repeat(size)
+        nz = uz.repeat(size)
+        nbrs = (np.where(nz, graph.fwd_targets[arcs], graph.bwd_targets[arcs])
+                if graph.directed else graph.fwd_targets[arcs])
+        below = (np.where(uz, dist_z[uv], dist_s[uv]) - 1).repeat(size)
+        at_pred = (np.where(nz, dist_z[nbrs], dist_s[nbrs]) == below).nonzero()[0]
+        preds = nbrs[at_pred]
+        # each walker's predecessors are preds[first_pred:last_pred + 1]
+        first_pred = at_pred.searchsorted(ends - size)[slot]
+        last_pred = at_pred.searchsorted(ends)[slot] - 1
+        nxt = preds[first_pred]                       # the one predecessor, the usual case
+        multi = (last_pred > first_pred).nonzero()[0]
+        if multi.size:
+            psigma = np.where(nz[at_pred], sigma_z[preds], sigma_s[preds])
+            here = cur[multi]
+            rem = uniforms[at[multi] + t] * np.where(zs[multi], sigma_z[here], sigma_s[here])
+            pos, last = first_pred[multi], last_pred[multi]
+            while multi.size:                         # rank r of every undecided walker
+                rem = rem - psigma[pos]
+                stop = (rem <= 0.0) | (pos == last)
+                nxt[multi[stop]] = preds[pos[stop]]
+                go = ~stop
+                multi, rem, pos, last = multi[go], rem[go], pos[go] + 1, last[go]
+        trail[t + 1, rows] = nxt
+        cur = nxt
+    return trail.T
 
 
 def sample_paths(meet: MeetResult, alpha: float, rng,
@@ -231,6 +278,12 @@ def sample_paths(meet: MeetResult, alpha: float, rng,
     weighted walks, which makes every draw uniform over the pair's path
     set. The bag size is capped at ``cap``; ``count`` overrides the
     alpha-based size (used by the single-path estimator).
+
+    A path of length d takes d uniforms, all k paths' from one
+    ``rng.random(k * d)`` call, the same values k * d scalar calls give.
+    Path i reads ``[i * d, (i + 1) * d)``: the arc pick, then one per step
+    of the s side (``dist_s[u]`` steps), then one per step of the z side
+    (``dist_z[w]``). The paths come as a (k, d + 1) int64 array, s first.
     """
     if not meet.connected:
         raise ValueError("cannot sample paths for a disconnected pair")
@@ -244,19 +297,20 @@ def sample_paths(meet: MeetResult, alpha: float, rng,
         requested = int(math.ceil(want)) if want < 2.0 ** 62 else 2 ** 62
     requested = max(requested, 1)
     k = min(requested, cap)
-    graph = meet.graph
-    cum = np.cumsum(meet.cand_weights)
-    total = cum[-1]
-    last = len(cum) - 1
-    paths = []
-    for _ in range(k):
-        j = min(int(np.searchsorted(cum, rng.random() * total, side="right")), last)
-        u = int(meet.cand_s[j])
-        w = int(meet.cand_z[j])
-        head = _walk_down(graph, u, meet.dist_s, meet.sigma_s, rng, toward_z=False)
-        head.reverse()
-        tail = _walk_down(graph, w, meet.dist_z, meet.sigma_z, rng, toward_z=True)
-        paths.append(head + tail)
+    d = meet.dist
+    uniforms = rng.random(k * d)
+    cum = meet.cand_weights.cumsum()
+    arc = np.minimum(cum.searchsorted(uniforms[::d] * cum[-1], side="right"), cum.size - 1)
+    u, w = meet.cand_s[arc], meet.cand_z[arc]
+    # every candidate arc joins the same two BFS levels: one head length per bag
+    head = int(meet.dist_s[u[0]])
+    first = np.arange(k) * d + 1
+    trail = _walk_down(meet.graph, np.concatenate((u, w)), np.arange(2 * k) >= k,
+                       (meet.dist_s, meet.dist_z), (meet.sigma_s, meet.sigma_z),
+                       uniforms, np.concatenate((first, first + head)))
+    paths = np.empty((k, d + 1), dtype=np.int64)
+    paths[:, :head + 1] = trail[:k, head::-1]     # an s-side trail runs u -> s
+    paths[:, head + 1:] = trail[k:, :d - head]
     return PathBag(s=meet.s, z=meet.z, paths=paths, requested=requested)
 
 
@@ -268,9 +322,9 @@ def bag_estimate(bag: PathBag, model: PercolationModel) -> Contribution:
     contribution appear in the result, each once.
     """
     weight = model.pair_weight(bag.s, bag.z)
-    if not bag.paths or weight == 0.0:
+    if not len(bag.paths) or weight == 0.0:
         return NO_CONTRIBUTION
-    hits = np.sort(np.array([v for path in bag.paths for v in path[1:-1]], dtype=np.int64))
+    hits = np.sort(bag.paths[:, 1:-1].ravel())
     edge = np.ones(hits.size + 1, dtype=bool)      # run starts, then one past the end
     np.not_equal(hits[1:], hits[:-1], out=edge[1:-1])
     first = np.flatnonzero(edge)
@@ -294,12 +348,16 @@ def prk_sample(graph: Graph, model: PercolationModel, rng,
     """One single-path sample: uniform pair, then one uniform shortest path.
 
     Contributes kappa(s, z, v) to every internal vertex of the drawn path
-    (a one-path bag); zero for disconnected or non-percolated pairs. ``ws``
-    is the BFS workspace to reuse, as in :func:`balanced_bidirectional_bfs`.
+    (a one-path bag); zero for disconnected or non-percolated pairs. A
+    non-percolated pair returns before the search, which draws nothing.
+    ``ws`` is the BFS workspace to reuse, as in
+    :func:`balanced_bidirectional_bfs`.
     """
     s, z = sample_pair(graph.n, rng)
+    if model.pair_weight(s, z) == 0.0:
+        return NO_CONTRIBUTION
     meet = balanced_bidirectional_bfs(graph, s, z, ws)
-    if not meet.connected or model.pair_weight(s, z) == 0.0:
+    if not meet.connected:
         return NO_CONTRIBUTION
     return bag_estimate(sample_paths(meet, alpha=1.0, rng=rng, count=1), model)
 
@@ -315,14 +373,15 @@ def pab_sample(graph: Graph, model: PercolationModel, s: int, z: int) -> Contrib
     level lists its vertices as they are first met when the arcs into
     the level below are read head by head in that level's order, tails
     ascending per head, and omega[v] adds its successors in that order.
+    A non-percolated pair returns before the BFS.
     """
     if s == z:
         raise ValueError("endpoints must be distinct")
-    _, dist, sigma, arcs = shortest_path_dag(graph, s, until=z)
-    if dist[z] < 0:
-        return NO_CONTRIBUTION
     weight = model.pair_weight(s, z)
     if weight == 0.0:
+        return NO_CONTRIBUTION
+    _, dist, sigma, arcs = shortest_path_dag(graph, s, until=z)
+    if dist[z] < 0:
         return NO_CONTRIBUTION
     place = np.full(graph.n, -1, dtype=np.int64)    # index of a vertex in its level
     level = np.array([z], dtype=np.int64)

@@ -29,7 +29,7 @@ def bag_estimate(bag: PathBag, model: PercolationModel) -> dict[int, float]:
     as one sample on the caller's side. Only vertices with a nonzero
     contribution appear in the result.
     """
-    if not bag.paths:
+    if not len(bag.paths):
         return {}
     weight = model.pair_weight(bag.s, bag.z)
     if weight == 0.0:

@@ -1,14 +1,19 @@
-"""Reference path walk: the per-neighbour loop the vectorized walk replaced.
+"""Reference path draws: one path at a time, one scalar draw per step.
 
-Kept only as a test oracle. Given the same ``rng`` state it must yield
-the same path as ``percolator.sampling._walk_down``.
+Kept only as a test oracle. ``_walk_down`` is the per-neighbour loop of
+one descent and ``sample_paths`` the per-path bag draw that calls it;
+given the same ``rng`` state, ``percolator.sampling.sample_paths`` must
+draw the same paths and leave ``rng`` in the same state.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from percolator import Graph
+from percolator.sampling import DEFAULT_BAG_CAP, MeetResult, PathBag
 
 
 def _walk_down(graph: Graph, v: int, dist: np.ndarray, sigma: np.ndarray,
@@ -31,3 +36,41 @@ def _walk_down(graph: Graph, v: int, dist: np.ndarray, sigma: np.ndarray,
         path.append(chosen)
         v = chosen
     return path
+
+
+def sample_paths(meet: MeetResult, alpha: float, rng,
+                 cap: int = DEFAULT_BAG_CAP, count: int | None = None) -> PathBag:
+    """Draw ceil(alpha * sigma_sz) shortest paths uniformly from the pair.
+
+    Each draw picks a candidate arc with probability proportional to
+    sigma_s[u] * sigma_z[w], then completes both halves with random
+    weighted walks, which makes every draw uniform over the pair's path
+    set. The bag size is capped at ``cap``; ``count`` overrides the
+    alpha-based size (used by the single-path estimator).
+    """
+    if not meet.connected:
+        raise ValueError("cannot sample paths for a disconnected pair")
+    if count is not None:
+        requested = int(count)
+    else:
+        if alpha <= 0.0:
+            raise ValueError("alpha must be positive")
+        want = alpha * meet.sigma_sz
+        # huge path counts saturate instead of overflowing the ceil
+        requested = int(math.ceil(want)) if want < 2.0 ** 62 else 2 ** 62
+    requested = max(requested, 1)
+    k = min(requested, cap)
+    graph = meet.graph
+    cum = np.cumsum(meet.cand_weights)
+    total = cum[-1]
+    last = len(cum) - 1
+    paths = []
+    for _ in range(k):
+        j = min(int(np.searchsorted(cum, rng.random() * total, side="right")), last)
+        u = int(meet.cand_s[j])
+        w = int(meet.cand_z[j])
+        head = _walk_down(graph, u, meet.dist_s, meet.sigma_s, rng, toward_z=False)
+        head.reverse()
+        tail = _walk_down(graph, w, meet.dist_z, meet.sigma_z, rng, toward_z=True)
+        paths.append(head + tail)
+    return PathBag(s=meet.s, z=meet.z, paths=paths, requested=requested)

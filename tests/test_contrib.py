@@ -70,7 +70,7 @@ def test_bag_estimate_matches_dict_oracle(case):
         hits = [v for path in bag.paths for v in path[1:-1]]
         repeated += len(hits) > len(set(hits))
     assert repeated > 20
-    empty = PathBag(s=0, z=1, paths=[], requested=0)
+    empty = PathBag(s=0, z=1, paths=np.empty((0, 2), dtype=np.int64), requested=0)
     assert_same(bag_estimate(empty, model), oracle_contrib.bag_estimate(empty, model))
 
 

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from percolator import (BfsWorkspace, PercolationModel, bag_estimate,
                         balanced_bidirectional_bfs, bfs_level_counts,
                         pab_sample, prk_sample, random_states, sample_paths)
-from percolator.sampling import PathBag, _walk_down
+from percolator import sampling
+from percolator.sampling import DEFAULT_BAG_CAP, PathBag, _walk_down
 
 import oracle_walk
 from oracle_contrib import as_dict
@@ -130,7 +133,7 @@ def test_unique_path_every_draw_identical():
     g = build(path_edges(3))
     meet = balanced_bidirectional_bfs(g, 0, 2)
     bag = sample_paths(meet, alpha=3.0, rng=np.random.default_rng(0))
-    assert all(p == [0, 1, 2] for p in bag.paths)
+    assert all(p.tolist() == [0, 1, 2] for p in bag.paths)
 
 
 def test_bag_cap_and_requested():
@@ -169,19 +172,21 @@ def test_sample_paths_rejects_disconnected():
 
 def test_bag_estimate_examples():
     m = PercolationModel([1.0, 0.5, 0.0])
-    bag = PathBag(s=0, z=2, paths=[[0, 1, 2]], requested=1)
+    bag = PathBag(s=0, z=2, paths=np.array([[0, 1, 2]]), requested=1)
     assert as_dict(bag_estimate(bag, m)) == {1: pytest.approx(1.0)}
 
     m_eq = PercolationModel([0.5, 0.1, 0.5])
-    assert as_dict(bag_estimate(PathBag(s=0, z=2, paths=[[0, 1, 2]], requested=1), m_eq)) == {}
+    assert as_dict(bag_estimate(PathBag(s=0, z=2, paths=np.array([[0, 1, 2]]), requested=1),
+                                m_eq)) == {}
 
     m4 = PercolationModel([1.0, 0.5, 0.5, 0.0])
-    bag4 = PathBag(s=0, z=2, paths=[[0, 1, 2], [0, 3, 2]], requested=2)
+    bag4 = PathBag(s=0, z=2, paths=np.array([[0, 1, 2], [0, 3, 2]]), requested=2)
     out = as_dict(bag_estimate(bag4, m4))
     assert out[1] == pytest.approx(0.5 * m4.kappa(0, 2, 1))
     assert out[3] == pytest.approx(0.5 * m4.kappa(0, 2, 3))
 
-    assert as_dict(bag_estimate(PathBag(s=0, z=2, paths=[], requested=0), m)) == {}
+    empty = PathBag(s=0, z=2, paths=np.empty((0, 3), dtype=np.int64), requested=0)
+    assert as_dict(bag_estimate(empty, m)) == {}
 
 
 def test_pab_path_example():
@@ -255,9 +260,24 @@ class EdgeDraws:
         self.values = [0.0, 1.0 - 2.0 ** -53, 0.5, 2.0 ** -60, 1.0 - 2.0 ** -40]
         self.i = seed
 
-    def random(self):
+    def random(self, size=None):
+        if size is not None:
+            return np.array([self.random() for _ in range(size)])
         self.i += 1
         return self.values[self.i % len(self.values)]
+
+
+def walk(graph, starts, toward_z, dist, sigma, rng):
+    """The vectorized walk from ``starts[i]`` on side ``toward_z[i]``, with
+    ``dist``/``sigma`` the (s side, z side) arrays. Walker i reads the
+    uniforms after walker i-1's, all from one ``rng.random`` call, as
+    sequential calls of the per-neighbour loop would. Returns the paths."""
+    starts = np.asarray(starts, dtype=np.int64)
+    toward_z = np.asarray(toward_z, dtype=bool)
+    depth = np.where(toward_z, dist[1][starts], dist[0][starts])
+    uniforms = rng.random(int(depth.sum()))
+    trail = _walk_down(graph, starts, toward_z, dist, sigma, uniforms, np.cumsum(depth) - depth)
+    return [row[:d + 1].tolist() for row, d in zip(trail, depth.tolist())]
 
 
 def walk_graphs():
@@ -280,7 +300,8 @@ def walk_pairs(name, graph):
 @pytest.mark.parametrize("name,graph", [pytest.param(n, g, id=n) for n, g in walk_graphs()])
 def test_walk_matches_per_neighbour_loop(name, graph):
     """Same path and same number of draws as the loop, from every labelled
-    vertex of each side. The counts are also taken slightly inflated, so a
+    vertex of each side, one walker per call; then from all of them, both
+    sides, in one call. The counts are also taken slightly inflated, so a
     vertex can count more than its predecessors sum to and the pick runs
     past the last one."""
     noise = 1.0 + 1e-6 * np.random.default_rng(2).random(graph.n)
@@ -291,18 +312,30 @@ def test_walk_matches_per_neighbour_loop(name, graph):
             continue
         if name == "layered":
             assert meet.sigma_sz > 2.0 ** 53
-        for toward_z, dist, sigma in ((False, meet.dist_s, meet.sigma_s),
-                                      (True, meet.dist_z, meet.sigma_z)):
-            for counts in (sigma, sigma * noise):
+        dists = (meet.dist_s, meet.dist_z)
+        for sigmas in ((meet.sigma_s, meet.sigma_z),
+                       (meet.sigma_s * noise, meet.sigma_z * noise)):
+            starts, sides = [], []
+            for toward_z in (False, True):
+                dist, counts = dists[toward_z], sigmas[toward_z]
                 for v in np.flatnonzero(dist > 0).tolist():
+                    starts.append(v)
+                    sides.append(toward_z)
                     for make in (np.random.default_rng, EdgeDraws):
                         new_rng, old_rng = make(trial * 1000 + v), make(trial * 1000 + v)
-                        got = _walk_down(graph, v, dist, counts, new_rng, toward_z)
+                        got = walk(graph, [v], [toward_z], dists, sigmas, new_rng)
                         want = oracle_walk._walk_down(graph, v, dist, counts, old_rng,
                                                       toward_z)
-                        assert got == want
+                        assert got == [want]
                         assert new_rng.random() == old_rng.random()   # same draws used
                         checked += 1
+            for make in (np.random.default_rng, EdgeDraws):
+                new_rng, old_rng = make(trial), make(trial)
+                got = walk(graph, starts, sides, dists, sigmas, new_rng)
+                want = [oracle_walk._walk_down(graph, v, dists[side], sigmas[side], old_rng, side)
+                        for v, side in zip(starts, sides)]
+                assert got == want
+                assert new_rng.random() == old_rng.random()
     assert checked > 100
 
 
@@ -315,11 +348,117 @@ def test_walk_subtracts_predecessors_in_order():
     sigma = np.array([2.0 ** 54 + 4, 1.0, 2.0 ** 53, 4.0])
 
     class Half:
-        def random(self):
-            return 0.5
+        def random(self, size=None):
+            return 0.5 if size is None else np.full(size, 0.5)
 
     assert oracle_walk._walk_down(g, 0, dist, sigma, Half(), toward_z=False) == [0, 2]
-    assert _walk_down(g, 0, dist, sigma, Half(), toward_z=False) == [0, 2]
+    assert walk(g, [0], [False], (dist, dist), (sigma, sigma), Half()) == [[0, 2]]
+
+
+def draw_cases():
+    for name, graph in walk_graphs():
+        yield pytest.param(graph, walk_pairs(name, graph), id=name)
+    for directed in (False, True):
+        graph = build(random_layers([1] + [7] * 50 + [1], 0.5, seed=4), directed=directed)
+        yield pytest.param(graph, [(0, graph.n - 1)],
+                           id="random-layers-" + ("directed" if directed else "undirected"))
+
+
+def rng_state(rng):
+    return rng.bit_generator.state if isinstance(rng, np.random.Generator) else rng.i
+
+
+@pytest.mark.parametrize("graph,pairs", draw_cases())
+def test_sample_paths_matches_per_path_draws(graph, pairs):
+    """Bit-equal paths and the same rng state afterwards as the per-path,
+    per-step scalar draws, for full and capped bags and single paths, also
+    with the counts slightly inflated (the pick can run past the last
+    predecessor) and with draws at and next to 0 and 1."""
+    noise = 1.0 + 1e-6 * np.random.default_rng(6).random(graph.n)
+    bags = 0
+    for trial, (s, z) in enumerate(pairs):
+        meet = balanced_bidirectional_bfs(graph, s, z)
+        if not meet.connected:
+            continue
+        # past 2^53 the counts round; full bags would be 2^16 paths there
+        full = DEFAULT_BAG_CAP if meet.sigma_sz < 2.0 ** 53 else 64
+        inflated = dataclasses.replace(meet, sigma_s=meet.sigma_s * noise,
+                                       sigma_z=meet.sigma_z * noise)
+        for m in (meet, inflated):
+            for kwargs in (dict(alpha=1.3, cap=full), dict(alpha=2.0, cap=3),
+                           dict(alpha=1.0, count=1)):
+                for make in (np.random.default_rng, EdgeDraws):
+                    new_rng, old_rng = make(trial), make(trial)
+                    got = sample_paths(m, rng=new_rng, **kwargs)
+                    want = oracle_walk.sample_paths(m, rng=old_rng, **kwargs)
+                    assert got.paths.dtype == np.int64
+                    assert got.paths.shape == (len(want.paths), meet.dist + 1)
+                    assert got.paths.tolist() == want.paths
+                    assert (got.requested, got.capped) == (want.requested, want.capped)
+                    assert rng_state(new_rng) == rng_state(old_rng)
+                    bags += 1
+    assert bags >= 12
+
+
+class RecordingRng:
+    """A seeded generator that logs the ``size`` of every ``random`` call."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def random(self, size=None):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+def test_one_uniform_array_per_bag():
+    """d uniforms per path, all from a single ``random(k * d)`` call."""
+    graph = build(chung_lu_edges(300, 6, 2.1, seed=4))
+    rng = np.random.default_rng(9)
+    bags = 0
+    for _ in range(40):
+        s, z = map(int, rng.choice(graph.n, 2, replace=False))
+        meet = balanced_bidirectional_bfs(graph, s, z)
+        if not meet.connected:
+            continue
+        for kwargs in (dict(alpha=1.5), dict(alpha=1.5, cap=2), dict(alpha=1.0, count=1)):
+            rec = RecordingRng(s)
+            bag = sample_paths(meet, rng=rec, **kwargs)
+            assert rec.sizes == [len(bag.paths) * meet.dist]
+        bags += meet.dist > 2
+    assert bags > 10
+
+
+def test_no_search_for_zero_weight_pairs(monkeypatch):
+    """pab_sample and prk_sample skip the BFS of a pair that contributes
+    nothing whatever the search finds."""
+    graph = build(erdos_renyi_edges(25, 0.15, seed=13))
+    model = PercolationModel(random_states(graph.n, seed=5))
+    dag_pairs, bfs_pairs = [], []
+    dag, bfs = sampling.shortest_path_dag, sampling.balanced_bidirectional_bfs
+
+    def counted_dag(graph, s, until=None):
+        dag_pairs.append((s, until))
+        return dag(graph, s, until=until)
+
+    def counted_bfs(graph, s, z, ws=None):
+        bfs_pairs.append((s, z))
+        return bfs(graph, s, z, ws)
+
+    monkeypatch.setattr(sampling, "shortest_path_dag", counted_dag)
+    monkeypatch.setattr(sampling, "balanced_bidirectional_bfs", counted_bfs)
+    pairs = [(s, z) for s in range(graph.n) for z in range(graph.n) if s != z]
+    zero = {pair for pair in pairs if model.pair_weight(*pair) == 0.0}
+    assert 0 < len(zero) < len(pairs)
+    for s, z in pairs:
+        pab_sample(graph, model, s, z)
+    assert dag_pairs == [pair for pair in pairs if pair not in zero]
+    rng = np.random.default_rng(3)
+    for _ in range(400):
+        prk_sample(graph, model, rng)
+    assert len(bfs_pairs) > 100
+    assert not zero & set(bfs_pairs)
 
 
 def test_path_counts_match_single_source_bfs_past_2_53():
