@@ -1,10 +1,11 @@
 """Statistical machinery for the progressive estimator.
 
 Holds the Monte-Carlo estimator state (signed sums for the Rademacher
-trials plus squared sums for variances), the supremum-deviation bounds
-computed from it, the variance-based empirical peeling of vertices into
-classes, and the two sufficient-sample-size formulas (the variance-aware
-one and the vertex-diameter baseline used for comparison).
+trials plus squared sums for variances, one row per vertex the run has
+touched), the supremum-deviation bounds computed from it together with
+their data-free floor, the variance-based empirical peeling of vertices
+into classes, and the two sufficient-sample-size formulas (the
+variance-aware one and the vertex-diameter baseline used for comparison).
 """
 
 from __future__ import annotations
@@ -41,21 +42,28 @@ class Partition:
 class McEraState:
     """Accumulators for the c-trial Monte-Carlo Rademacher average.
 
-    ``signed_sums[v, k]`` is the running sum of sign * f_v over samples,
-    ``sq_sums[v]`` the running sum of f_v squared; signs come from the
-    counter-based stream keyed by (seed, sample index, trial).
+    Rows are allocated in first-touch order: ``row_of[v]`` is vertex v's
+    row, -1 until a sample first gives v a nonzero value. For a touched
+    v, ``signed_sums[row_of[v], k]`` is the running sum of sign * f_v over
+    samples and ``sq_sums[row_of[v]]`` the running sum of f_v squared; an
+    untouched vertex's sums are exactly zero. Signs come from the
+    counter-based stream keyed by (seed, sample index, trial). Only the
+    first ``rows`` rows are in use; the arrays grow by doubling.
     """
 
     n: int
     c: int
     seed: int
     r: int = 0
+    rows: int = field(default=0, init=False)
+    row_of: np.ndarray = field(init=False)
     signed_sums: np.ndarray = field(init=False)
     sq_sums: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.signed_sums = np.zeros((self.n, self.c))
-        self.sq_sums = np.zeros(self.n)
+        self.row_of = np.full(self.n, -1, dtype=np.int64)
+        self.signed_sums = np.zeros((0, self.c))
+        self.sq_sums = np.zeros(0)
 
     def signs_for_block(self, count: int) -> np.ndarray:
         """Sign rows for the next ``count`` samples (row i -> sample r+i)."""
@@ -63,9 +71,34 @@ class McEraState:
 
     def add_sample(self, contrib: Contribution, signs: np.ndarray) -> None:
         """Fold one sample's sparse contributions in; advances r."""
-        self.signed_sums[contrib.idx] += contrib.val[:, None] * signs
-        self.sq_sums[contrib.idx] += contrib.val * contrib.val
+        rows = self.row_of[contrib.idx]
+        fresh = (rows < 0).nonzero()[0]
+        if fresh.size:
+            rows[fresh] = self._allocate(contrib.idx[fresh])
+        self.signed_sums[rows] += contrib.val[:, None] * signs
+        self.sq_sums[rows] += contrib.val * contrib.val
         self.r += 1
+
+    def _allocate(self, vertices: np.ndarray) -> np.ndarray:
+        """Zeroed rows for first-touched ``vertices``, in order."""
+        new = np.arange(self.rows, self.rows + vertices.size, dtype=np.int64)
+        self.rows += vertices.size
+        if self.rows > self.sq_sums.size:
+            # a power of two, at least double the old capacity, up to n
+            size = min(self.n, max(64, 1 << (self.rows - 1).bit_length()))
+            signed = np.zeros((size, self.c))
+            signed[:self.sq_sums.size] = self.signed_sums
+            sq = np.zeros(size)
+            sq[:self.sq_sums.size] = self.sq_sums
+            self.signed_sums, self.sq_sums = signed, sq
+        self.row_of[vertices] = new
+        return new
+
+    def touched_rows(self, members: np.ndarray) -> tuple[np.ndarray, bool]:
+        """Rows of the touched ``members``, and whether any is untouched."""
+        rows = self.row_of[members]
+        touched = rows[rows >= 0]
+        return touched, touched.size < rows.size
 
 
 def wimpy_variance(state: McEraState, members: np.ndarray) -> float:
@@ -75,7 +108,10 @@ def wimpy_variance(state: McEraState, members: np.ndarray) -> float:
     if members.size == 0:
         log.debug("wimpy variance of an empty class, returning 0")
         return 0.0
-    return float(state.sq_sums[members].max() / state.r)
+    rows, _ = state.touched_rows(members)
+    # sums of squares are >= 0, so an untouched member's exact 0 can
+    # always join the max
+    return float(state.sq_sums[rows].max(initial=0.0) / state.r)
 
 
 def mcera(state: McEraState, members: np.ndarray) -> float:
@@ -89,7 +125,10 @@ def mcera(state: McEraState, members: np.ndarray) -> float:
     if members.size == 0:
         log.debug("mcera of an empty class, returning 0")
         return 0.0
-    per_trial = state.signed_sums[members].max(axis=0) / state.r
+    rows, untouched = state.touched_rows(members)
+    # an untouched member's sums are exactly 0, so they join each trial's max
+    top = state.signed_sums[rows].max(axis=0, initial=0.0 if untouched else -np.inf)
+    per_trial = top / state.r
     return float(per_trial.mean())
 
 
@@ -112,6 +151,19 @@ def eps_bound(rc: float, wimpy: float, var_bound: float, t: int,
     lr = ell / r
     r_i = r_tilde + lr + math.sqrt(lr * lr + 2.0 * lr * r_tilde)
     return 2.0 * r_i + math.sqrt(2.0 * ell * (var_bound + 4.0 * r_i) / r) + ell / (3.0 * r)
+
+
+def xi_floor(t: int, r: int, delta: float) -> float:
+    """Lowest value ``eps_bound`` can take for any class at (t, r, delta).
+
+    ``eps_bound`` does not decrease in ``rc``, ``wimpy`` or ``var_bound``
+    and floors the Rademacher term at zero, so its value with all three
+    at zero bounds every class's xi from below; it equals
+    (25/3) * ln(4t/delta) / r and does not depend on c. It is computed
+    through ``eps_bound`` itself because correctly rounded +, sqrt and
+    max are monotone, so the float floor holds exactly as well.
+    """
+    return eps_bound(0.0, 0.0, 0.0, t, 1, r, delta)
 
 
 def _bennett_h(x: float) -> float:

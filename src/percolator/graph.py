@@ -88,11 +88,13 @@ class Graph:
         if total == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty
-        srcs = np.repeat(frontier, counts)
-        cum = np.cumsum(counts)
-        shift = np.repeat(starts - np.concatenate(([0], cum[:-1])), counts)
-        nbrs = targets[np.arange(total, dtype=np.int64) + shift]
-        return srcs, nbrs
+        srcs = frontier.repeat(counts)
+        # arc i of the output reads targets[i + starts[f] - (arcs before f)]
+        starts -= np.add.accumulate(counts)
+        starts += counts
+        pos = starts.repeat(counts)
+        pos += np.arange(total, dtype=np.int64)
+        return srcs, targets[pos]
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:

@@ -8,6 +8,12 @@ Monte-Carlo Rademacher state, and the run stops as soon as every class
 is within epsilon or the ceiling is reached. Either exit yields the
 (epsilon, delta) guarantee; the delta budget is split half to the
 ceiling and half across the iterations.
+
+No class bound can fall below ``xi_floor(t, r, 0.8 * delta_i)``, so
+while that floor exceeds epsilon below the ceiling the run cannot stop
+and the bounds are not evaluated; the iteration that stops always
+evaluates every occupied class, so reports are the same as with an
+evaluation on every iteration.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (McEraState, empirical_peeling, eps_bound, mcera,
-                     sufficient_sample_size, wimpy_variance)
+                     sufficient_sample_size, wimpy_variance, xi_floor)
 from .graph import Graph
 from .percolation import PercolationModel
 from .rng import BOOTSTRAP_STREAM, ESTIMATE_STREAM, derive_rng
@@ -206,16 +212,18 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
         ceiling = max(ceiling, sufficient_sample_size(
             vhat, rho, config.epsilon, config.delta / 2.0))
 
-        delta_i = config.delta_iter(iterations)
-        for j in occupied:
-            rc = mcera(state, members[j])
-            wim = wimpy_variance(state, members[j])
-            # the per-iteration share enters the bound as 5/delta_i
-            xi[j] = eps_bound(rc, wim, float(partition.var_bound[j]),
-                              partition.t, config.mc_trials, state.r,
-                              0.8 * delta_i)
-        if stopping_condition(config.epsilon, xi, ceiling, state.r):
-            break
+        # the per-iteration share enters the bound as 5/delta_i
+        delta_b = 0.8 * config.delta_iter(iterations)
+        # below the ceiling with the floor above epsilon no class can meet
+        # epsilon, so the run cannot stop here: skip the evaluation
+        if state.r >= ceiling or xi_floor(partition.t, state.r, delta_b) <= config.epsilon:
+            for j in occupied:
+                rc = mcera(state, members[j])
+                wim = wimpy_variance(state, members[j])
+                xi[j] = eps_bound(rc, wim, float(partition.var_bound[j]),
+                                  partition.t, config.mc_trials, state.r, delta_b)
+            if stopping_condition(config.epsilon, xi, ceiling, state.r):
+                break
         target = min(math.ceil(config.geom_ratio * target), ceiling)
 
     stop_reason = "eps-met" if bool(np.all(xi <= config.epsilon)) else "ceiling-hit"

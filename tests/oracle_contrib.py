@@ -5,16 +5,18 @@ Kept only as a test oracle. ``bag_estimate`` and ``prk_sample`` build
 ``dict[int, float]`` with Python loops (``prk_sample`` through
 ``PercolationModel.kappa``), and ``add_sample`` is the old
 ``McEraState.add_sample`` body, folding such a dict in one vertex at a
-time; ``self`` is the state it updates.
+time; ``self`` is the dense ``oracle_mcera.McEraState`` it updates.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from percolator import (BfsWorkspace, Graph, McEraState, PercolationModel,
+from percolator import (BfsWorkspace, Graph, PercolationModel,
                         balanced_bidirectional_bfs, sample_pair, sample_paths)
 from percolator.sampling import PathBag
+
+from oracle_mcera import McEraState
 
 
 def as_dict(contrib) -> dict[int, float]:

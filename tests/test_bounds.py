@@ -1,25 +1,39 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from percolator import (McEraState, PercolationModel, empirical_peeling,
+from percolator import (Contribution, McEraState, PercolationModel, empirical_peeling,
                         eps_bound, era_upper_bound, exact_percolation, mcera,
                         random_states, sufficient_sample_size,
-                        vd_baseline_sample_size, wimpy_variance)
+                        vd_baseline_sample_size, wimpy_variance, xi_floor)
 from percolator.bounds import sufficient_sample_size_closed_form
 from percolator.progressive import _draw_pair_sample
 from percolator.rng import derive_rng, rademacher_signs
 
+import oracle_mcera
 from gen import build, cycle_edges
+
+
+def fold(state, samples, signs=None):
+    """Fold ``samples`` (one {vertex: value} dict each) in through add_sample;
+    ``signs`` defaults to the state's own sign stream."""
+    if signs is None:
+        signs = state.signs_for_block(len(samples))
+    for sample, row in zip(samples, np.asarray(signs, dtype=np.float64)):
+        contrib = Contribution(np.array(list(sample), dtype=np.int64),
+                               np.array(list(sample.values()), dtype=np.float64))
+        state.add_sample(contrib, row)
+    return state
 
 
 def make_state(value_rows, c=1):
     """State for a single function; value_rows is the f(s_i) sequence."""
-    state = McEraState(n=1, c=c, seed=0)
     vals = np.asarray(value_rows, dtype=np.float64)
-    state.r = vals.size
-    state.sq_sums[0] = (vals ** 2).sum()
+    state = fold(McEraState(n=1, c=c, seed=0), [{0: v} if v else {} for v in vals])
     return state, vals
 
 
@@ -30,36 +44,76 @@ def test_wimpy_examples():
     state, _ = make_state([0.0, 0.0, 0.0])
     assert wimpy_variance(state, np.array([0])) == 0.0
 
-    two = McEraState(n=2, c=1, seed=0)
-    two.r = 2
-    two.sq_sums[:] = [0.5 ** 2 + 0.5 ** 2, 1.0]
+    two = fold(McEraState(n=2, c=1, seed=0), [{0: 0.5, 1: 1.0}, {0: 0.5}])
+    assert two.r == 2
     assert wimpy_variance(two, np.array([0, 1])) == pytest.approx(0.5)
 
 
 def test_mcera_examples():
-    zero = McEraState(n=1, c=4, seed=0)
-    zero.r = 3
+    zero = fold(McEraState(n=1, c=4, seed=0), [{}, {}, {}])
+    assert zero.r == 3
     assert mcera(zero, np.array([0])) == 0.0
 
-    one = McEraState(n=1, c=1, seed=0)
-    one.r = 2
-    one.signed_sums[0, 0] = 1.0 * 1 + 1.0 * -1
+    # signed sum 1.0 * 1 + 1.0 * -1
+    one = fold(McEraState(n=1, c=1, seed=0), [{0: 1.0}, {0: 1.0}], signs=[[1], [-1]])
     assert mcera(one, np.array([0])) == 0.0
 
-    two = McEraState(n=1, c=2, seed=0)
-    two.r = 2
-    two.signed_sums[0, 0] = 1.0 + 0.0        # lambda row (+1, +1)
-    two.signed_sums[0, 1] = -1.0 + 0.0       # lambda row (-1, +1)
+    # f = (1, 0); lambda rows (+1, +1) and (-1, +1) by trial
+    two = fold(McEraState(n=1, c=2, seed=0), [{0: 1.0}, {}], signs=[[1, -1], [1, 1]])
+    assert two.signed_sums[two.row_of[0]].tolist() == [1.0, -1.0]
     assert mcera(two, np.array([0])) == pytest.approx(0.0)
 
 
 def test_mcera_all_plus_one_equals_max_mean():
     # with every sign +1 the trial max is the max empirical mean
-    state = McEraState(n=3, c=2, seed=0)
-    state.r = 4
     means = np.array([0.25, 0.7, 0.1])
-    state.signed_sums[:] = (means * state.r)[:, None]
+    state = fold(McEraState(n=3, c=2, seed=0), [dict(enumerate(means))] * 4,
+                 signs=np.ones((4, 2)))
+    assert state.r == 4
     assert mcera(state, np.arange(3)) == pytest.approx(means.max())
+
+
+def same_bits(a: float, b: float) -> bool:
+    return np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
+
+
+@pytest.mark.parametrize("c", [1, 25])
+@pytest.mark.parametrize("negative", [False, True], ids=["stream-signs", "all-minus"])
+@pytest.mark.parametrize("seed", range(3))
+def test_sparse_state_matches_dense_oracle(seed, negative, c):
+    """Seeded contribution streams folded into the first-touch state and the
+    dense n-row oracle give bit-equal sums, mcera and wimpy variance after
+    every block, for classes with and without untouched members."""
+    n, reach = 300, 200                 # vertices >= reach are never touched
+    rng = np.random.default_rng(seed)
+    state = McEraState(n=n, c=c, seed=seed)
+    oracle = oracle_mcera.McEraState(n=n, c=c, seed=seed)
+    classes = [np.arange(n), np.arange(reach), np.arange(reach - 3, reach + 3),
+               np.arange(reach, n), np.empty(0, dtype=np.int64),
+               rng.choice(n, 40, replace=False), np.array([reach - 1, 0, n - 1])]
+    for _ in range(5):
+        signs = state.signs_for_block(40)
+        if negative:
+            signs = -np.ones_like(signs)    # every touched sum is negative
+        for row in signs:
+            k = int(rng.integers(0, 12))
+            contrib = Contribution(rng.choice(reach, k, replace=False).astype(np.int64),
+                                   rng.uniform(0.01, 1.0, k))
+            state.add_sample(contrib, row)
+            oracle.add_sample(contrib, row)
+        signed, sq = oracle_mcera.dense_sums(state)
+        assert np.array_equal(signed.view(np.int64), oracle.signed_sums.view(np.int64))
+        assert np.array_equal(sq.view(np.int64), oracle.sq_sums.view(np.int64))
+        for members in classes:
+            assert same_bits(mcera(state, members), oracle_mcera.mcera(oracle, members))
+            assert same_bits(wimpy_variance(state, members),
+                             oracle_mcera.wimpy_variance(oracle, members))
+    touched = np.nonzero(state.row_of >= 0)[0]
+    assert state.rows == touched.size <= reach
+    if negative:
+        # the untouched members' zero sums decide the max
+        assert mcera(state, touched) < 0.0
+        assert mcera(state, np.arange(n)) == 0.0
 
 
 def test_era_upper_bound_values():
@@ -96,6 +150,24 @@ def test_eps_bound_floors_negative_rademacher():
     flat = eps_bound(0.0, 0.0, 0.25, 1, 25, 100, 0.1)
     assert neg <= flat
     assert math.isfinite(neg)
+
+
+@pytest.mark.parametrize("t", [1, 2, 7, 40])
+def test_xi_floor_is_eps_bound_with_zero_terms(t):
+    for c, r, delta in itertools.product((1, 2, 25, 100), (1, 37, 1000, 10**7),
+                                         (1e-9, 0.008, 0.4, 0.99)):
+        assert xi_floor(t, r, delta) == eps_bound(0.0, 0.0, 0.0, t, c, r, delta)
+    assert xi_floor(t, 1000, 0.1) == pytest.approx(25 / 3 * math.log(40.0 * t) / 1000)
+
+
+@given(rc=st.floats(allow_nan=False, allow_infinity=False),
+       wimpy=st.floats(0.0, 0.25), var_bound=st.floats(0.0, 0.25),
+       t=st.integers(1, 60), c=st.integers(1, 100), r=st.integers(1, 10**9),
+       delta=st.floats(1e-12, 0.999))
+@example(rc=-0.0, wimpy=0.0, var_bound=0.0, t=1, c=25, r=1, delta=0.5)
+@example(rc=-1e300, wimpy=0.25, var_bound=0.25, t=3, c=25, r=441, delta=0.01)
+def test_eps_bound_never_below_xi_floor(rc, wimpy, var_bound, t, c, r, delta):
+    assert eps_bound(rc, wimpy, var_bound, t, c, r, delta) >= xi_floor(t, r, delta)
 
 
 def test_sufficient_sample_size_worked_value():

@@ -13,6 +13,7 @@ from percolator.sampling import NO_CONTRIBUTION, PathBag
 
 import oracle_contrib
 import oracle_exact
+import oracle_mcera
 from gen import build, chung_lu_edges, erdos_renyi_edges
 
 GRAPHS = {
@@ -100,7 +101,7 @@ def test_fold_matches_per_vertex_loop(case):
     one side, the old per-vertex loop over the oracle's dicts on the other."""
     graph, model = case
     state = McEraState(n=graph.n, c=25, seed=4)
-    oracle = McEraState(n=graph.n, c=25, seed=4)
+    oracle = oracle_mcera.McEraState(n=graph.n, c=25, seed=4)
     sum_f, oracle_sum_f = np.zeros(graph.n), np.zeros(graph.n)
     bags = list(bag_stream(graph, model, 300, seed=5))
     signs = state.signs_for_block(len(bags))
@@ -114,6 +115,7 @@ def test_fold_matches_per_vertex_loop(case):
         oracle_contrib.add_sample(oracle, want, row)
     assert state.r == oracle.r == len(bags)
     assert np.count_nonzero(state.sq_sums) > graph.n // 4
-    for a, b in ((sum_f, oracle_sum_f), (state.signed_sums, oracle.signed_sums),
-                 (state.sq_sums, oracle.sq_sums)):
+    signed, sq = oracle_mcera.dense_sums(state)
+    for a, b in ((sum_f, oracle_sum_f), (signed, oracle.signed_sums),
+                 (sq, oracle.sq_sums)):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))

@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import percolator
-from percolator import PercolationModel, pab_sample, random_states
+from percolator import Contribution, McEraState, PercolationModel, pab_sample, random_states
 from percolator.exact import _source_sweep
 from percolator.graph import shortest_path_dag, sorted_unique
 
@@ -110,3 +110,19 @@ def test_no_np_unique_in_the_package():
     assert sources
     for path in sources:
         assert "np.unique(" not in path.read_text(), path.name
+
+
+def test_mcera_state_sized_by_touched_vertices():
+    """The MC-ERA sums hold one row per vertex a sample touched, not one per
+    vertex of the graph: dense, n = 2,000,000 and 25 trials would take
+    416 MB; 1,000 samples over at most 5,000 vertices must fit in 2 MB."""
+    n, c = 2_000_000, 25
+    state = McEraState(n=n, c=c, seed=1)
+    rng = np.random.default_rng(2)
+    pool = rng.choice(n, 5_000, replace=False)
+    signs = state.signs_for_block(1_000)
+    for row in signs:
+        idx = rng.choice(pool, int(rng.integers(1, 40)), replace=False).astype(np.int64)
+        state.add_sample(Contribution(idx, rng.uniform(0.01, 1.0, idx.size)), row)
+    assert state.r == 1_000 and 0 < state.rows <= 5_000
+    assert state.signed_sums.nbytes + state.sq_sums.nbytes <= 2_000_000

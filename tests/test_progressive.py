@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from percolator import (PercolationModel, ScheduleConfig, estimate,
-                        exact_percolation, random_states, stopping_condition)
+from percolator import (PercolationModel, ScheduleConfig, bounds, estimate,
+                        exact_percolation, progressive, random_states,
+                        stopping_condition)
 
-from gen import build, cycle_edges, erdos_renyi_edges, path_edges
+from gen import build, chung_lu_edges, cycle_edges, erdos_renyi_edges, path_edges
 
 
 def strip_timing(report_dict):
@@ -114,3 +115,56 @@ def test_rho_substitution_flag():
     report = estimate(g, m, ScheduleConfig(epsilon=0.2, delta=0.2), seed=0)
     assert report.rho_substituted
     assert report.rho_estimate == pytest.approx(1.0 / 6.0)
+
+
+def run_counting_mcera(monkeypatch, graph, model, config, seed, skip=True):
+    """``estimate``'s report dict without timings, and its number of
+    ``mcera`` calls; ``skip=False`` disables the floor skip by making
+    ``xi_floor`` return -inf, so every iteration evaluates every class."""
+    calls = []
+
+    def counted(state, members):
+        calls.append(state.r)
+        return bounds.mcera(state, members)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(progressive, "mcera", counted)
+        if not skip:
+            patch.setattr(progressive, "xi_floor", lambda t, r, delta: -math.inf)
+        report = estimate(graph, model, config, seed=seed)
+    return strip_timing(report.as_dict()), len(calls)
+
+
+def test_floor_skip_keeps_the_golden_report(monkeypatch):
+    graph = build(chung_lu_edges(400, 6, 2.3, seed=5))
+    model = PercolationModel(random_states(graph.n, seed=9))
+    cfg = ScheduleConfig(epsilon=0.05, delta=0.1)
+    skipped, calls = run_counting_mcera(monkeypatch, graph, model, cfg, seed=3)
+    full, full_calls = run_counting_mcera(monkeypatch, graph, model, cfg, seed=3, skip=False)
+    assert skipped == full
+    assert skipped["stop_reason"] == "ceiling-hit" and skipped["iterations"] > 1
+    # a ceiling-hit run evaluates each occupied class once, at the ceiling
+    occupied = np.count_nonzero(skipped["xi_per_class"])
+    assert calls == occupied
+    assert full_calls == occupied * skipped["iterations"]
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.1])
+@pytest.mark.parametrize("name", ["path3", "cycle5"])
+def test_floor_skip_keeps_eps_met_reports(monkeypatch, name, eps):
+    """With the ceiling lifted to 2^16 these runs end eps-met, so both the
+    skipped and the evaluated branch run; the reports must not move."""
+    if name == "path3":
+        graph, model = build(path_edges(3)), PercolationModel([1.0, 0.5, 0.0])
+    else:
+        graph, model = build(cycle_edges(5)), PercolationModel(random_states(5, seed=1))
+    monkeypatch.setattr(progressive, "sufficient_sample_size", lambda *args: 1 << 16)
+    cfg = ScheduleConfig(epsilon=eps, delta=0.1)
+    for seed in range(2):
+        skipped, calls = run_counting_mcera(monkeypatch, graph, model, cfg, seed)
+        full, full_calls = run_counting_mcera(monkeypatch, graph, model, cfg, seed, skip=False)
+        assert skipped == full
+        assert skipped["stop_reason"] == "eps-met"
+        occupied = np.count_nonzero(skipped["xi_per_class"])
+        assert full_calls == occupied * skipped["iterations"]
+        assert occupied <= calls < full_calls
