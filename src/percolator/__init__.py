@@ -4,10 +4,8 @@ from .bounds import (McEraState, Partition, empirical_peeling, eps_bound,
                      era_upper_bound, mcera, sufficient_sample_size,
                      vd_baseline_sample_size, wimpy_variance, xi_floor)
 from .exact import (ExactResult, PathExplosionError, brute_force_percolation,
-                    exact_all, exact_betweenness, exact_percolation,
-                    exact_rho_and_diameter)
-from .graph import (EdgeListParseError, Graph, bfs_level_counts,
-                    load_edge_list, write_edge_list)
+                    exact_all, exact_rho_and_diameter)
+from .graph import EdgeListParseError, Graph, load_edge_list, write_edge_list
 from .percolation import (PercolationModel, load_states,
                           percolation_differences, random_states, save_states)
 from .progressive import RunReport, ScheduleConfig, estimate, stopping_condition

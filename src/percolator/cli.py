@@ -21,7 +21,7 @@ import numpy as np
 
 from .baselines import run_pab_naive, run_prk_fixed
 from .exact import exact_all
-from .graph import EdgeListParseError, Graph, bfs_level_counts, load_edge_list
+from .graph import EdgeListParseError, Graph, load_edge_list, shortest_path_dag
 from .percolation import PercolationModel, load_states, random_states
 from .progressive import RunReport, ScheduleConfig, estimate
 from .rng import DIAMETER_STREAM, combine, derive_rng
@@ -101,12 +101,15 @@ def cmd_exact(args) -> int:
     return EXIT_OK
 
 
+def _config(args, epsilon: float) -> ScheduleConfig:
+    # built before the graph is read, for every algorithm: the baselines get its checks too
+    return ScheduleConfig(epsilon=epsilon, delta=args.delta, mc_trials=args.mc_trials,
+                          beta=args.beta, bag_cap=args.alpha_cap)
+
+
 def _run_algorithm(name: str, graph: Graph, model: PercolationModel,
-                   args, seed: int, vertex_diameter: int | None = None) -> dict:
-    # built for every algorithm, so the baselines get its checks too
-    config = ScheduleConfig(epsilon=args.epsilon, delta=args.delta,
-                            mc_trials=args.mc_trials, beta=args.beta,
-                            bag_cap=args.alpha_cap)
+                   config: ScheduleConfig, seed: int,
+                   vertex_diameter: int | None = None) -> dict:
     if name == "mcera":
         report: RunReport = estimate(graph, model, config, seed)
         out = report.as_dict()
@@ -131,16 +134,17 @@ def _sampled_vertex_diameter(graph: Graph, seed: int, probes: int = 16) -> int:
     ecc = 0
     for _ in range(min(probes, graph.n)):
         s = int(rng.integers(graph.n))
-        _, dist, _ = bfs_level_counts(graph, s)
+        _, dist, _, _ = shortest_path_dag(graph, s)
         ecc = max(ecc, int(dist.max()))
     return 2 * ecc + 1
 
 
 def cmd_approx(args) -> int:
+    config = _config(args, args.epsilon)
     graph = _load_graph(args)
     states = _resolve_states(args.states, graph)
     model = PercolationModel(states)
-    result = _run_algorithm(args.algorithm, graph, model, args, args.seed)
+    result = _run_algorithm(args.algorithm, graph, model, config, args.seed)
     estimates = np.asarray(result.pop("estimates"), dtype=np.float64)
     result.update(n=graph.n, m=graph.m)
     with open(args.output, "w") as fh:
@@ -160,12 +164,17 @@ def cmd_compare(args) -> int:
     if args.repetitions < 1:
         print("repetitions must be at least 1", file=sys.stderr)
         return 2
+    algorithms = args.algorithms.split(",") if args.algorithms else list(ALGORITHMS)
+    for name in algorithms:
+        if name not in ALGORITHMS:
+            print(f"unknown algorithm {name!r}", file=sys.stderr)
+            return 2
+    configs = [_config(args, eps) for eps in args.epsilon_grid]
     graph = _load_graph(args)
     states = _resolve_states(args.states, graph)
     model = PercolationModel(states)
 
     exact_p = None
-    vertex_diameter = None
     if args.no_exact:
         vertex_diameter = _sampled_vertex_diameter(graph, args.seed)
     else:
@@ -178,22 +187,15 @@ def cmd_compare(args) -> int:
         exact_p = result.p
         vertex_diameter = result.vertex_diameter
 
-    algorithms = args.algorithms.split(",") if args.algorithms else list(ALGORITHMS)
-    for name in algorithms:
-        if name not in ALGORITHMS:
-            print(f"unknown algorithm {name!r}", file=sys.stderr)
-            return 2
-
     rows = []
-    for eps_idx, eps in enumerate(args.epsilon_grid):
-        args.epsilon = eps
+    for eps_idx, config in enumerate(configs):
         for rep in range(args.repetitions):
             for algo_idx, name in enumerate(algorithms):
                 sub_seed = combine(args.seed, eps_idx, rep, algo_idx)
                 log.info("run algorithm=%s eps=%g rep=%d sub_seed=%d",
-                         name, eps, rep, sub_seed)
+                         name, config.epsilon, rep, sub_seed)
                 t0 = time.perf_counter()
-                result = _run_algorithm(name, graph, model, args, sub_seed,
+                result = _run_algorithm(name, graph, model, config, sub_seed,
                                         vertex_diameter=vertex_diameter)
                 seconds = time.perf_counter() - t0
                 estimates = np.asarray(result["estimates"], dtype=np.float64)
@@ -202,13 +204,12 @@ def cmd_compare(args) -> int:
                     sd, mad = float(dev.max()), float(dev.mean())
                 else:
                     sd = mad = math.nan
-                rows.append([name, eps, rep, result["r_final"], seconds, sd, mad])
+                rows.append([name, config.epsilon, rep, result["r_final"], seconds, sd, mad])
 
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RAW_COLUMNS)
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
     base, ext = os.path.splitext(args.output)
     agg_path = base + ".agg" + (ext or ".csv")
@@ -243,6 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="defaults to PERCOLATOR_THREADS or all cores")
         p.add_argument("--output", required=True)
 
+    def estimator_options(p):
+        p.add_argument("--delta", type=float, default=0.1)
+        p.add_argument("--mc-trials", type=int, default=25)
+        p.add_argument("--beta", type=float, default=0.1)
+        p.add_argument("--alpha-cap", type=int, default=1 << 16,
+                       help="max paths drawn per sampled pair")
+
     p_exact = sub.add_parser("exact", help="exact centralities and graph stats")
     common(p_exact)
     p_exact.add_argument("--format", choices=["tsv", "json", "csv"], default="tsv")
@@ -251,11 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_approx = sub.add_parser("approx", help="one approximation run")
     common(p_approx)
     p_approx.add_argument("--epsilon", type=float, default=0.05)
-    p_approx.add_argument("--delta", type=float, default=0.1)
-    p_approx.add_argument("--mc-trials", type=int, default=25)
-    p_approx.add_argument("--beta", type=float, default=0.1)
-    p_approx.add_argument("--alpha-cap", type=int, default=1 << 16,
-                          help="max paths drawn per sampled pair")
+    estimator_options(p_approx)
     p_approx.add_argument("--algorithm", choices=ALGORITHMS, default="mcera")
     p_approx.add_argument("--format", choices=["tsv", "json", "csv"], default="json")
     p_approx.set_defaults(func=cmd_approx)
@@ -265,10 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--epsilon-grid", type=float, nargs="+",
                        default=[0.1, 0.05], metavar="EPS")
     p_cmp.add_argument("--repetitions", type=int, default=10)
-    p_cmp.add_argument("--delta", type=float, default=0.1)
-    p_cmp.add_argument("--mc-trials", type=int, default=25)
-    p_cmp.add_argument("--beta", type=float, default=0.1)
-    p_cmp.add_argument("--alpha-cap", type=int, default=1 << 16)
+    estimator_options(p_cmp)
     p_cmp.add_argument("--algorithms", default=None,
                        help="comma-separated subset of: " + ",".join(ALGORITHMS))
     p_cmp.add_argument("--no-exact", action="store_true",

@@ -1,10 +1,11 @@
 """Ground-truth computations: exact centralities, rho, and diameter.
 
-One level-synchronous BFS per source vertex builds the shortest-path DAG
-with path counts and keeps its arcs; walking those arcs back from the
-deepest level accumulates the per-source dependencies, weighted by the
-ramp difference of the endpoint states for percolation and by one for
-betweenness. Everything here is O(n*m) and is the oracle side of the
+One sweep computes everything. Per source vertex, a level-synchronous BFS
+builds the shortest-path DAG with path counts and keeps its arcs; its
+level sizes give the internal-vertex sum and the depth, and walking its
+arcs back from the deepest level accumulates the dependencies, weighted
+by the ramp difference of the endpoint states for percolation and by one
+for betweenness. Everything here is O(n*m) and is the oracle side of the
 approximation tests.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, bfs_level_counts, shortest_path_dag
+from .graph import Graph, shortest_path_dag
 from .percolation import PercolationModel
 
 
@@ -33,8 +34,7 @@ class ExactResult:
     all_states_equal: bool = False
 
 
-def _source_sweep(graph: Graph, x: np.ndarray | None, s: int,
-                  want_p: bool, want_b: bool):
+def _source_sweep(graph: Graph, x: np.ndarray, s: int):
     """Brandes-style pass from one source.
 
     Returns (delta_p, delta_b, internal_sum, max_dist); the deltas are
@@ -45,8 +45,8 @@ def _source_sweep(graph: Graph, x: np.ndarray | None, s: int,
     """
     n = graph.n
     levels, _, sigma, arcs = shortest_path_dag(graph, s)
-    delta_p = np.zeros(n) if want_p else None
-    delta_b = np.zeros(n) if want_b else None
+    delta_p = np.zeros(n)
+    delta_b = np.zeros(n)
     place = np.empty(n, dtype=np.int64)
     # depth 0 would only write the source's entry, whose dependency is zero
     for depth in range(len(arcs) - 1, 0, -1):
@@ -55,34 +55,32 @@ def _source_sweep(graph: Graph, x: np.ndarray | None, s: int,
         place[level] = np.arange(level.size)
         slots = place[v]
         ratio = sigma[v] / sigma[w]
-        if want_p:
-            weight = np.maximum(x[s] - x[w], 0.0)
-            delta_p[level] = np.bincount(slots, weights=ratio * (weight + delta_p[w]),
-                                         minlength=level.size)
-        if want_b:
-            delta_b[level] = np.bincount(slots, weights=ratio * (1.0 + delta_b[w]),
-                                         minlength=level.size)
+        weight = np.maximum(x[s] - x[w], 0.0)
+        delta_p[level] = np.bincount(slots, weights=ratio * (weight + delta_p[w]),
+                                     minlength=level.size)
+        delta_b[level] = np.bincount(slots, weights=ratio * (1.0 + delta_b[w]),
+                                     minlength=level.size)
     # levels[1:][i] lies at distance i + 1: i internal vertices per path
     internal_sum = float(sum(i * level.size for i, level in enumerate(levels[1:])))
     return delta_p, delta_b, internal_sum, len(levels) - 1
 
 
-def _sweep_block(graph: Graph, x: np.ndarray | None, sources: range,
-                 want_p: bool, want_b: bool):
-    n = graph.n
-    acc_p = np.zeros(n) if want_p else None
-    acc_b = np.zeros(n) if want_b else None
+def _fold(parts, n: int):
+    """The sums, in order, and the max distance of the sweeps' ``parts``."""
+    acc_p = np.zeros(n)
+    acc_b = np.zeros(n)
     internal = 0.0
     max_d = 0
-    for s in sources:
-        dp, db, isum, md = _source_sweep(graph, x, s, want_p, want_b)
-        if want_p:
-            acc_p += dp
-        if want_b:
-            acc_b += db
+    for dp, db, isum, md in parts:
+        acc_p += dp
+        acc_b += db
         internal += isum
         max_d = max(max_d, md)
     return acc_p, acc_b, internal, max_d
+
+
+def _sweep_block(graph: Graph, x: np.ndarray, sources: range):
+    return _fold((_source_sweep(graph, x, s) for s in sources), graph.n)
 
 
 _BLOCK = 256    # fixed block size keeps the reduction tree, and hence the
@@ -91,76 +89,50 @@ _BLOCK = 256    # fixed block size keeps the reduction tree, and hence the
 _worker_inputs: tuple = ()   # (graph, x), set once per pool worker
 
 
-def _install_inputs(graph: Graph, x: np.ndarray | None) -> None:
+def _install_inputs(graph: Graph, x: np.ndarray) -> None:
     global _worker_inputs
     _worker_inputs = (graph, x)
 
 
-def _sweep_block_in_worker(job):
-    return _sweep_block(*_worker_inputs, *job)
-
-
-def _run_all_sources(graph: Graph, x, want_p: bool, want_b: bool, threads: int | None):
-    n = graph.n
-    threads = max(1, int(threads or 1))     # None and 0 mean one process
-    # jobs carry only their source range; pool workers get the graph once
-    jobs = [(range(i, min(i + _BLOCK, n)), want_p, want_b) for i in range(0, n, _BLOCK)]
-    if threads <= 1 or len(jobs) < 2:
-        blocks = [_sweep_block(graph, x, *job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=threads, initializer=_install_inputs,
-                                 initargs=(graph, x)) as pool:
-            # map preserves block order, so the reduction below is deterministic
-            blocks = list(pool.map(_sweep_block_in_worker, jobs))
-    acc_p = np.zeros(n) if want_p else None
-    acc_b = np.zeros(n) if want_b else None
-    internal = 0.0
-    max_d = 0
-    for bp, bb, isum, md in blocks:
-        if want_p:
-            acc_p += bp
-        if want_b:
-            acc_b += bb
-        internal += isum
-        max_d = max(max_d, md)
-    return acc_p, acc_b, internal, max_d
+def _sweep_block_in_worker(sources: range):
+    return _sweep_block(*_worker_inputs, sources)
 
 
 def exact_all(graph: Graph, model: PercolationModel, threads: int | None = 1) -> ExactResult:
     """Exact percolation centrality, betweenness, rho, and diameter."""
     if model.n != graph.n:
         raise ValueError("model and graph disagree on vertex count")
-    acc_p, acc_b, internal, max_d = _run_all_sources(
-        graph, model.x, want_p=True, want_b=True, threads=threads)
-    pairs = graph.n * (graph.n - 1)
+    n = graph.n
+    threads = max(1, int(threads or 1))     # None and 0 mean one process
+    # jobs carry only their source range; pool workers get the graph once
+    jobs = [range(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK)]
+    if threads <= 1 or len(jobs) < 2:
+        acc_p, acc_b, internal, max_d = _fold(
+            (_sweep_block(graph, model.x, job) for job in jobs), n)
+    else:
+        with ProcessPoolExecutor(max_workers=threads, initializer=_install_inputs,
+                                 initargs=(graph, model.x)) as pool:
+            # map yields in block order, so the fold is deterministic
+            acc_p, acc_b, internal, max_d = _fold(pool.map(_sweep_block_in_worker, jobs), n)
+    pairs = n * (n - 1)
     safe = np.where(model.minus_s > 0.0, model.minus_s, 1.0)
     p = np.where(model.minus_s > 0.0, acc_p / (pairs * safe), 0.0)
-    b = acc_b / pairs
     return ExactResult(
-        p=p, b=b, rho=internal / pairs,
+        p=p, b=acc_b / pairs, rho=internal / pairs,
         diameter=max_d, vertex_diameter=max_d + 1,
         all_states_equal=model.all_equal,
     )
 
 
-def exact_percolation(graph: Graph, model: PercolationModel,
-                      threads: int | None = 1) -> np.ndarray:
-    if model.n != graph.n:
-        raise ValueError("model and graph disagree on vertex count")
-    acc_p, _, _, _ = _run_all_sources(graph, model.x, True, False, threads)
-    pairs = graph.n * (graph.n - 1)
-    safe = np.where(model.minus_s > 0.0, model.minus_s, 1.0)
-    return np.where(model.minus_s > 0.0, acc_p / (pairs * safe), 0.0)
-
-
-def exact_betweenness(graph: Graph, threads: int | None = 1) -> np.ndarray:
-    _, acc_b, _, _ = _run_all_sources(graph, None, False, True, threads)
-    return acc_b / (graph.n * (graph.n - 1))
-
-
-def exact_rho_and_diameter(graph: Graph, threads: int | None = 1) -> tuple[float, int]:
-    """rho (disconnected pairs contribute 0) and the max finite distance."""
-    _, _, internal, max_d = _run_all_sources(graph, None, False, False, threads)
+def exact_rho_and_diameter(graph: Graph) -> tuple[float, int]:
+    """rho (disconnected pairs contribute 0) and the max finite distance,
+    read off the sizes of the BFS levels from every source."""
+    internal = 0    # an int, so the sum is exact, as the sweep's is below 2^53
+    max_d = 0
+    for s in range(graph.n):
+        levels = shortest_path_dag(graph, s)[0]
+        internal += sum(i * level.size for i, level in enumerate(levels[1:]))
+        max_d = max(max_d, len(levels) - 1)
     return internal / (graph.n * (graph.n - 1)), max_d
 
 
@@ -197,7 +169,7 @@ def brute_force_percolation(graph: Graph, model: PercolationModel,
         raise ValueError("model and graph disagree on vertex count")
     acc = np.zeros(n)
     for s in range(n):
-        _, dist, _ = bfs_level_counts(graph, s)
+        _, dist, _, _ = shortest_path_dag(graph, s)
         preds: list[list[int]] = [[] for _ in range(n)]
         for v in range(n):
             if dist[v] <= 0:

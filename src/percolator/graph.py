@@ -242,6 +242,23 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return ordered[keep]
 
 
+def _next_level(tails: np.ndarray, heads: np.ndarray, depth: int,
+                dist: np.ndarray, sigma: np.ndarray, place: np.ndarray):
+    """One BFS level step: label every unseen head of the arcs ``tails ->
+    heads`` at depth+1 and count its paths. Returns the new level, ascending,
+    and the arcs into it in their given order; ``place`` is scratch."""
+    # every unseen head lands in the new level, so these are the DAG arcs
+    into_next = dist[heads] < 0
+    tails, heads = tails[into_next], heads[into_next]
+    level = sorted_unique(heads)
+    dist[level] = depth + 1
+    # summed in slots of the new level, arc order kept: per vertex the
+    # same additions as one bincount over all n vertices
+    place[level] = np.arange(level.size)
+    sigma[level] = np.bincount(place[heads], weights=sigma[tails], minlength=level.size)
+    return level, tails, heads
+
+
 def shortest_path_dag(graph: Graph, source: int, until: int | None = None):
     """Level-synchronous BFS with shortest-path counting that keeps its DAG.
 
@@ -262,28 +279,12 @@ def shortest_path_dag(graph: Graph, source: int, until: int | None = None):
     frontier = np.array([source], dtype=np.int64)
     levels, arcs = [frontier], []
     while True:
-        srcs, nbrs = graph.expand_frontier(frontier)
-        # every unseen head lands in the next level, so these are the DAG arcs
-        into_next = dist[nbrs] < 0
-        tails, heads = srcs[into_next], nbrs[into_next]
-        frontier = sorted_unique(heads)
+        frontier, tails, heads = _next_level(*graph.expand_frontier(frontier),
+                                             len(levels) - 1, dist, sigma, place)
         if not frontier.size:
             break
-        depth = len(levels)
-        dist[frontier] = depth
-        # summed in slots of the new level, arc order kept: per vertex the
-        # same additions as one bincount over all n vertices
-        place[frontier] = np.arange(frontier.size)
-        sigma[frontier] = np.bincount(place[heads], weights=sigma[tails],
-                                      minlength=frontier.size)
         levels.append(frontier)
         arcs.append((tails, heads))
         if until is not None and dist[until] >= 0:
             break
     return levels, dist, sigma, arcs
-
-
-def bfs_level_counts(graph: Graph, source: int, until: int | None = None):
-    """(levels, dist, sigma) of :func:`shortest_path_dag`, without the arcs."""
-    levels, dist, sigma, _ = shortest_path_dag(graph, source, until)
-    return levels, dist, sigma

@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, shortest_path_dag, sorted_unique
+from .graph import Graph, _next_level, shortest_path_dag, sorted_unique
 from .percolation import PercolationModel
 
 DEFAULT_BAG_CAP = 1 << 16
+_NO_VERTICES = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -109,30 +110,16 @@ def _expand_side(graph: Graph, frontier: np.ndarray, depth: int,
                  dist_other: np.ndarray, place: np.ndarray, backward: bool):
     """One full level of one side; returns (next_frontier, cand_own, cand_other).
 
-    Per-arc rules: endpoint seen by the other side -> candidate arc;
-    unseen -> next frontier; seen by this side at depth+1 -> extra path
-    count (a vertex can be reached again at its own frontier depth).
+    Arcs to vertices the other side has seen are the candidate arcs; the
+    search ends at the first level with any, so that level builds no next
+    frontier (its labels would never be read).
     """
     srcs, nbrs = graph.expand_frontier(frontier, backward=backward)
-    empty = np.empty(0, dtype=np.int64)
-    if nbrs.size == 0:
-        return empty, empty, empty
     met = dist_other[nbrs] >= 0
-    cand_own = srcs[met]
-    cand_other = nbrs[met]
     if met.any():
-        srcs, nbrs = srcs[~met], nbrs[~met]
-    if nbrs.size == 0:
-        return empty, cand_own, cand_other
-    into_next = dist_own[nbrs] < 0      # every unseen endpoint lands at depth+1
-    srcs, nbrs = srcs[into_next], nbrs[into_next]
-    new = sorted_unique(nbrs)
-    dist_own[new] = depth + 1
-    # sum the path counts in slots of ``new``, arc order kept, so each sum
-    # is the one bincount over all n vertices would give
-    place[new] = np.arange(new.size)
-    sigma_own[new] = np.bincount(place[nbrs], weights=sigma_own[srcs], minlength=new.size)
-    return new, cand_own, cand_other
+        return _NO_VERTICES, srcs[met], nbrs[met]
+    new, _, _ = _next_level(srcs, nbrs, depth, dist_own, sigma_own, place)
+    return new, _NO_VERTICES, _NO_VERTICES
 
 
 def balanced_bidirectional_bfs(graph: Graph, s: int, z: int,
@@ -187,11 +174,10 @@ def balanced_bidirectional_bfs(graph: Graph, s: int, z: int,
                               cand_s=cand_s, cand_z=cand_z,
                               sigma_sz=sigma_sz, cand_weights=weights)
 
-    empty = np.empty(0, dtype=np.int64)
     return MeetResult(graph=graph, s=s, z=z, connected=False, dist=-1,
                       dist_s=dist_s, dist_z=dist_z,
                       sigma_s=sigma_s, sigma_z=sigma_z,
-                      cand_s=empty, cand_z=empty)
+                      cand_s=_NO_VERTICES, cand_z=_NO_VERTICES)
 
 
 def _walk_down(graph: Graph, v: np.ndarray, z_side: np.ndarray, dist, sigma,

@@ -3,7 +3,8 @@ that the one-pass DAG replaced.
 
 Kept only as a test oracle. ``bfs_level_counts``, ``_source_sweep`` and
 ``pab_sample`` must give the same bits as their counterparts in
-``percolator``: the BFS deduplicates frontiers with ``np.unique``, the
+``percolator`` (``shortest_path_dag`` without its arcs, and the sweep
+with both outputs on): the BFS deduplicates frontiers with ``np.unique``, the
 sweep re-expands every level over in-arcs and filters by distance, and
 the pair sample sums path counts in per-neighbour dict loops.
 """

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from percolator import (PercolationModel, ScheduleConfig,
-                        balanced_bidirectional_bfs, bfs_level_counts,
+                        balanced_bidirectional_bfs,
                         brute_force_percolation, estimate, exact_all,
-                        exact_percolation, exact_rho_and_diameter, eps_bound,
+                        exact_rho_and_diameter, eps_bound,
                         pab_sample, percolation_differences, random_states,
                         sample_paths, sufficient_sample_size,
                         vd_baseline_sample_size)
@@ -24,6 +24,7 @@ from percolator.progressive import _draw_pair_sample
 
 from gen import (build, cycle_edges, erdos_renyi_edges, layered_edges,
                  newman_watts_edges, path_edges)
+from oracle_exact import bfs_level_counts
 
 DATA = Path(__file__).parent / "data"
 
@@ -60,7 +61,7 @@ def test_criterion_1_oracle_equivalence():
         checked = 0
         for i, g in enumerate(graph_zoo(200)):
             model = PercolationModel(random_states(g.n, seed=1000 + i))
-            gap = np.abs(exact_percolation(g, model) -
+            gap = np.abs(exact_all(g, model).p -
                          brute_force_percolation(g, model)).max()
             assert gap < 1e-9, f"graph {i}: deviation {gap}"
             checked += 1
@@ -151,7 +152,7 @@ def test_criterion_5_unbiasedness():
         draws = 100_000
         for gi, g in enumerate(graphs):
             model = PercolationModel(random_states(g.n, seed=gi))
-            p = exact_percolation(g, model)
+            p = exact_all(g, model).p
             sums = np.zeros(g.n)
             sqs = np.zeros(g.n)
             rng = np.random.default_rng(9000 + gi)

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from percolator import (Contribution, McEraState, PercolationModel, empirical_peeling,
-                        eps_bound, era_upper_bound, exact_percolation, mcera,
+                        eps_bound, era_upper_bound, exact_all, mcera,
                         random_states, sufficient_sample_size,
                         vd_baseline_sample_size, wimpy_variance, xi_floor)
 from percolator.bounds import sufficient_sample_size_closed_form
@@ -257,7 +257,7 @@ def test_deviation_bound_coverage():
     """Empirical validity of the chained bound at fixed sample size."""
     g = build(cycle_edges(6))
     model = PercolationModel(random_states(6, seed=3))
-    p = exact_percolation(g, model)
+    p = exact_all(g, model).p
     r, c, delta = 200, 25, 0.1
     hits = 0
     trials = 200

@@ -57,9 +57,9 @@ def test_exact_tsv_round_trip_exact_floats(tmp_path):
     out = str(tmp_path / "exact.tsv")
     assert main(["exact", "--graph", graph, "--states", "random:3",
                  "--output", out, "--threads", "1"]) == 0
-    from percolator import PercolationModel, exact_percolation, load_edge_list, random_states
+    from percolator import PercolationModel, exact_all, load_edge_list, random_states
     g = load_edge_list(graph)
-    p = exact_percolation(g, PercolationModel(random_states(g.n, 3)))
+    p = exact_all(g, PercolationModel(random_states(g.n, 3))).p
     parsed = [float(line.split("\t")[1]) for line in Path(out).read_text().splitlines()]
     assert parsed == [float(v) for v in p]
 
@@ -204,6 +204,39 @@ def test_compare_budget_refusal(tmp_path):
                  "--algorithms", "mcera"]) == 0
     rows = list(csv.reader(open(out)))
     assert rows[1][5] == "nan"                  # sd not computable without exact
+
+
+@pytest.mark.parametrize("flag,value,code", [("--algorithms", "mcera,bogus", 2),
+                                             ("--epsilon-grid", "0.1 1.5", 3)])
+def test_compare_checks_inputs_before_any_pass(tmp_path, monkeypatch, flag, value, code):
+    from percolator import cli
+    calls = []
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, name, wrapper)
+
+    counted("exact_all")
+    counted("_run_algorithm")
+    graph = write_graph(tmp_path)
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", "--graph", graph, "--states", "random:1",
+                 "--output", str(out), "--repetitions", "1", flag, *value.split()]) == code
+    assert calls == []
+    assert not out.exists()
+
+
+def test_estimator_options_share_defaults():
+    from percolator.cli import build_parser
+    required = ["--graph", "g", "--states", "random:1", "--output", "o"]
+    approx = vars(build_parser().parse_args(["approx", *required]))
+    compare = vars(build_parser().parse_args(["compare", *required]))
+    names = ("delta", "mc_trials", "beta", "alpha_cap")
+    assert [approx[k] for k in names] == [compare[k] for k in names] == [0.1, 25, 0.1, 1 << 16]
 
 
 def test_exact_golden_files(tmp_path):

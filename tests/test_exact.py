@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from percolator import (PathExplosionError, PercolationModel,
-                        brute_force_percolation, exact_all, exact_betweenness,
-                        exact_percolation, exact_rho_and_diameter, random_states)
+                        brute_force_percolation, exact_all,
+                        exact_rho_and_diameter, random_states)
+from percolator import exact
 
+import oracle_exact
 from gen import (build, complete_edges, cycle_edges, erdos_renyi_edges,
                  layered_edges, path_edges, star_edges)
 
@@ -22,7 +24,7 @@ def test_path_graph_hand_case():
 def test_equal_states_make_everything_zero():
     g = build(cycle_edges(5))
     m = PercolationModel([0.4] * 5)
-    p = exact_percolation(g, m)
+    p = exact_all(g, m).p
     assert (p == 0.0).all()
 
 
@@ -39,17 +41,30 @@ def test_star_center_formula():
 
 def test_betweenness_standalone_matches_combined():
     g = build(path_edges(3))
-    b = exact_betweenness(g)
+    b = exact_all(g, PercolationModel([1.0, 0.5, 0.0])).b
     assert b == pytest.approx([0.0, 1 / 3, 0.0], abs=1e-12)
     g2 = build(erdos_renyi_edges(30, 0.15, seed=13))
     combined = exact_all(g2, PercolationModel(random_states(g2.n, seed=14)))
-    assert np.abs(exact_betweenness(g2) - combined.b).max() < 1e-12
+    # the reference sweep with percolation off
+    standalone = sum(oracle_exact._source_sweep(g2, None, s, False, True)[1]
+                     for s in range(g2.n)) / (g2.n * (g2.n - 1))
+    assert np.abs(standalone - combined.b).max() < 1e-12
 
 
 def test_complete_graph_rho_zero():
     g = build(complete_edges(4))
     rho, diameter = exact_rho_and_diameter(g)
     assert rho == 0.0 and diameter == 1
+
+
+@pytest.mark.parametrize("graph", [
+    build(erdos_renyi_edges(40, 0.08, seed=15, directed=True), directed=True),
+    build(erdos_renyi_edges(30, 0.12, seed=8)
+          + [(u + 100, v + 100) for u, v in erdos_renyi_edges(25, 0.15, seed=9)]),
+], ids=["directed", "two-components"])
+def test_rho_and_diameter_pass_matches_sweep(graph):
+    res = exact_all(graph, PercolationModel(random_states(graph.n, seed=16)))
+    assert exact_rho_and_diameter(graph) == (res.rho, res.diameter)
 
 
 def test_single_edge_no_internal():
@@ -66,7 +81,7 @@ def test_brute_force_agrees_with_exact_small_batch():
         g = build(erdos_renyi_edges(n, 3.0 / n, seed=100 + trial, directed=directed),
                   directed=directed)
         m = PercolationModel(random_states(g.n, seed=trial))
-        assert np.abs(exact_percolation(g, m) - brute_force_percolation(g, m)).max() < 1e-9
+        assert np.abs(exact_all(g, m).p - brute_force_percolation(g, m)).max() < 1e-9
 
 
 def test_centrality_sum_chain_on_four_cycle():
@@ -85,7 +100,7 @@ def test_permutation_equivariance():
     by_label = random_states(12, seed=9)
     g1 = build(edges)
     states1 = np.array([by_label[int(lab)] for lab in g1.orig_ids])
-    p1 = exact_percolation(g1, PercolationModel(states1))
+    p1 = exact_all(g1, PercolationModel(states1)).p
     perm = rng.permutation(12)
     g2 = build([(int(perm[u]), int(perm[v])) for u, v in edges])
     states2 = np.empty(g2.n)
@@ -95,7 +110,7 @@ def test_permutation_equivariance():
         w = g2.dense_id(int(perm[lab]))
         states2[w] = by_label[lab]
         p1_mapped[w] = p1[v]
-    p2 = exact_percolation(g2, PercolationModel(states2))
+    p2 = exact_all(g2, PercolationModel(states2)).p
     assert np.abs(p2 - p1_mapped).max() < 1e-12
 
 
@@ -104,8 +119,8 @@ def test_reversed_graph_swaps_endpoint_roles():
     for seed in range(5):
         g = build(erdos_renyi_edges(10, 0.25, seed=seed, directed=True), directed=True)
         x = random_states(g.n, seed=50 + seed)
-        p_fwd = exact_percolation(g, PercolationModel(x))
-        p_rev = exact_percolation(g.reversed(), PercolationModel(1.0 - x))
+        p_fwd = exact_all(g, PercolationModel(x)).p
+        p_rev = exact_all(g.reversed(), PercolationModel(1.0 - x)).p
         assert np.abs(p_fwd - p_rev).max() < 1e-12
         bf = brute_force_percolation(g.reversed(), PercolationModel(1.0 - x))
         assert np.abs(p_fwd - bf).max() < 1e-9
@@ -138,6 +153,28 @@ def test_parallel_bit_identical_to_serial():
     assert one.rho == two.rho and one.diameter == two.diameter
 
 
+def test_blocks_fold_in_source_order():
+    # sources summed in order within fixed-size blocks, then the blocks in
+    # order; three blocks, so any other order shows in the bits
+    g = build(erdos_renyi_edges(600, 0.02, seed=4))
+    m = PercolationModel(random_states(g.n, seed=5))
+    acc_p, acc_b = np.zeros(g.n), np.zeros(g.n)
+    for start in range(0, g.n, exact._BLOCK):
+        block_p, block_b = np.zeros(g.n), np.zeros(g.n)
+        for s in range(start, min(start + exact._BLOCK, g.n)):
+            dp, db, _, _ = oracle_exact._source_sweep(g, m.x, s, True, True)
+            block_p += dp
+            block_b += db
+        acc_p += block_p
+        acc_b += block_b
+    pairs = g.n * (g.n - 1)
+    safe = np.where(m.minus_s > 0.0, m.minus_s, 1.0)
+    p = np.where(m.minus_s > 0.0, acc_p / (pairs * safe), 0.0)
+    for threads in (1, 2):
+        res = exact_all(g, m, threads=threads)
+        assert np.array_equal(res.p, p) and np.array_equal(res.b, acc_b / pairs)
+
+
 @pytest.fixture(scope="module")
 def two_blocks():
     """Enough sources for two 256-source blocks, so threads=2 uses the pool."""
@@ -152,6 +189,4 @@ def test_every_entry_point_takes_any_thread_count(two_blocks, threads):
     res = exact_all(g, m, threads=threads)
     assert np.array_equal(res.p, serial.p) and np.array_equal(res.b, serial.b)
     assert (res.rho, res.diameter) == (serial.rho, serial.diameter)
-    assert np.array_equal(exact_percolation(g, m, threads=threads), serial.p)
-    assert np.array_equal(exact_betweenness(g, threads=threads), serial.b)
-    assert exact_rho_and_diameter(g, threads=threads) == (serial.rho, serial.diameter)
+    assert exact_rho_and_diameter(g) == (serial.rho, serial.diameter)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from percolator import (PercolationModel, ScheduleConfig, bounds, estimate,
-                        exact_percolation, progressive, random_states,
+                        exact_all, progressive, random_states,
                         stopping_condition)
 
 from gen import build, chung_lu_edges, cycle_edges, erdos_renyi_edges, path_edges
@@ -86,7 +86,7 @@ def test_deterministic_given_seed():
 def test_guarantee_on_path_graph():
     g = build(path_edges(3))
     m = PercolationModel([1.0, 0.5, 0.0])
-    p = exact_percolation(g, m)
+    p = exact_all(g, m).p
     cfg = ScheduleConfig(epsilon=0.05, delta=0.1)
     ok = 0
     runs = 50
@@ -99,7 +99,7 @@ def test_guarantee_on_path_graph():
 def test_directed_graph_accuracy():
     g = build(erdos_renyi_edges(100, 0.05, seed=21, directed=True), directed=True)
     m = PercolationModel(random_states(g.n, seed=22))
-    p = exact_percolation(g, m)
+    p = exact_all(g, m).p
     for seed in range(3):
         report = estimate(g, m, ScheduleConfig(epsilon=0.1, delta=0.1), seed=seed)
         assert np.abs(report.estimates - p).max() <= 0.1

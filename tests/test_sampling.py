@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from percolator import (BfsWorkspace, PercolationModel, bag_estimate,
-                        balanced_bidirectional_bfs, bfs_level_counts,
-                        pab_sample, prk_sample, random_states, sample_paths)
+                        balanced_bidirectional_bfs,
+                        pab_sample, prk_sample, random_states, sample_pair,
+                        sample_paths)
 from percolator import sampling
 from percolator.sampling import DEFAULT_BAG_CAP, PathBag, _walk_down
 
 import oracle_walk
+from oracle_exact import bfs_level_counts
 from oracle_contrib import as_dict
 from gen import (build, chung_lu_edges, cycle_edges, erdos_renyi_edges,
                  layered_edges, path_edges, random_layers)
@@ -80,6 +82,23 @@ def test_candidate_edges_lie_on_shortest_paths():
                 continue
             totals = meet.dist_s[meet.cand_s] + 1 + meet.dist_z[meet.cand_z]
             assert (totals == meet.dist).all()
+
+
+def test_search_labels_no_level_past_the_meeting():
+    """The level whose arcs meet the other side is the last one labelled:
+    each side's deepest labels sum to d(s, z) - 1."""
+    for directed in (False, True):
+        g = build(erdos_renyi_edges(200, 0.02, seed=12, directed=directed), directed=directed)
+        ws = BfsWorkspace(g.n)
+        rng = np.random.default_rng(13)
+        connected = 0
+        for _ in range(200):
+            s, z = sample_pair(g.n, rng)
+            meet = balanced_bidirectional_bfs(g, s, z, ws)
+            if meet.connected:
+                assert meet.dist_s.max() + 1 + meet.dist_z.max() == meet.dist
+                connected += 1
+        assert connected > 100
 
 
 def test_sigma_matches_single_source_bfs():
@@ -203,7 +222,7 @@ def test_pab_disconnected_zero():
 
 
 def test_pab_enumeration_equals_exact():
-    from percolator import exact_percolation
+    from percolator import exact_all
     for seed in (0, 1, 2):
         directed = seed == 2
         g = build(erdos_renyi_edges(8, 0.35, seed=90 + seed, directed=directed),
@@ -217,11 +236,11 @@ def test_pab_enumeration_equals_exact():
                     continue
                 contrib = pab_sample(g, m, s, z)
                 acc[contrib.idx] += contrib.val
-        assert np.abs(acc / (n * (n - 1)) - exact_percolation(g, m)).max() < 1e-9
+        assert np.abs(acc / (n * (n - 1)) - exact_all(g, m).p).max() < 1e-9
 
 
 def test_prk_enumeration_equals_exact():
-    from percolator import exact_percolation
+    from percolator import exact_all
     g = build(cycle_edges(4))
     m = PercolationModel([1.0, 0.6, 0.2, 0.0])
     n = g.n
@@ -234,14 +253,14 @@ def test_prk_enumeration_equals_exact():
             for path in paths:
                 for v in path[1:-1]:
                     acc[v] += m.kappa(s, z, v) / len(paths)
-    assert np.abs(acc / (n * (n - 1)) - exact_percolation(g, m)).max() < 1e-12
+    assert np.abs(acc / (n * (n - 1)) - exact_all(g, m).p).max() < 1e-12
 
 
 def test_prk_monte_carlo_mean():
-    from percolator import exact_percolation
+    from percolator import exact_all
     g = build(cycle_edges(4))
     m = PercolationModel([1.0, 0.6, 0.2, 0.0])
-    p = exact_percolation(g, m)
+    p = exact_all(g, m).p
     rng = np.random.default_rng(123)
     acc = np.zeros(g.n)
     draws = 20_000
