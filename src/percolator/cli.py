@@ -55,25 +55,53 @@ def _threads(args) -> int:
     return os.cpu_count() or 1
 
 
-def _json_with_estimates(head: dict, graph: Graph, values: np.ndarray) -> str:
-    """``json.dumps({**head, "estimates": {id: value}}, indent=1) + "\n"`` in one join."""
+_WRITE_BLOCK = 1 << 16      # vertices formatted per write
+
+
+def _estimate_blocks(graph: Graph, values: np.ndarray, fmt: str):
+    """The estimate rows in blocks of ``_WRITE_BLOCK`` vertices: 'id<TAB>value'
+    lines (tsv), 'id,value' lines (csv, as csv.writer writes them: no field
+    needs quoting), or the members of json.dumps(indent=1)'s estimates object."""
+    for start in range(0, graph.n, _WRITE_BLOCK):
+        ids = graph.orig_ids[start:start + _WRITE_BLOCK].tolist()
+        block = values[start:start + _WRITE_BLOCK]
+        if fmt == "json":
+            # json's own float spellings (repr, or NaN/Infinity), split off one list
+            floats = json.dumps(block.tolist())[1:-1].split(", ")
+            yield (",\n  " if start else "\n  ") + ",\n  ".join(
+                f'"{i}": {x}' for i, x in zip(ids, floats))
+        elif fmt == "tsv":
+            yield "".join(f"{i}\t{x:.17g}\n" for i, x in zip(ids, block.tolist()))
+        else:
+            yield "".join(f"{i},{x:.17g}\r\n" for i, x in zip(ids, block.tolist()))
+
+
+def _json_with_estimates(fh, head: dict, graph: Graph, values: np.ndarray) -> None:
+    """Write ``json.dumps({**head, "estimates": {id: value}}, indent=1) + "\n"``
+    to ``fh``, a block of vertices at a time."""
     text = json.dumps({**head, "estimates": {}}, indent=1)
-    # json's own float spellings (repr, or NaN/Infinity), split off one list
-    floats = json.dumps(values.tolist())[1:-1].split(", ")
-    block = ",\n  ".join(f'"{i}": {x}' for i, x in zip(graph.orig_ids.tolist(), floats))
-    return text[:-len("{}\n}")] + "{\n  " + block + "\n }\n}\n"
+    fh.write(text[:-len("}\n}")])       # up to the estimates' opening brace
+    fh.writelines(_estimate_blocks(graph, values, "json"))
+    fh.write("\n }\n}\n")
 
 
 def _write_estimates(path: str, graph: Graph, values: np.ndarray, fmt: str) -> None:
-    rows = zip(graph.orig_ids.tolist(), values.tolist())
-    if fmt == "json":
-        text = _json_with_estimates({}, graph, values)
-    elif fmt == "tsv":
-        text = "".join(f"{i}\t{x:.17g}\n" for i, x in rows)
-    else:  # as csv.writer writes it: no field needs quoting
-        text = "original_id,value\r\n" + "".join(f"{i},{x:.17g}\r\n" for i, x in rows)
     with open(path, "w", newline="") as fh:
-        fh.write(text)
+        if fmt == "json":
+            _json_with_estimates(fh, {}, graph, values)
+            return
+        if fmt == "csv":
+            fh.write("original_id,value\r\n")
+        fh.writelines(_estimate_blocks(graph, values, fmt))
+
+
+def _over_budget(graph: Graph, budget: int, advice: str) -> bool:
+    """Whether an O(n*m) exact pass would exceed ``budget``; says so if it would."""
+    if graph.n * graph.m <= budget:
+        return False
+    print(f"refusing exact pass: n*m = {graph.n * graph.m} exceeds "
+          f"budget {budget}; rerun with {advice}", file=sys.stderr)
+    return True
 
 
 def cmd_exact(args) -> int:
@@ -142,13 +170,16 @@ def _sampled_vertex_diameter(graph: Graph, seed: int, probes: int = 16) -> int:
 def cmd_approx(args) -> int:
     config = _config(args, args.epsilon)
     graph = _load_graph(args)
+    # p-rk-fixed needs the vertex diameter, which only an exact pass gives here
+    if args.algorithm == "p-rk-fixed" and _over_budget(graph, args.budget, "--budget"):
+        return EXIT_BUDGET
     states = _resolve_states(args.states, graph)
     model = PercolationModel(states)
     result = _run_algorithm(args.algorithm, graph, model, config, args.seed)
     estimates = np.asarray(result.pop("estimates"), dtype=np.float64)
     result.update(n=graph.n, m=graph.m)
     with open(args.output, "w") as fh:
-        fh.write(_json_with_estimates(result, graph, estimates))
+        _json_with_estimates(fh, result, graph, estimates)
     if args.format == "tsv":
         _write_estimates(args.output + ".tsv", graph, estimates, "tsv")
     return EXIT_OK
@@ -178,10 +209,7 @@ def cmd_compare(args) -> int:
     if args.no_exact:
         vertex_diameter = _sampled_vertex_diameter(graph, args.seed)
     else:
-        if graph.n * graph.m > args.budget:
-            print(f"refusing exact pass: n*m = {graph.n * graph.m} exceeds "
-                  f"budget {args.budget}; rerun with --no-exact or --budget",
-                  file=sys.stderr)
+        if _over_budget(graph, args.budget, "--no-exact or --budget"):
             return EXIT_BUDGET
         result = exact_all(graph, model, threads=_threads(args))
         exact_p = result.p
@@ -250,6 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta", type=float, default=0.1)
         p.add_argument("--alpha-cap", type=int, default=1 << 16,
                        help="max paths drawn per sampled pair")
+        p.add_argument("--budget", type=int, default=100_000_000,
+                       help="refuse an exact pass (compare's ground truth, "
+                            "p-rk-fixed's vertex diameter) when n*m exceeds this")
 
     p_exact = sub.add_parser("exact", help="exact centralities and graph stats")
     common(p_exact)
@@ -274,8 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated subset of: " + ",".join(ALGORITHMS))
     p_cmp.add_argument("--no-exact", action="store_true",
                        help="skip the exact pass (no sd/mad columns)")
-    p_cmp.add_argument("--budget", type=int, default=100_000_000,
-                       help="refuse the exact pass when n*m exceeds this")
     p_cmp.set_defaults(func=cmd_compare)
     return parser
 

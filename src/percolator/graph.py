@@ -7,6 +7,7 @@ Graphs are immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass, field, replace
 
@@ -106,11 +107,13 @@ _WS, _DIGIT, _SIGN, _COMMENT = (np.isin(np.arange(256), list(chars))
 _ALLOWED = _WS | _DIGIT | _SIGN
 _INT64 = np.iinfo(np.int64)
 _LINE = re.compile(rb"[ \t\r]*(?:[#%].*|([+-]?[0-9]+)[ \t\r]+([+-]?[0-9]+)[ \t\r]*)?")
+_CHUNK = 1 << 22       # bytes read per block; parsing one peaks at about 6x that
 
 
-def _line_error(data: bytes) -> EdgeListParseError:
-    """The error naming the first line of ``data`` that breaks the grammar."""
-    for lineno, line in enumerate(data.split(b"\n"), start=1):
+def _line_error(data: bytes, lines_before: int = 0) -> EdgeListParseError:
+    """The error naming the first line of ``data`` that breaks the grammar;
+    ``lines_before`` lines of the input precede ``data``."""
+    for lineno, line in enumerate(data.split(b"\n"), start=lines_before + 1):
         match = _LINE.fullmatch(line)
         if not match or match[1] and not all(
                 _INT64.min <= int(token) <= _INT64.max for token in match.groups()):
@@ -136,9 +139,11 @@ def _parse_ids(data: bytes) -> np.ndarray | None:
         marks[starts[comment]], marks[ends[comment]] = 1, -1
         buf = np.where(np.cumsum(marks[:-1], dtype=np.int8), ord(" "), buf)
         starts, ends, last = starts[~comment], ends[~comment], last[~comment]
+    if not len(last):     # blank and comment lines only
+        return np.empty(0, dtype=np.int64)
     signs = np.flatnonzero(_SIGN[buf])
     long = ends - starts >= 19
-    if (not len(last) or len(last) % 2 or last[0::2].any() or not last[1::2].all()
+    if (len(last) % 2 or last[0::2].any() or not last[1::2].all()
             or not _ALLOWED[buf].all()
             or not (_WS[buf[signs - 1]].all() and _DIGIT[buf[signs + 1]].all())
             or not all(_INT64.min <= int(data[s:e]) <= _INT64.max
@@ -147,28 +152,64 @@ def _parse_ids(data: bytes) -> np.ndarray | None:
     return np.fromstring(buf, dtype=np.int64, sep=" ")
 
 
+def _read_ids(stream) -> np.ndarray:
+    """Id tokens of a text or binary stream, parsed in line-aligned blocks
+    of about ``_CHUNK`` bytes, so only the ids outlive a block."""
+    parts, rest, lines = [], b"", 0
+    while True:
+        block = stream.read(_CHUNK)
+        block = block.encode() if isinstance(block, str) else block
+        cut = block.rfind(b"\n") + 1
+        if block and not cut:          # no line ends in this block yet
+            rest += block
+            continue
+        framed = b"".join((b"\n", rest, memoryview(block)[:cut], b"\n"))
+        rest = block[cut:]
+        ids = _parse_ids(framed)
+        if ids is None:
+            raise _line_error(framed[1:-1], lines)
+        parts.append(ids)
+        if not block:
+            return np.concatenate(parts)
+        lines += framed.count(b"\n") - 2
+
+
 def _renumber(ids: np.ndarray):
     """Dense ids numbered by first appearance, the distinct ids in that
-    order, the distinct ids ascending, and the dense ids of the latter."""
-    order = np.argsort(ids)
-    ordered = ids[order]
-    fresh = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    heads = np.flatnonzero(fresh)
-    by_first = np.argsort(np.minimum.reduceat(order, heads))
+    order, the distinct ids ascending, and the dense ids of the latter.
+    Ids in a range no longer than ``ids`` are shifted in place."""
+    low = int(ids.min())
+    span = int(ids.max()) - low + 1
+    if span > len(ids):       # sparse ids: sort them
+        order = np.argsort(ids)
+        ordered = ids[order]
+        fresh = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+        heads = np.flatnonzero(fresh)
+        by_first = np.argsort(np.minimum.reduceat(order, heads))
+        rank = np.empty_like(by_first)
+        rank[by_first] = np.arange(len(heads))
+        dense = np.empty_like(ids)
+        dense[order] = rank[np.cumsum(fresh) - 1]
+        return dense, ordered[heads[by_first]], ordered[heads], rank
+    # ids within [low, low + span): a table of each one's first position
+    ids -= low
+    first = np.full(span, len(ids), dtype=np.int64)
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    seen = np.flatnonzero(first < len(ids))
+    by_first = np.argsort(first[seen])
     rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(len(heads))
-    dense = np.empty_like(ids)
-    dense[order] = rank[np.cumsum(fresh) - 1]
-    return dense, ordered[heads[by_first]], ordered[heads], rank
+    rank[by_first] = np.arange(len(seen))
+    first[seen] = rank
+    sorted_ids = seen + low
+    return first[ids], sorted_ids[by_first], sorted_ids, rank
 
 
-def _build_csr(n: int, src: np.ndarray, dst: np.ndarray):
-    """CSR of the distinct arcs src->dst; targets ascend within a row."""
-    keys = src * n + dst
-    keys.sort()
+def _csr(n: int, keys: np.ndarray, counts: np.ndarray):
+    """CSR from the ascending keys ``row * n + target`` of all its arcs and
+    the arcs per row; the keys become the targets in place."""
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
-    return offsets, keys % n
+    np.cumsum(counts, out=offsets[1:])
+    return offsets, np.remainder(keys, n, out=keys)
 
 
 def load_edge_list(source, directed: bool = False) -> Graph:
@@ -180,36 +221,51 @@ def load_edge_list(source, directed: bool = False) -> Graph:
     holds two ids, each matching ``[+-]?[0-9]+`` within int64. Self-loops
     and duplicate edges are dropped (duplicates orientation-insensitively
     for undirected graphs); counters of both are kept on the graph.
+    The input is parsed in blocks, so only its ids are held at once.
     """
     if isinstance(source, str) and "\n" not in source:
         with open(source, "rb") as fh:
-            source = fh.read()
-    data = source if isinstance(source, (str, bytes)) else source.read()
-    data = data.encode() if isinstance(data, str) else data
-    ids = _parse_ids(b"\n" + data + b"\n")
-    if ids is None:
-        raise _line_error(data)
-    dense, orig_ids, sorted_ids, dense_of_sorted = _renumber(ids)
-    n = len(orig_ids)
-    loop = dense[0::2] == dense[1::2]
-    u, v = dense[0::2][~loop], dense[1::2][~loop]
-    loops, edges = int(loop.sum()), len(u)
+            return load_edge_list(fh, directed)
+    if isinstance(source, (str, bytes)):
+        source = io.BytesIO(source.encode() if isinstance(source, str) else source)
+    ids = _read_ids(source)
+    keep = ids[0::2] != ids[1::2]
+    edges = int(keep.sum())
     if not edges:
         raise EdgeListParseError("empty graph: no edges found")
-    if not directed:
-        u, v = np.minimum(u, v), np.maximum(u, v)
-    keys = np.sort(u * n + v)
-    keys = keys[np.diff(keys, prepend=-1) != 0]
+    dense, orig_ids, sorted_ids, dense_of_sorted = _renumber(ids)
+    del ids
+    n = len(orig_ids)
+    u, v = dense[0::2], dense[1::2]
+    if not directed:      # the max is written over v, inside dense
+        u, v = np.minimum(u, v), np.maximum(u, v, out=v)
+    keys = u[keep]
+    keys *= n
+    keys += v[keep]
+    del dense, u, v
+    keys = sorted_unique(keys)
+    m = len(keys)
     u, v = np.divmod(keys, n)
+    out_counts, in_counts = np.bincount(u, minlength=n), np.bincount(v, minlength=n)
     if directed:
-        fwd, bwd = _build_csr(n, u, v), _build_csr(n, v, u)
-    else:
-        fwd = bwd = _build_csr(n, np.concatenate([u, v]), np.concatenate([v, u]))
+        back = v * n
+        back += u
+        del u, v
+        back.sort()
+        fwd, bwd = _csr(n, keys, out_counts), _csr(n, back, in_counts)
+    else:      # every edge in both orientations, in one CSR
+        arcs = np.empty(2 * m, dtype=np.int64)
+        arcs[:m] = keys
+        np.multiply(v, n, out=arcs[m:])
+        arcs[m:] += u
+        del keys, u, v
+        arcs.sort()
+        fwd = bwd = _csr(n, arcs, out_counts + in_counts)
     return Graph(
-        n=n, m=len(keys), directed=directed,
+        n=n, m=m, directed=directed,
         fwd_offsets=fwd[0], fwd_targets=fwd[1], bwd_offsets=bwd[0], bwd_targets=bwd[1],
         orig_ids=orig_ids, _sorted_ids=sorted_ids, _dense_of_sorted=dense_of_sorted,
-        self_loops_dropped=loops, duplicates_dropped=edges - len(keys),
+        self_loops_dropped=len(keep) - edges, duplicates_dropped=edges - m,
     )
 
 

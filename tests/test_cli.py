@@ -1,6 +1,8 @@
 import csv
 import gzip
+import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +208,40 @@ def test_compare_budget_refusal(tmp_path):
     assert rows[1][5] == "nan"                  # sd not computable without exact
 
 
+def test_approx_prk_fixed_refuses_exact_pass_over_budget(tmp_path, monkeypatch, capsys):
+    from percolator import PercolationModel, baselines, load_edge_list, random_states
+    import oracle_writer
+    real, calls = baselines.exact_rho_and_diameter, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(baselines, "exact_rho_and_diameter", counted)
+    graph = write_graph(tmp_path, "0 1\n1 2\n2 3\n3 0\n")       # n*m = 16
+    out = tmp_path / "r.json"
+    args = ["approx", "--graph", graph, "--states", "random:4", "--output", str(out),
+            "--epsilon", "0.2", "--delta", "0.2", "--seed", "1"]
+    assert main([*args, "--algorithm", "p-rk-fixed", "--budget", "15"]) == 4
+    assert "refusing exact pass: n*m = 16 exceeds budget 15" in capsys.readouterr().err
+    assert calls == [] and not out.exists()
+    for algorithm in ("mcera", "p-ab-progressive-naive"):     # no exact pass to refuse
+        assert main([*args, "--algorithm", algorithm, "--budget", "1"]) == 0
+    assert calls == []
+
+    assert main([*args, "--algorithm", "p-rk-fixed", "--budget", "16"]) == 0
+    assert len(calls) == 1
+    g = load_edge_list(graph)
+    expected = baselines.run_prk_fixed(g, PercolationModel(random_states(g.n, 4)), 0.2, 0.2, 1)
+    estimates = expected.pop("estimates")
+    expected = json.loads(oracle_writer.json_with_estimates(
+        {**expected, "n": g.n, "m": g.m}, g, estimates))
+    report = json.loads(out.read_text())
+    for payload in (report, expected):
+        payload.pop("elapsed_bootstrap")
+        payload.pop("elapsed_estimation")
+    assert report == expected
+
+
 @pytest.mark.parametrize("flag,value,code", [("--algorithms", "mcera,bogus", 2),
                                              ("--epsilon-grid", "0.1 1.5", 3)])
 def test_compare_checks_inputs_before_any_pass(tmp_path, monkeypatch, flag, value, code):
@@ -305,7 +341,9 @@ def test_bulk_estimate_writers_match_per_row_writers(tmp_path):
     ids = graph.orig_ids
     head = {"algorithm": "mcera", "r_final": 7, "xi": [0.5, 1e-300], "n": graph.n}
     per_vertex = {str(int(ids[v])): float(values[v]) for v in range(graph.n)}
-    assert _json_with_estimates(head, graph, values) == json.dumps(
+    text = io.StringIO()
+    _json_with_estimates(text, head, graph, values)
+    assert text.getvalue() == json.dumps(
         {**head, "estimates": per_vertex}, indent=1) + "\n"
 
     for fmt in ("tsv", "csv", "json"):
@@ -327,3 +365,24 @@ def test_bulk_estimate_writers_match_per_row_writers(tmp_path):
                 json.dump({"estimates": per_vertex}, fh, indent=1)
                 fh.write("\n")
         assert out.read_bytes() == ref.read_bytes(), fmt
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13])
+@pytest.mark.parametrize("fmt", ["json", "tsv", "csv"])
+def test_streamed_writers_match_one_shot_writers(tmp_path, monkeypatch, n, fmt):
+    """Blocks of 4 vertices: below one block, at block edges, 3+ blocks."""
+    from percolator import cli
+    from gen import build
+    import oracle_writer
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", 4)
+    ids = [-(1 << 63), (1 << 63) - 1, -7, 0, 12, -1, 10**15, 3, -(10**18), 5, 6, 8, 9][:n]
+    graph = build(list(zip(ids[:-1], ids[1:])))
+    assert graph.orig_ids.tolist() == ids
+    values = np.resize(np.array(SPECIAL_FLOATS + [-math.inf, -1e-5]), n)
+    out = tmp_path / f"est.{fmt}"
+    cli._write_estimates(str(out), graph, values, fmt)
+    assert out.read_bytes() == oracle_writer.estimates_text(graph, values, fmt).encode()
+    head = {"algorithm": "mcera", "xi": [math.nan, math.inf], "n": graph.n}
+    text = io.StringIO()
+    cli._json_with_estimates(text, head, graph, values)
+    assert text.getvalue() == oracle_writer.json_with_estimates(head, graph, values)

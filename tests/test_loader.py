@@ -1,16 +1,21 @@
 """Bulk edge-list loader against the per-line reference loader it replaced."""
 
+import gzip
 import io
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from percolator import EdgeListParseError, load_edge_list
+from percolator import EdgeListParseError, graph as graph_module, load_edge_list
 
 import oracle_loader
 
@@ -54,6 +59,9 @@ def sources(text: str, tmpdir: str):
     yield text.encode()
     yield io.StringIO(text)
     yield io.BytesIO(text.encode())
+    yield gzip.GzipFile(fileobj=io.BytesIO(gzip.compress(text.encode())))
+    yield io.TextIOWrapper(gzip.GzipFile(fileobj=io.BytesIO(gzip.compress(text.encode()))),
+                           encoding="utf-8", newline="")
 
 
 def assert_matches_oracle(graph, expected):
@@ -73,15 +81,24 @@ def assert_matches_oracle(graph, expected):
         graph.dense_id(absent)
 
 
-@settings(max_examples=150, deadline=None,
+def chunked(size: int):
+    """The loader reading blocks of ``size`` bytes (characters from text streams)."""
+    return mock.patch.object(graph_module, "_CHUNK", size)
+
+
+# the loader's own block size, or one that splits lines, tokens and CRLF pairs
+block_sizes = st.one_of(st.just(graph_module._CHUNK), st.integers(1, 24))
+
+
+@settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(text=edge_lists(), directed=st.booleans())
-def test_bulk_loader_matches_reference(text, directed):
+@given(text=edge_lists(), directed=st.booleans(), size=block_sizes)
+def test_bulk_loader_matches_reference(text, directed, size):
     try:
         expected = oracle_loader.load_edge_list(io.StringIO(text), directed=directed)
     except EdgeListParseError:
         expected = None
-    with tempfile.TemporaryDirectory() as tmpdir:
+    with tempfile.TemporaryDirectory() as tmpdir, chunked(size):
         for source in sources(text, tmpdir):
             if expected is None:
                 with pytest.raises(EdgeListParseError, match="empty graph"):
@@ -107,17 +124,19 @@ def first_bad_line(data: bytes):
 @given(data=st.lists(st.sampled_from(
     [b"0", b"1", b"7", b"-", b"+", b" ", b"\t", b"\r", b"\n", b"\n", b"\n", b"#", b"%",
      b"x", b"_", b"\xc3\xa9", b"9223372036854775808", b"9223372036854775807"]),
-    max_size=40).map(b"".join))
-def test_garbage_fails_on_its_first_bad_line(data):
+    max_size=40).map(b"".join), size=block_sizes)
+def test_garbage_fails_on_its_first_bad_line(data, size):
     bad = first_bad_line(data)
-    try:
-        graph = load_edge_list(data)
-    except EdgeListParseError as exc:
-        assert str(exc).startswith(f"line {bad}:" if bad else "empty graph"), (data, exc)
-    else:
-        assert bad is None
-        text = io.StringIO(data.decode())      # non-ASCII bytes only in comments
-        assert_matches_oracle(graph, oracle_loader.load_edge_list(text))
+    for source in (data, gzip.GzipFile(fileobj=io.BytesIO(gzip.compress(data)))):
+        with chunked(size):
+            try:
+                graph = load_edge_list(source)
+            except EdgeListParseError as exc:
+                assert str(exc).startswith(f"line {bad}:" if bad else "empty graph"), (data, exc)
+            else:
+                assert bad is None
+                text = io.StringIO(data.decode())      # non-ASCII bytes only in comments
+                assert_matches_oracle(graph, oracle_loader.load_edge_list(text))
 
 
 PREAMBLE = "# header\n\n  % note\n0 1\n\t\n"     # the bad line is line 6
@@ -139,12 +158,14 @@ PREAMBLE = "# header\n\n  % note\n0 1\n\t\n"     # the bad line is line 6
     "1 -9223372036854775809",
     "1 0000000000000000099999999999999999999",
 ])
-def test_bad_line_named_after_comments_and_blanks(line):
+def test_bad_line_named_after_comments_and_blanks(tmp_path, line):
     text = PREAMBLE + line + "\r\n2 3\n"
-    for source in (text, text.encode()):
-        with pytest.raises(EdgeListParseError) as err:
-            load_edge_list(source)
-        assert str(err.value) == f"line 6: expected two int64 ids, got '{line}'"
+    for size in (graph_module._CHUNK, *range(1, len(text) + 2)):
+        with chunked(size):
+            for source in sources(text, str(tmp_path)):
+                with pytest.raises(EdgeListParseError) as err:
+                    load_edge_list(source)
+                assert str(err.value) == f"line 6: expected two int64 ids, got '{line}'"
 
 
 def test_non_ascii_id_named_with_escapes():
@@ -184,3 +205,61 @@ def test_degree_arrays_built_once_and_shared_when_undirected():
     r = d.reversed()
     assert r.out_degrees.tolist() == [0, 1, 2]
     assert r._sorted_ids is d._sorted_ids
+
+
+
+# block ends fall inside comments, CRLF pairs, signed and 19+-digit tokens
+# and the last line, which has no newline
+EVERY_BOUNDARY = ("# comment -1 2\r\n-3 +4\r\n\r\n% 5 6\n"
+                  "-9223372036854775808 0009223372036854775807\n"
+                  "\t+12\t-0000000000000000000003 \r\n  # x\r\n4 -3")
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_every_block_boundary_loads_the_same_graph(tmp_path, directed):
+    expected = oracle_loader.load_edge_list(io.StringIO(EVERY_BOUNDARY), directed=directed)
+    assert expected["n"] == 5 and expected["m"] == 3 + directed
+    for size in range(1, len(EVERY_BOUNDARY) + 2):
+        with chunked(size):
+            for source in sources(EVERY_BOUNDARY, str(tmp_path)):
+                assert_matches_oracle(load_edge_list(source, directed=directed), expected)
+
+
+LOAD_PEAK_CHILD = """
+import sys
+import numpy as np
+from percolator import graph
+
+def status_bytes(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(key)) * 1024
+
+rng = np.random.default_rng(3)
+with open(sys.argv[1], "w") as fh:        # 400k lines over 100k ids, 50k lines at a time
+    for _ in range(8):
+        u, v = rng.integers(100_000, size=(2, 50_000)).tolist()
+        fh.write("".join(f"{a} {b}\\n" for a, b in zip(u, v)))
+graph._CHUNK = 1 << 16
+before = status_bytes("VmRSS:")
+g = graph.load_edge_list(sys.argv[1])
+arrays = {id(a): a.nbytes for a in (g.fwd_offsets, g.fwd_targets, g.bwd_offsets, g.bwd_targets,
+                                    g.orig_ids, g._sorted_ids, g._dense_of_sorted,
+                                    g.out_degrees, g.in_degrees)}
+print(status_bytes("VmHWM:") - before, sum(arrays.values()))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
+def test_load_peak_stays_within_a_few_graphs(tmp_path):
+    """A fresh process's peak growth while loading stays under 4x the graph's
+    own arrays: 2.0x here (20.3 MB for 10.4 MB of arrays), against 5.5x
+    (57.2 MB) for the whole-text loader this one replaced.
+    ``VmHWM`` counts this process alone; ``ru_maxrss`` would include the
+    peak of the process that spawned it."""
+    src = str(Path(graph_module.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", LOAD_PEAK_CHILD, str(tmp_path / "g.txt")],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    growth, arrays = map(int, out.split())
+    assert arrays > 10_000_000
+    assert growth < 4 * arrays, (growth, arrays)
