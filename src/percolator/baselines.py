@@ -18,6 +18,7 @@ from .bounds import McEraState, era_upper_bound, mcera, vd_baseline_sample_size,
 from .exact import exact_rho_and_diameter
 from .graph import Graph
 from .percolation import PercolationModel
+from .progressive import ScheduleConfig
 from .rng import BASELINE_STREAM, derive_rng
 from .sampling import BfsWorkspace, pab_sample, prk_sample, sample_pair
 
@@ -62,15 +63,17 @@ def run_pab_naive(graph: Graph, model: PercolationModel, epsilon: float,
 
     The stop rule chains the Monte-Carlo Rademacher average through the
     standard symmetrization constants, with no variance partitioning;
-    intentionally looser than the progressive estimator's rule.
+    intentionally looser than the progressive estimator's rule. The first
+    target, the per-iteration delta shares and the argument checks are
+    ``ScheduleConfig``'s.
     """
+    config = ScheduleConfig(epsilon, delta, mc_trials=mc_trials)
     t0 = time.perf_counter()
     n = graph.n
     state = McEraState(n=n, c=mc_trials, seed=seed)
     sum_f = np.zeros(n)
     everyone = np.arange(n)
-    start = 2 * max(1, math.ceil(math.log(1.0 / delta) / epsilon))
-    target = min(start, max_samples)
+    target = min(config.first_target, max_samples)
     iterations = 0
     xi = math.inf
 
@@ -84,7 +87,7 @@ def run_pab_naive(graph: Graph, model: PercolationModel, epsilon: float,
             contrib = pab_sample(graph, model, s, z)
             sum_f[contrib.idx] += contrib.val
             state.add_sample(contrib, signs[b])
-        delta_i = delta / 2.0 ** (iterations + 1)
+        delta_i = config.delta_iter(iterations)
         rc = mcera(state, everyone)
         wim = wimpy_variance(state, everyone)
         era = era_upper_bound(max(rc, 0.0), wim, mc_trials, state.r, delta_i / 2.0)

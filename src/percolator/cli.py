@@ -23,7 +23,7 @@ from .baselines import run_pab_naive, run_prk_fixed
 from .exact import exact_all
 from .graph import EdgeListParseError, Graph, load_edge_list, shortest_path_dag
 from .percolation import PercolationModel, load_states, random_states
-from .progressive import RunReport, ScheduleConfig, estimate
+from .progressive import ScheduleConfig, estimate
 from .rng import DIAMETER_STREAM, combine, derive_rng
 
 log = logging.getLogger("percolator")
@@ -137,18 +137,18 @@ def _config(args, epsilon: float) -> ScheduleConfig:
 
 def _run_algorithm(name: str, graph: Graph, model: PercolationModel,
                    config: ScheduleConfig, seed: int,
-                   vertex_diameter: int | None = None) -> dict:
+                   vertex_diameter: int | None = None) -> tuple[dict, np.ndarray]:
+    """One run of ``name``: its report without the estimates, and the estimates."""
     if name == "mcera":
-        report: RunReport = estimate(graph, model, config, seed)
-        out = report.as_dict()
-        out["algorithm"] = "mcera"
-        out["estimates"] = report.estimates
-        return out
+        report = estimate(graph, model, config, seed)
+        return {**report.head(), "algorithm": "mcera"}, report.estimates
     if name == "p-rk-fixed":
-        return run_prk_fixed(graph, model, config.epsilon, config.delta, seed,
-                             vertex_diameter=vertex_diameter)
-    return run_pab_naive(graph, model, config.epsilon, config.delta, seed,
-                         mc_trials=config.mc_trials)
+        out = run_prk_fixed(graph, model, config.epsilon, config.delta, seed,
+                            vertex_diameter=vertex_diameter)
+    else:
+        out = run_pab_naive(graph, model, config.epsilon, config.delta, seed,
+                            mc_trials=config.mc_trials)
+    return out, out.pop("estimates")
 
 
 def _sampled_vertex_diameter(graph: Graph, seed: int, probes: int = 16) -> int:
@@ -159,9 +159,11 @@ def _sampled_vertex_diameter(graph: Graph, seed: int, probes: int = 16) -> int:
     a labeled heuristic on directed ones.
     """
     rng = derive_rng(seed, DIAMETER_STREAM, 0)
+    # a vertex without out-arcs has eccentricity 0 and bounds nothing
+    sources = np.flatnonzero(graph.out_degrees)
     ecc = 0
-    for _ in range(min(probes, graph.n)):
-        s = int(rng.integers(graph.n))
+    for _ in range(min(probes, sources.size)):
+        s = int(sources[rng.integers(sources.size)])
         _, dist, _, _ = shortest_path_dag(graph, s)
         ecc = max(ecc, int(dist.max()))
     return 2 * ecc + 1
@@ -175,11 +177,9 @@ def cmd_approx(args) -> int:
         return EXIT_BUDGET
     states = _resolve_states(args.states, graph)
     model = PercolationModel(states)
-    result = _run_algorithm(args.algorithm, graph, model, config, args.seed)
-    estimates = np.asarray(result.pop("estimates"), dtype=np.float64)
-    result.update(n=graph.n, m=graph.m)
+    head, estimates = _run_algorithm(args.algorithm, graph, model, config, args.seed)
     with open(args.output, "w") as fh:
-        _json_with_estimates(fh, result, graph, estimates)
+        _json_with_estimates(fh, {**head, "n": graph.n, "m": graph.m}, graph, estimates)
     if args.format == "tsv":
         _write_estimates(args.output + ".tsv", graph, estimates, "tsv")
     return EXIT_OK
@@ -223,16 +223,15 @@ def cmd_compare(args) -> int:
                 log.info("run algorithm=%s eps=%g rep=%d sub_seed=%d",
                          name, config.epsilon, rep, sub_seed)
                 t0 = time.perf_counter()
-                result = _run_algorithm(name, graph, model, config, sub_seed,
-                                        vertex_diameter=vertex_diameter)
+                head, estimates = _run_algorithm(name, graph, model, config, sub_seed,
+                                                 vertex_diameter=vertex_diameter)
                 seconds = time.perf_counter() - t0
-                estimates = np.asarray(result["estimates"], dtype=np.float64)
                 if exact_p is not None:
                     dev = np.abs(estimates - exact_p)
                     sd, mad = float(dev.max()), float(dev.mean())
                 else:
                     sd = mad = math.nan
-                rows.append([name, config.epsilon, rep, result["r_final"], seconds, sd, mad])
+                rows.append([name, config.epsilon, rep, head["r_final"], seconds, sd, mad])
 
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)

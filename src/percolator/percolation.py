@@ -27,7 +27,7 @@ def percolation_differences(states) -> tuple[float, np.ndarray]:
     x = np.asarray(states, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("states must be a nonempty 1-d vector")
-    if np.any(x < 0.0) or np.any(x > 1.0):
+    if not np.all((x >= 0.0) & (x <= 1.0)):      # also rejects NaN
         raise ValueError("percolation states must lie in [0, 1]")
     n = x.size
     order = np.argsort(x, kind="stable")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -42,7 +42,7 @@ class ScheduleConfig:
     delta: float
     mc_trials: int = 25
     beta: float = 0.1              # alpha = ln(1/beta) oversampling rate
-    geom_ratio: float = 1.2
+    geom_ratio: float = field(default=1.2, init=False)  # fixed; kept in as_dict()
     bag_cap: int = DEFAULT_BAG_CAP
 
     def __post_init__(self):
@@ -54,8 +54,6 @@ class ScheduleConfig:
             raise ValueError("mc_trials must be >= 1")
         if not 0.0 < self.beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
-        if self.geom_ratio <= 1.0:
-            raise ValueError("geom_ratio must exceed 1")
         if self.bag_cap < 1:
             raise ValueError("bag_cap must be >= 1")
 
@@ -76,9 +74,7 @@ class ScheduleConfig:
         return self.delta / 2.0 ** (i + 1)
 
     def as_dict(self) -> dict:
-        return {"epsilon": self.epsilon, "delta": self.delta,
-                "mc_trials": self.mc_trials, "beta": self.beta,
-                "geom_ratio": self.geom_ratio, "bag_cap": self.bag_cap}
+        return asdict(self)
 
 
 @dataclass
@@ -101,24 +97,16 @@ class RunReport:
     rho_substituted: bool = False
     bag_cap_events: int = 0
 
+    def head(self) -> dict:
+        """Every field but ``estimates``, in field order, as JSON values."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "estimates"}
+        out.update(xi_per_class=self.xi_per_class.tolist(),
+                   var_bound_per_class=self.var_bound_per_class.tolist(),
+                   config=dict(self.config))
+        return out
+
     def as_dict(self) -> dict:
-        return {
-            "estimates": [float(v) for v in self.estimates],
-            "r_final": self.r_final,
-            "iterations": self.iterations,
-            "xi_per_class": [float(v) for v in self.xi_per_class],
-            "var_bound_per_class": [float(v) for v in self.var_bound_per_class],
-            "rho_estimate": self.rho_estimate,
-            "ceiling": self.ceiling,
-            "stop_reason": self.stop_reason,
-            "seed": self.seed,
-            "elapsed_bootstrap": self.elapsed_bootstrap,
-            "elapsed_estimation": self.elapsed_estimation,
-            "config": dict(self.config),
-            "all_states_equal": self.all_states_equal,
-            "rho_substituted": self.rho_substituted,
-            "bag_cap_events": self.bag_cap_events,
-        }
+        return {"estimates": self.estimates.tolist(), **self.head()}
 
 
 def stopping_condition(epsilon: float, xi_values, ceiling: int, r_i: int) -> bool:

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from percolator import ScheduleConfig, estimate, vd_baseline_sample_size
 from percolator.baselines import run_pab_naive, run_prk_fixed
@@ -48,3 +49,24 @@ def test_progressive_beats_fixed_size_in_time_and_samples(er1000, er1000_exact):
     # both stay within the target accuracy
     assert np.abs(mcera_report.estimates - er1000_exact.p).max() <= eps
     assert np.abs(prk_report["estimates"] - er1000_exact.p).max() <= eps
+
+
+@pytest.mark.parametrize("kwargs", [dict(epsilon=0.0), dict(epsilon=1.5), dict(delta=0.0),
+                                    dict(delta=1.0), dict(mc_trials=0)])
+def test_pab_naive_checks_arguments_before_sampling(monkeypatch, kwargs):
+    from percolator import PercolationModel, baselines, random_states
+    real, calls = baselines.pab_sample, []
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return real(*args, **kw)
+    monkeypatch.setattr(baselines, "pab_sample", counted)
+    g = build(cycle_edges(6))
+    model = PercolationModel(random_states(6, seed=3))
+    args = dict(epsilon=0.3, delta=0.2, seed=4, max_samples=64)
+    run_pab_naive(g, model, **args)
+    assert calls
+    calls.clear()
+    with pytest.raises(ValueError):
+        run_pab_naive(g, model, **{**args, **kwargs})
+    assert calls == []

@@ -208,6 +208,31 @@ def test_compare_budget_refusal(tmp_path):
     assert rows[1][5] == "nan"                  # sd not computable without exact
 
 
+
+def test_compare_no_exact_probes_only_vertices_with_out_arcs(tmp_path):
+    """Ids seen only on self-loop lines have no arcs; probing them bounds nothing."""
+    text = "1 2\n2 3\n" + "".join(f"{i} {i}\n" for i in range(100, 291))
+    graph = write_graph(tmp_path, text)
+    out = str(tmp_path / "cmp.csv")
+    assert main(["compare", "--graph", graph, "--states", "random:1",
+                 "--output", out, "--no-exact", "--repetitions", "1",
+                 "--epsilon-grid", "0.3", "--seed", "1",
+                 "--algorithms", "p-rk-fixed"]) == 0
+    rows = list(csv.reader(open(out)))
+    assert [r[0] for r in rows[1:]] == ["p-rk-fixed"] and int(rows[1][3]) >= 1
+
+
+@pytest.mark.parametrize("command", ["exact", "approx"])
+def test_nan_state_exit_code(tmp_path, capsys, command):
+    graph = write_graph(tmp_path)
+    states = tmp_path / "states.txt"
+    states.write_text("0.5\nnan\n0.1\n")
+    out = tmp_path / "o"
+    assert main([command, "--graph", graph, "--states", str(states),
+                 "--output", str(out), "--threads", "1"]) == 3
+    assert "states must lie in [0, 1]" in capsys.readouterr().err
+    assert not out.exists()
+
 def test_approx_prk_fixed_refuses_exact_pass_over_budget(tmp_path, monkeypatch, capsys):
     from percolator import PercolationModel, baselines, load_edge_list, random_states
     import oracle_writer

@@ -76,6 +76,11 @@ def test_state_bounds_enforced():
         percolation_differences([-0.1, 0.5])
 
 
+def test_nan_state_rejected():
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        PercolationModel([0.5, float("nan"), 0.2])
+
+
 def test_kappa_worked_example():
     m = PercolationModel([1.0, 0.5, 0.0])
     assert m.kappa(0, 2, 1) == pytest.approx(1.0)

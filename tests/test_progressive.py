@@ -32,6 +32,16 @@ def test_config_validation():
         ScheduleConfig(epsilon=0.1, delta=0.1, beta=1.5)
 
 
+def test_config_fixes_geom_ratio_and_keeps_report_keys():
+    with pytest.raises(TypeError):
+        ScheduleConfig(epsilon=0.1, delta=0.1, geom_ratio=2.0)
+    cfg = ScheduleConfig(epsilon=0.1, delta=0.2, mc_trials=7, beta=0.3, bag_cap=9)
+    assert cfg.as_dict() == {"epsilon": 0.1, "delta": 0.2, "mc_trials": 7, "beta": 0.3,
+                             "geom_ratio": 1.2, "bag_cap": 9}
+    assert list(cfg.as_dict()) == ["epsilon", "delta", "mc_trials", "beta",
+                                   "geom_ratio", "bag_cap"]
+
+
 def test_config_derived_quantities():
     cfg = ScheduleConfig(epsilon=0.05, delta=0.1)
     assert cfg.bootstrap_size == math.ceil(math.log(10) / 0.05)
