@@ -5,7 +5,7 @@ from .bounds import (McEraState, Partition, empirical_peeling, eps_bound,
                      vd_baseline_sample_size, wimpy_variance, xi_floor)
 from .exact import (ExactResult, PathExplosionError, brute_force_percolation,
                     exact_all, exact_rho_and_diameter)
-from .graph import EdgeListParseError, Graph, load_edge_list, write_edge_list
+from .graph import EdgeListParseError, Graph, load_edge_list
 from .percolation import (PercolationModel, load_states,
                           percolation_differences, random_states, save_states)
 from .progressive import RunReport, ScheduleConfig, estimate, stopping_condition

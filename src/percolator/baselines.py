@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+from functools import partial
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from .exact import exact_rho_and_diameter
 from .graph import Graph
 from .percolation import PercolationModel
 from .progressive import ScheduleConfig
-from .rng import BASELINE_STREAM, derive_rng
+from .rng import BASELINE_STREAM, draw_samples
 from .sampling import BfsWorkspace, pab_sample, prk_sample, sample_pair
 
 
@@ -27,6 +28,9 @@ def run_prk_fixed(graph: Graph, model: PercolationModel, epsilon: float,
                   delta: float, seed: int,
                   vertex_diameter: int | None = None) -> dict:
     """Fixed sample size from the vertex-diameter bound, single-path draws."""
+    if model.n != graph.n:
+        raise ValueError("model and graph disagree on vertex count")
+    ScheduleConfig(epsilon, delta)      # its argument checks, before the exact pass
     t0 = time.perf_counter()
     if vertex_diameter is None:
         _, diameter = exact_rho_and_diameter(graph)
@@ -36,10 +40,8 @@ def run_prk_fixed(graph: Graph, model: PercolationModel, epsilon: float,
     samples = vd_baseline_sample_size(vertex_diameter, epsilon, delta)
     t1 = time.perf_counter()
     sum_f = np.zeros(graph.n)
-    ws = BfsWorkspace(graph.n)
-    for i in range(samples):
-        rng = derive_rng(seed, BASELINE_STREAM, i)
-        contrib = prk_sample(graph, model, rng, ws)
+    sample = partial(prk_sample, graph, model, ws=BfsWorkspace(graph.n))
+    for contrib in draw_samples(sample, seed, BASELINE_STREAM, 0, samples):
         sum_f[contrib.idx] += contrib.val
     return {
         "algorithm": "p-rk-fixed",
@@ -67,9 +69,15 @@ def run_pab_naive(graph: Graph, model: PercolationModel, epsilon: float,
     target, the per-iteration delta shares and the argument checks are
     ``ScheduleConfig``'s.
     """
+    if model.n != graph.n:
+        raise ValueError("model and graph disagree on vertex count")
     config = ScheduleConfig(epsilon, delta, mc_trials=mc_trials)
     t0 = time.perf_counter()
     n = graph.n
+
+    def sample(rng):
+        return pab_sample(graph, model, *sample_pair(n, rng))
+
     state = McEraState(n=n, c=mc_trials, seed=seed)
     sum_f = np.zeros(n)
     everyone = np.arange(n)
@@ -79,14 +87,11 @@ def run_pab_naive(graph: Graph, model: PercolationModel, epsilon: float,
 
     while True:
         iterations += 1
-        block = target - state.r
-        signs = state.signs_for_block(block)
-        for b in range(block):
-            rng = derive_rng(seed, BASELINE_STREAM, state.r)
-            s, z = sample_pair(n, rng)
-            contrib = pab_sample(graph, model, s, z)
+        signs = state.signs_for_block(target - state.r)
+        samples = draw_samples(sample, seed, BASELINE_STREAM, state.r, target)
+        for row, contrib in zip(signs, samples):
             sum_f[contrib.idx] += contrib.val
-            state.add_sample(contrib, signs[b])
+            state.add_sample(contrib, row)
         delta_i = config.delta_iter(iterations)
         rc = mcera(state, everyone)
         wim = wimpy_variance(state, everyone)

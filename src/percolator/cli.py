@@ -2,7 +2,8 @@
 
 Subcommands: ``exact`` (ground truth), ``approx`` (one estimator run),
 ``compare`` (estimator benchmark over an epsilon grid). Exit codes:
-0 success, 2 usage, 3 input format, 4 budget refusal.
+0 success, 2 usage, 3 input (bad format or values, or shortest-path
+counts past float64), 4 budget refusal.
 """
 
 from __future__ import annotations
@@ -316,7 +317,7 @@ def main(argv=None) -> int:
     except EdgeListParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -45,6 +45,8 @@ def _source_sweep(graph: Graph, x: np.ndarray, s: int):
     """
     n = graph.n
     levels, _, sigma, arcs = shortest_path_dag(graph, s)
+    if not np.isfinite(sigma.max()):    # inf counts would turn the ratios into NaN
+        raise OverflowError("shortest-path count overflowed float64")
     delta_p = np.zeros(n)
     delta_b = np.zeros(n)
     place = np.empty(n, dtype=np.int64)

@@ -50,17 +50,10 @@ class Graph:
         object.__setattr__(self, "in_degrees",
                            np.diff(self.bwd_offsets) if self.directed else degrees)
 
-    def out_neighbors(self, v: int) -> np.ndarray:
-        self._check_vertex(v)
-        return self.fwd_targets[self.fwd_offsets[v]:self.fwd_offsets[v + 1]]
-
     def in_neighbors(self, v: int) -> np.ndarray:
-        self._check_vertex(v)
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range [0, {self.n})")
         return self.bwd_targets[self.bwd_offsets[v]:self.bwd_offsets[v + 1]]
-
-    def degree_forward(self, v: int) -> int:
-        self._check_vertex(v)
-        return int(self.fwd_offsets[v + 1] - self.fwd_offsets[v])
 
     def dense_id(self, original_id: int) -> int:
         i = int(np.searchsorted(self._sorted_ids, original_id))
@@ -96,10 +89,6 @@ class Graph:
         pos = starts.repeat(counts)
         pos += np.arange(total, dtype=np.int64)
         return srcs, targets[pos]
-
-    def _check_vertex(self, v: int) -> None:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range [0, {self.n})")
 
 
 _WS, _DIGIT, _SIGN, _COMMENT = (np.isin(np.arange(256), list(chars))
@@ -267,23 +256,6 @@ def load_edge_list(source, directed: bool = False) -> Graph:
         orig_ids=orig_ids, _sorted_ids=sorted_ids, _dense_of_sorted=dense_of_sorted,
         self_loops_dropped=len(keep) - edges, duplicates_dropped=edges - m,
     )
-
-
-def write_edge_list(graph: Graph, target) -> None:
-    """Serialize the graph as one 'u v' line per edge, in original ids.
-
-    Undirected edges are emitted once; directed arcs all. Reloading the
-    output reproduces an isomorphic graph.
-    """
-    src, dst = np.repeat(np.arange(graph.n), graph.out_degrees), graph.fwd_targets
-    keep = slice(None) if graph.directed else src < dst
-    ids = graph.orig_ids
-    text = "".join(f"{u} {v}\n" for u, v in zip(ids[src[keep]].tolist(), ids[dst[keep]].tolist()))
-    if isinstance(target, str):
-        with open(target, "w") as fh:
-            fh.write(text)
-    else:
-        target.write(text)
 
 
 def sorted_unique(values: np.ndarray) -> np.ndarray:

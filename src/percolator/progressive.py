@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .bounds import (McEraState, empirical_peeling, eps_bound, mcera,
                      sufficient_sample_size, wimpy_variance, xi_floor)
 from .graph import Graph
 from .percolation import PercolationModel
-from .rng import BOOTSTRAP_STREAM, ESTIMATE_STREAM, derive_rng
+from .rng import BOOTSTRAP_STREAM, ESTIMATE_STREAM, draw_samples
 from .sampling import (DEFAULT_BAG_CAP, NO_CONTRIBUTION, BfsWorkspace,
                        bag_estimate, balanced_bidirectional_bfs, sample_pair,
                        sample_paths)
@@ -137,17 +138,15 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
     n = graph.n
     min_rho = 1.0 / (n * (n - 1))
     t0 = time.perf_counter()
-    ws = BfsWorkspace(n)
+    draw = partial(_draw_pair_sample, graph, model, alpha=config.alpha,
+                   cap=config.bag_cap, ws=BfsWorkspace(n))
 
     # bootstrap: squared contributions for peeling, distances for rho
     r_boot = config.bootstrap_size
     sq_boot = np.zeros(n)
     internal_sum = 0.0
     cap_events = 0
-    for j in range(r_boot):
-        rng = derive_rng(seed, BOOTSTRAP_STREAM, j)
-        contrib, obs, capped = _draw_pair_sample(graph, model, rng,
-                                                 config.alpha, config.bag_cap, ws)
+    for contrib, obs, capped in draw_samples(draw, seed, BOOTSTRAP_STREAM, 0, r_boot):
         internal_sum += obs
         cap_events += capped
         sq_boot[contrib.idx] += contrib.val * contrib.val
@@ -181,16 +180,13 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
 
     while True:
         iterations += 1
-        block = target - state.r
-        signs = state.signs_for_block(block)
-        for b in range(block):
-            rng = derive_rng(seed, ESTIMATE_STREAM, state.r)
-            contrib, obs, capped = _draw_pair_sample(graph, model, rng,
-                                                     config.alpha, config.bag_cap, ws)
+        signs = state.signs_for_block(target - state.r)
+        samples = draw_samples(draw, seed, ESTIMATE_STREAM, state.r, target)
+        for row, (contrib, obs, capped) in zip(signs, samples):
             internal_sum += obs
             cap_events += capped
             sum_f[contrib.idx] += contrib.val
-            state.add_sample(contrib, signs[b])
+            state.add_sample(contrib, row)
 
         # refresh rho and, one-sidedly, the ceiling
         rho = internal_sum / (r_boot + state.r)

@@ -42,6 +42,14 @@ def derive_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(combine(seed, stream, index)))
 
 
+def draw_samples(sampler, seed: int, stream: int, start: int, stop: int):
+    """``sampler(rng)`` for the samples ``[start, stop)`` of a stream, in index
+    order. Sample i draws only from ``derive_rng(seed, stream, i)``, so it
+    is the same however a run splits its index range."""
+    for i in range(start, stop):
+        yield sampler(derive_rng(seed, stream, i))
+
+
 def rademacher_signs(seed: int, start: int, count: int, c: int) -> np.ndarray:
     """(count, c) matrix of +-1 signs for sample indices [start, start+count).
 

@@ -369,6 +369,8 @@ def pab_sample(graph: Graph, model: PercolationModel, s: int, z: int) -> Contrib
     _, dist, sigma, arcs = shortest_path_dag(graph, s, until=z)
     if dist[z] < 0:
         return NO_CONTRIBUTION
+    if not math.isfinite(sigma[z]):     # no count on an s-z path exceeds sigma[z]
+        raise OverflowError("shortest-path count overflowed float64")
     place = np.full(graph.n, -1, dtype=np.int64)    # index of a vertex in its level
     level = np.array([z], dtype=np.int64)
     omega = np.ones(1)

@@ -12,6 +12,19 @@ def build(edges, directed=False) -> Graph:
     return load_edge_list(io.StringIO(text), directed=directed)
 
 
+def out_neighbors(graph: Graph, v: int) -> np.ndarray:
+    return graph.fwd_targets[graph.fwd_offsets[v]:graph.fwd_offsets[v + 1]]
+
+
+def edge_text(graph: Graph) -> str:
+    """One 'u v' line per edge in original ids: undirected edges once,
+    directed arcs all, in CSR order."""
+    src, dst = np.repeat(np.arange(graph.n), graph.out_degrees), graph.fwd_targets
+    keep = slice(None) if graph.directed else src < dst
+    ids = graph.orig_ids
+    return "".join(f"{u} {v}\n" for u, v in zip(ids[src[keep]].tolist(), ids[dst[keep]].tolist()))
+
+
 def path_edges(k):
     return [(i, i + 1) for i in range(k - 1)]
 

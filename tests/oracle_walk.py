@@ -15,6 +15,8 @@ import numpy as np
 from percolator import Graph
 from percolator.sampling import DEFAULT_BAG_CAP, MeetResult, PathBag
 
+from gen import out_neighbors
+
 
 def _walk_down(graph: Graph, v: int, dist: np.ndarray, sigma: np.ndarray,
                rng, toward_z: bool) -> list[int]:
@@ -23,7 +25,7 @@ def _walk_down(graph: Graph, v: int, dist: np.ndarray, sigma: np.ndarray,
     while dist[v] > 0:
         target_depth = dist[v] - 1
         pick = rng.random() * sigma[v]
-        nbrs = graph.out_neighbors(v) if toward_z else graph.in_neighbors(v)
+        nbrs = out_neighbors(graph, v) if toward_z else graph.in_neighbors(v)
         chosen = v
         for u in nbrs:
             u = int(u)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from percolator import ScheduleConfig, estimate, vd_baseline_sample_size
+from percolator import (PercolationModel, ScheduleConfig, estimate, random_states,
+                        vd_baseline_sample_size)
 from percolator.baselines import run_pab_naive, run_prk_fixed
 
 from gen import build, cycle_edges
@@ -70,3 +71,33 @@ def test_pab_naive_checks_arguments_before_sampling(monkeypatch, kwargs):
     with pytest.raises(ValueError):
         run_pab_naive(g, model, **{**args, **kwargs})
     assert calls == []
+
+
+@pytest.mark.parametrize("n, kwargs", [(6, dict(epsilon=0.0)), (6, dict(epsilon=1.5)),
+                                       (6, dict(delta=0.0)), (6, dict(delta=1.0)), (7, {})])
+def test_prk_fixed_checks_arguments_before_the_exact_pass(monkeypatch, n, kwargs):
+    """Bad arguments, or a model of another size, fail before the O(n*m)
+    vertex-diameter pass runs."""
+    from percolator import baselines
+    real, calls = baselines.exact_rho_and_diameter, []
+
+    def counted(graph):
+        calls.append(graph.n)
+        return real(graph)
+    monkeypatch.setattr(baselines, "exact_rho_and_diameter", counted)
+    g = build(cycle_edges(6))
+    args = dict(epsilon=0.3, delta=0.2, seed=4)
+    run_prk_fixed(g, PercolationModel(random_states(6, seed=3)), **args)
+    assert calls == [6]
+    calls.clear()
+    with pytest.raises(ValueError):
+        run_prk_fixed(g, PercolationModel(random_states(n, seed=3)), **{**args, **kwargs})
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_pab_naive_rejects_a_model_of_another_size(n):
+    g = build(cycle_edges(6))
+    with pytest.raises(ValueError, match="vertex count"):
+        run_pab_naive(g, PercolationModel(random_states(n, seed=3)),
+                      epsilon=0.3, delta=0.2, seed=4, max_samples=64)

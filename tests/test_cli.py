@@ -10,6 +10,8 @@ import pytest
 
 from percolator.cli import main
 
+from gen import layered_edges
+
 DATA = Path(__file__).parent / "data"
 PATH_GRAPH = "0 1\n1 2\n"
 
@@ -41,6 +43,16 @@ def test_exact_path_graph_outputs(tmp_path):
     assert sidecar["sum_p"] <= sidecar["sum_b"] + 1e-9
     assert sidecar["sum_b"] <= sidecar["rho"] + 1e-9
     assert sidecar["rho"] == pytest.approx(1 / 3)
+
+
+def test_exact_path_count_overflow_exits_3(tmp_path, capsys):
+    edges = layered_edges([1] + [2] * 1100 + [1])      # 2^1100 shortest paths
+    graph = write_graph(tmp_path, "".join(f"{u} {v}\n" for u, v in edges))
+    out = tmp_path / "exact.tsv"
+    assert main(["exact", "--graph", graph, "--states", "random:1",
+                 "--output", str(out), "--threads", "1"]) == 3
+    assert "shortest-path count overflowed float64" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [Path(graph)]
 
 
 def test_exact_equal_states_all_zero(tmp_path):

@@ -1,5 +1,6 @@
 """One-pass shortest-path DAG against the code it replaced, bit for bit."""
 
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +109,24 @@ def test_no_np_unique_in_the_package():
     assert sources
     for path in sources:
         assert "np.unique(" not in path.read_text(), path.name
+
+
+def test_samples_draw_through_the_driver():
+    """Sample i of stream S draws from ``derive_rng(seed, S, i)``. Only the
+    driver ``rng.draw_samples`` makes those generators, so every estimator
+    loop keeps that rule; the CLI's diameter probe has a stream of its own."""
+    def calls(node):
+        return sum(isinstance(n, ast.Call) and "derive_rng" in ast.unparse(n.func)
+                   for n in ast.walk(node))
+    allowed = {"rng.draw_samples": 1, "cli._sampled_vertex_diameter": 1}
+    found = {}
+    for path in sorted(Path(percolator.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {f"{path.stem}.{fn.name}": calls(fn) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and f"{path.stem}.{fn.name}" in allowed}
+        assert calls(tree) == sum(inside.values()), path.name
+        found.update(inside)
+    assert found == allowed
 
 
 def test_mcera_state_sized_by_touched_vertices():

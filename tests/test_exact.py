@@ -135,6 +135,13 @@ def test_disconnected_pairs_contribute_zero():
     assert res.diameter == 1
 
 
+def test_source_sweep_overflow_detected():
+    """Past 2^1024 paths sigma is inf and every dependency ratio NaN."""
+    g = build(layered_edges([1] + [2] * 1100 + [1]))
+    with pytest.raises(OverflowError, match="overflowed float64"):
+        exact._source_sweep(g, random_states(g.n, seed=1), 0)
+
+
 def test_path_explosion_guard():
     g = build(layered_edges([1, 2, 2, 2, 2, 2, 2, 1]))
     m = PercolationModel(random_states(g.n, seed=1))

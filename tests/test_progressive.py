@@ -1,11 +1,15 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from percolator import (PercolationModel, ScheduleConfig, bounds, estimate,
+from percolator import (BfsWorkspace, PercolationModel, ScheduleConfig, bounds, estimate,
                         exact_all, progressive, random_states,
                         stopping_condition)
+from percolator.rng import ESTIMATE_STREAM, draw_samples
 
 from gen import build, chung_lu_edges, cycle_edges, erdos_renyi_edges, path_edges
 
@@ -178,3 +182,26 @@ def test_floor_skip_keeps_eps_met_reports(monkeypatch, name, eps):
         occupied = np.count_nonzero(skipped["xi_per_class"])
         assert full_calls == occupied * skipped["iterations"]
         assert occupied <= calls < full_calls
+
+
+HUBS = build(chung_lu_edges(150, 5, 2.3, seed=5))
+# a small bag cap, so that both capped and uncapped pairs occur
+DRAW = partial(progressive._draw_pair_sample, HUBS,
+               PercolationModel(random_states(HUBS.n, seed=2)),
+               alpha=ScheduleConfig(0.1, 0.1).alpha, cap=3, ws=BfsWorkspace(HUBS.n))
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=st.integers(0, 30), more=st.integers(0, 30), seed=st.integers(0, 2 ** 32))
+def test_split_index_range_draws_the_same_samples(a, more, seed):
+    """The samples of [0, a) then [a, b) are those of [0, b), bit for bit:
+    sample i depends on its index alone, as sharding by index range needs."""
+    b = a + more
+    whole = list(draw_samples(DRAW, seed, ESTIMATE_STREAM, 0, b))
+    split = [*draw_samples(DRAW, seed, ESTIMATE_STREAM, 0, a),
+             *draw_samples(DRAW, seed, ESTIMATE_STREAM, a, b)]
+    assert len(split) == len(whole) == b
+    for (c1, obs1, capped1), (c2, obs2, capped2) in zip(whole, split):
+        assert c1.idx.tobytes() == c2.idx.tobytes()
+        assert c1.val.tobytes() == c2.val.tobytes()
+        assert (obs1, capped1) == (obs2, capped2)

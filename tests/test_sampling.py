@@ -14,7 +14,7 @@ import oracle_walk
 from oracle_exact import bfs_level_counts
 from oracle_contrib import as_dict
 from gen import (build, chung_lu_edges, cycle_edges, erdos_renyi_edges,
-                 layered_edges, path_edges, random_layers)
+                 layered_edges, out_neighbors, path_edges, random_layers)
 
 
 def enumerate_shortest_paths(graph, s, z):
@@ -123,7 +123,7 @@ def test_sampled_paths_are_shortest_and_valid():
     rng = np.random.default_rng(77)
     for seed in range(6):
         g = build(erdos_renyi_edges(25, 0.12, seed=60 + seed))
-        adj = {v: set(g.out_neighbors(v).tolist()) for v in range(g.n)}
+        adj = {v: set(out_neighbors(g, v).tolist()) for v in range(g.n)}
         for _ in range(10):
             s, z = rng.integers(g.n), rng.integers(g.n)
             if s == z:
@@ -180,6 +180,10 @@ def test_sigma_overflow_detected():
     g = build(layered_edges([1] + [2] * 1100 + [1]))
     with pytest.raises(OverflowError):
         balanced_bidirectional_bfs(g, 0, g.n - 1)
+    # the pair sample would otherwise return NaN for every internal vertex
+    model = PercolationModel(np.linspace(1.0, 0.0, g.n))
+    with pytest.raises(OverflowError, match="overflowed float64"):
+        pab_sample(g, model, 0, g.n - 1)
 
 
 def test_sample_paths_rejects_disconnected():
