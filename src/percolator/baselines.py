@@ -74,9 +74,10 @@ def run_pab_naive(graph: Graph, model: PercolationModel, epsilon: float,
     config = ScheduleConfig(epsilon, delta, mc_trials=mc_trials)
     t0 = time.perf_counter()
     n = graph.n
+    ws = BfsWorkspace(n)
 
     def sample(rng):
-        return pab_sample(graph, model, *sample_pair(n, rng))
+        return pab_sample(graph, model, *sample_pair(n, rng), ws=ws)
 
     state = McEraState(n=n, c=mc_trials, seed=seed)
     sum_f = np.zeros(n)

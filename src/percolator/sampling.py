@@ -4,7 +4,8 @@ The workhorse is a balanced bidirectional BFS: forward from s, backward
 from z (in-arcs on directed graphs), always expanding the frontier with
 the smaller degree sum. When the searches touch, the arcs joining them
 are kept as candidate edges, from which any number of shortest paths can
-be drawn uniformly without materializing the whole path set.
+be drawn uniformly without materializing the whole path set, or the
+pair's whole dependency split computed.
 """
 
 from __future__ import annotations
@@ -348,27 +349,74 @@ def prk_sample(graph: Graph, model: PercolationModel, rng,
     return bag_estimate(sample_paths(meet, alpha=1.0, rng=rng, count=1), model)
 
 
-def pab_sample(graph: Graph, model: PercolationModel, s: int, z: int) -> Contribution:
-    """Pair-conditional sample: full dependency split over the s-z DAG.
+def pab_sample(graph: Graph, model: PercolationModel, s: int, z: int,
+               ws: BfsWorkspace | None = None) -> Contribution:
+    """Pair-conditional sample: full dependency split over the s-z paths.
 
-    One BFS from s, truncated at z's level, keeps the DAG arcs. Walking
-    them back from z, level by level, gives each vertex v on a shortest
-    s-z path its count omega[v] of shortest v-z paths, and each internal
-    v contributes sigma[v] * omega[v] / sigma_sz * kappa. The order of
-    the additions is fixed, since past 2^53 it changes the rounding: a
-    level lists its vertices as they are first met when the arcs into
-    the level below are read head by head in that level's order, tails
-    ascending per head, and omega[v] adds its successors in that order.
-    A non-percolated pair returns before the BFS.
+    Each vertex v on a shortest s-z path gets sigma[v] * omega[v] /
+    sigma_sz * kappa, sigma[v] counting shortest s-v paths and omega[v]
+    shortest v-z paths. Both come from :func:`balanced_bidirectional_bfs`
+    on ``ws`` (a fresh workspace when none is given), so a pair costs the
+    region its search explores. Every shortest path crosses one candidate
+    arc u -> w, so the two meeting levels are the distinct u and the
+    distinct w: u's omega sums sigma_z[w] over its candidate arcs, w's
+    sigma sums sigma_s[u] over its own. From there each side walks its
+    labels down to depth 1, one level per step, passing the walked count
+    to the predecessors one level below (in-arcs on the s side, out-arcs
+    on the z side); the labels give the other count.
+
+    While sigma_sz is below 2^53 every count and every partial sum is an
+    integer no larger than sigma_sz, hence an exact float, so each value
+    has the bits of :func:`_pab_sample_dag`'s, whatever the addition
+    order. From 2^53 on that routine runs instead. A non-percolated
+    pair returns before the search.
     """
     if s == z:
         raise ValueError("endpoints must be distinct")
     weight = model.pair_weight(s, z)
     if weight == 0.0:
         return NO_CONTRIBUTION
-    _, dist, sigma, arcs = shortest_path_dag(graph, s, until=z)
-    if dist[z] < 0:
+    if ws is None:
+        ws = BfsWorkspace(graph.n)
+    meet = balanced_bidirectional_bfs(graph, s, z, ws)
+    if not meet.connected:
         return NO_CONTRIBUTION
+    if meet.sigma_sz >= 2.0 ** 53:
+        return _pab_sample_dag(graph, model, s, z, weight)
+    found, values = [NO_CONTRIBUTION.idx], [NO_CONTRIBUTION.val]    # z next to s: none
+    for ends, shares, dist, sigma, backward in (
+            (meet.cand_s, meet.sigma_z[meet.cand_z], meet.dist_s, meet.sigma_s, True),
+            (meet.cand_z, meet.sigma_s[meet.cand_s], meet.dist_z, meet.sigma_z, False)):
+        # arcs into the level at ``depth``: their ends there and the counts they carry
+        for depth in range(int(dist[ends[0]]), 0, -1):
+            level = sorted_unique(ends)
+            ws.place[level] = np.arange(level.size)
+            walked = np.bincount(ws.place[ends], weights=shares, minlength=level.size)
+            denom = model.minus_s[level]
+            kept = denom > 0.0
+            found.append(level[kept])
+            values.append(sigma[level[kept]] * walked[kept] / meet.sigma_sz * weight / denom[kept])
+            if depth > 1:
+                srcs, ends = graph.expand_frontier(level, backward=backward)
+                below = dist[ends] == depth - 1
+                ends, shares = ends[below], walked[ws.place[srcs[below]]]
+    return Contribution(np.concatenate(found), np.concatenate(values))
+
+
+def _pab_sample_dag(graph: Graph, model: PercolationModel, s: int, z: int,
+                    weight: float) -> Contribution:
+    """:func:`pab_sample` of a percolated pair (``weight`` its pair weight)
+    over the s-z DAG of one BFS from s, truncated at z's level; z must be
+    reachable from s.
+
+    Walking the DAG arcs back from z, level by level, gives each vertex v
+    on a shortest s-z path its omega[v]. The order of the additions is
+    fixed, since past 2^53 it changes the rounding: a level lists its
+    vertices as they are first met when the arcs into the level below are
+    read head by head in that level's order, tails ascending per head,
+    and omega[v] adds its successors in that order.
+    """
+    _, _, sigma, arcs = shortest_path_dag(graph, s, until=z)
     if not math.isfinite(sigma[z]):     # no count on an s-z path exceeds sigma[z]
         raise OverflowError("shortest-path count overflowed float64")
     place = np.full(graph.n, -1, dtype=np.int64)    # index of a vertex in its level

@@ -10,7 +10,7 @@ import pytest
 
 from percolator.cli import main
 
-from gen import layered_edges
+from gen import build, edge_text, layered_edges
 
 DATA = Path(__file__).parent / "data"
 PATH_GRAPH = "0 1\n1 2\n"
@@ -51,6 +51,17 @@ def test_exact_path_count_overflow_exits_3(tmp_path, capsys):
     out = tmp_path / "exact.tsv"
     assert main(["exact", "--graph", graph, "--states", "random:1",
                  "--output", str(out), "--threads", "1"]) == 3
+    assert "shortest-path count overflowed float64" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [Path(graph)]
+
+
+def test_compare_path_count_overflow_exits_3(tmp_path, capsys):
+    """The naive baseline's pair samples reach pairs with more than 2^1024
+    shortest paths on the deep two-wide layered graph."""
+    graph = write_graph(tmp_path, edge_text(build(layered_edges([1] + [2] * 1100 + [1]))))
+    assert main(["compare", "--graph", graph, "--states", "random:1",
+                 "--output", str(tmp_path / "cmp.csv"), "--no-exact",
+                 "--algorithms", "p-ab-progressive-naive", "--threads", "1"]) == 3
     assert "shortest-path count overflowed float64" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [Path(graph)]
 

@@ -1,6 +1,7 @@
 """One-pass shortest-path DAG against the code it replaced, bit for bit."""
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import percolator
-from percolator import Contribution, McEraState, PercolationModel, pab_sample, random_states
+from percolator import (BfsWorkspace, Contribution, McEraState, PercolationModel, load_edge_list,
+                        pab_sample, random_states)
 from percolator.exact import _source_sweep
 from percolator.graph import shortest_path_dag, sorted_unique
 
@@ -143,3 +145,36 @@ def test_mcera_state_sized_by_touched_vertices():
         state.add_sample(Contribution(idx, rng.uniform(0.01, 1.0, idx.size)), row)
     assert state.r == 1_000 and 0 < state.rows <= 5_000
     assert state.signed_sums.nbytes + state.sq_sums.nbytes <= 2_000_000
+
+
+def test_pab_sample_memory_follows_the_search(tmp_path):
+    """A pair sample on the run's workspace allocates what its search
+    explores: at n = 2,000,000 one n-long float64 array is 16 MB, yet
+    1,000 samples of pairs at most 40 apart on a cycle with chords must
+    peak under 1 MB."""
+    n = 2_000_000
+    rng = np.random.default_rng(3)
+    tails = np.concatenate((np.arange(n), rng.integers(n, size=50)))
+    heads = np.concatenate((np.arange(1, n + 1) % n, (tails[n:] + rng.integers(2, 30, 50)) % n))
+    path = tmp_path / "cycle.txt"
+    with open(path, "w") as fh:
+        for lo in range(0, tails.size, 1 << 18):
+            block = slice(lo, lo + (1 << 18))
+            fh.write("".join(map("{} {}\n".format, tails[block].tolist(), heads[block].tolist())))
+    graph = load_edge_list(str(path))
+    model = PercolationModel(random_states(n, seed=4))
+    ws = BfsWorkspace(n)
+    pairs = [(int(s), int(s + gap) % n)
+             for s, gap in zip(rng.integers(n, size=1_000), rng.integers(2, 41, 1_000))]
+    tracemalloc.start()
+    try:
+        found = 0
+        for s, z in pairs:
+            if model.pair_weight(s, z) == 0.0:
+                s, z = z, s
+            found += len(pab_sample(graph, model, s, z, ws=ws)) > 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found > 900
+    assert peak < 1_000_000

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from percolator import (BfsWorkspace, PercolationModel, bag_estimate,
                         balanced_bidirectional_bfs,
@@ -10,6 +12,7 @@ from percolator import (BfsWorkspace, PercolationModel, bag_estimate,
 from percolator import sampling
 from percolator.sampling import DEFAULT_BAG_CAP, PathBag, _walk_down
 
+import oracle_exact
 import oracle_walk
 from oracle_exact import bfs_level_counts
 from oracle_contrib import as_dict
@@ -184,6 +187,88 @@ def test_sigma_overflow_detected():
     model = PercolationModel(np.linspace(1.0, 0.0, g.n))
     with pytest.raises(OverflowError, match="overflowed float64"):
         pab_sample(g, model, 0, g.n - 1)
+
+
+def counted_dag(monkeypatch):
+    """Record the (source, until) of every ``shortest_path_dag`` call that
+    ``sampling`` makes."""
+    calls, dag = [], sampling.shortest_path_dag
+
+    def counted(graph, s, until=None):
+        calls.append((s, until))
+        return dag(graph, s, until=until)
+
+    monkeypatch.setattr(sampling, "shortest_path_dag", counted)
+    return calls
+
+
+@pytest.mark.parametrize("depth", [52, 53])
+def test_pab_sample_takes_the_dag_from_2_53_paths(monkeypatch, depth):
+    """Below 2^53 shortest paths the balanced search gives the split; from
+    2^53 on the DAG routine does. Both give the oracle's bits."""
+    graph = build(layered_edges([1] + [2] * depth + [1]))     # 2^depth paths end to end
+    model = PercolationModel(np.linspace(1.0, 0.0, graph.n))
+    last = graph.n - 1
+    assert balanced_bidirectional_bfs(graph, 0, last).sigma_sz == 2.0 ** depth
+    calls = counted_dag(monkeypatch)
+    ws = BfsWorkspace(graph.n)
+    got = pab_sample(graph, model, 0, last, ws=ws)
+    assert calls == ([(0, last)] if depth == 53 else [])
+    assert len(got) == graph.n - 2
+    assert as_dict(got) == oracle_exact.pab_sample(graph, model, 0, last)
+    calls.clear()
+    for s, z in ((1, last), (0, last - 1), (2, last - 2), (5, 40), (9, 10), (10, 11)):
+        got = pab_sample(graph, model, s, z, ws=ws)
+        assert as_dict(got) == oracle_exact.pab_sample(graph, model, s, z)
+    assert not calls
+
+
+def test_no_sw5k_pair_reaches_the_dag_fallback(monkeypatch, smallworld5k):
+    """The benchmark's small-world graphs count a few hundred paths per
+    pair, nowhere near the 2^53 that sends a pair sample to the DAG."""
+    graph, model = smallworld5k
+    calls = counted_dag(monkeypatch)
+    counts, bfs = [], sampling.balanced_bidirectional_bfs
+
+    def counted_bfs(graph, s, z, ws=None):
+        meet = bfs(graph, s, z, ws)
+        counts.append(meet.sigma_sz)
+        return meet
+
+    monkeypatch.setattr(sampling, "balanced_bidirectional_bfs", counted_bfs)
+    ws = BfsWorkspace(graph.n)
+    rng = np.random.default_rng(17)
+    for _ in range(3_000):
+        pab_sample(graph, model, *sample_pair(graph.n, rng), ws=ws)
+    print(f"largest sigma_sz over {len(counts)} searched pairs: {max(counts):.0f}")
+    assert len(counts) > 1_000 and not calls
+    assert 1.0 < max(counts) < 2.0 ** 20
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 12), kind=st.sampled_from(["er", "chung-lu"]),
+       directed=st.booleans(), isolated=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_pab_sample_matches_oracle_on_random_graphs(n, kind, directed, isolated, seed, data):
+    """Every ordered pair, adjacent and disconnected ones included, in a
+    drawn order on one shared workspace, so that a stale label shows."""
+    rng = np.random.default_rng(seed)
+    if kind == "er":
+        edges = erdos_renyi_edges(n, rng.uniform(0.1, 0.6), seed, directed=directed)
+    else:
+        edges = chung_lu_edges(n, rng.uniform(1.0, 4.0), 2.3, seed)
+    assume(any(u != v for u, v in edges))
+    # ids seen only on self-loop lines are vertices without arcs
+    graph = build(edges + [(v, v) for v in range(n, n + isolated)], directed=directed)
+    states = data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                                min_size=graph.n, max_size=graph.n))
+    model = PercolationModel(states)
+    pairs = data.draw(st.permutations([(s, z) for s in range(graph.n)
+                                       for z in range(graph.n) if s != z]))
+    ws = BfsWorkspace(graph.n)
+    for s, z in pairs:
+        assert as_dict(pab_sample(graph, model, s, z, ws=ws)) == \
+            oracle_exact.pab_sample(graph, model, s, z), (s, z)
 
 
 def test_sample_paths_rejects_disconnected():
@@ -454,29 +539,26 @@ def test_one_uniform_array_per_bag():
 
 
 def test_no_search_for_zero_weight_pairs(monkeypatch):
-    """pab_sample and prk_sample skip the BFS of a pair that contributes
-    nothing whatever the search finds."""
+    """pab_sample and prk_sample skip the search of a pair that contributes
+    nothing whatever the search finds, and search every other pair once."""
     graph = build(erdos_renyi_edges(25, 0.15, seed=13))
     model = PercolationModel(random_states(graph.n, seed=5))
-    dag_pairs, bfs_pairs = [], []
-    dag, bfs = sampling.shortest_path_dag, sampling.balanced_bidirectional_bfs
-
-    def counted_dag(graph, s, until=None):
-        dag_pairs.append((s, until))
-        return dag(graph, s, until=until)
+    dag_pairs, bfs_pairs = counted_dag(monkeypatch), []
+    bfs = sampling.balanced_bidirectional_bfs
 
     def counted_bfs(graph, s, z, ws=None):
         bfs_pairs.append((s, z))
         return bfs(graph, s, z, ws)
 
-    monkeypatch.setattr(sampling, "shortest_path_dag", counted_dag)
     monkeypatch.setattr(sampling, "balanced_bidirectional_bfs", counted_bfs)
     pairs = [(s, z) for s in range(graph.n) for z in range(graph.n) if s != z]
     zero = {pair for pair in pairs if model.pair_weight(*pair) == 0.0}
     assert 0 < len(zero) < len(pairs)
     for s, z in pairs:
         pab_sample(graph, model, s, z)
-    assert dag_pairs == [pair for pair in pairs if pair not in zero]
+    # no pair here reaches the 2^53 fallback: one balanced search per pair
+    assert bfs_pairs == [pair for pair in pairs if pair not in zero] and not dag_pairs
+    bfs_pairs.clear()
     rng = np.random.default_rng(3)
     for _ in range(400):
         prk_sample(graph, model, rng)
