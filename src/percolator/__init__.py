@@ -6,8 +6,8 @@ from .bounds import (McEraState, Partition, empirical_peeling, eps_bound,
 from .exact import (ExactResult, PathExplosionError, brute_force_percolation,
                     exact_all, exact_rho_and_diameter)
 from .graph import EdgeListParseError, Graph, load_edge_list
-from .percolation import (PercolationModel, load_states,
-                          percolation_differences, random_states, save_states)
+from .percolation import (PercolationModel, load_states, percolation_differences,
+                          random_states)
 from .progressive import RunReport, ScheduleConfig, estimate, stopping_condition
 from .sampling import (BfsWorkspace, Contribution, MeetResult, PathBag,
                        bag_estimate, balanced_bidirectional_bfs, pab_sample,

@@ -153,17 +153,17 @@ def eps_bound(rc: float, wimpy: float, var_bound: float, t: int,
     return 2.0 * r_i + math.sqrt(2.0 * ell * (var_bound + 4.0 * r_i) / r) + ell / (3.0 * r)
 
 
-def xi_floor(t: int, r: int, delta: float) -> float:
-    """Lowest value ``eps_bound`` can take for any class at (t, r, delta).
+def xi_floor(var_bound: float, t: int, r: int, delta: float) -> float:
+    """Lowest value ``eps_bound`` can take for a class with variance bound
+    ``var_bound`` at (t, r, delta).
 
-    ``eps_bound`` does not decrease in ``rc``, ``wimpy`` or ``var_bound``
-    and floors the Rademacher term at zero, so its value with all three
-    at zero bounds every class's xi from below; it equals
-    (25/3) * ln(4t/delta) / r and does not depend on c. It is computed
-    through ``eps_bound`` itself because correctly rounded +, sqrt and
-    max are monotone, so the float floor holds exactly as well.
+    ``eps_bound`` does not decrease in ``rc`` or ``wimpy`` and floors the
+    Rademacher term at zero, so its value with both at zero bounds the
+    class's xi from below whatever the samples; it does not depend on c.
+    It is computed through ``eps_bound`` itself because correctly rounded
+    +, sqrt and max are monotone, so the float floor holds exactly as well.
     """
-    return eps_bound(0.0, 0.0, 0.0, t, 1, r, delta)
+    return eps_bound(0.0, 0.0, var_bound, t, 1, r, delta)
 
 
 def _bennett_h(x: float) -> float:

@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_approx.add_argument("--epsilon", type=float, default=0.05)
     estimator_options(p_approx)
     p_approx.add_argument("--algorithm", choices=ALGORITHMS, default="mcera")
-    p_approx.add_argument("--format", choices=["tsv", "json", "csv"], default="json")
+    p_approx.add_argument("--format", choices=["tsv", "json"], default="json")
     p_approx.set_defaults(func=cmd_approx)
 
     p_cmp = sub.add_parser("compare", help="benchmark estimators on one graph")

@@ -7,7 +7,6 @@ Graphs are immutable after construction and safe for concurrent reads.
 
 from __future__ import annotations
 
-import io
 import re
 from dataclasses import dataclass, field, replace
 
@@ -25,8 +24,7 @@ class Graph:
     ``fwd_offsets``/``fwd_targets`` hold the out-adjacency. For directed
     graphs ``bwd_offsets``/``bwd_targets`` mirror it arc-for-arc; for
     undirected graphs they are the same arrays (every edge is stored in
-    both orientations, so offsets[n] == 2*m). ``_sorted_ids`` holds the
-    distinct original ids ascending, ``_dense_of_sorted`` their dense ids.
+    both orientations, so offsets[n] == 2*m).
     """
 
     n: int
@@ -37,8 +35,6 @@ class Graph:
     bwd_offsets: np.ndarray
     bwd_targets: np.ndarray
     orig_ids: np.ndarray
-    _sorted_ids: np.ndarray = field(repr=False)
-    _dense_of_sorted: np.ndarray = field(repr=False)
     self_loops_dropped: int = 0
     duplicates_dropped: int = 0
     out_degrees: np.ndarray = field(init=False, repr=False)
@@ -54,12 +50,6 @@ class Graph:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
         return self.bwd_targets[self.bwd_offsets[v]:self.bwd_offsets[v + 1]]
-
-    def dense_id(self, original_id: int) -> int:
-        i = int(np.searchsorted(self._sorted_ids, original_id))
-        if i == self.n or self._sorted_ids[i] != original_id:
-            raise KeyError(original_id)
-        return int(self._dense_of_sorted[i])
 
     def reversed(self) -> "Graph":
         """Graph with every arc flipped (identity for undirected graphs)."""
@@ -164,9 +154,8 @@ def _read_ids(stream) -> np.ndarray:
 
 
 def _renumber(ids: np.ndarray):
-    """Dense ids numbered by first appearance, the distinct ids in that
-    order, the distinct ids ascending, and the dense ids of the latter.
-    Ids in a range no longer than ``ids`` are shifted in place."""
+    """Dense ids numbered by first appearance, and the distinct ids in that
+    order. Ids in a range no longer than ``ids`` are shifted in place."""
     low = int(ids.min())
     span = int(ids.max()) - low + 1
     if span > len(ids):       # sparse ids: sort them
@@ -179,7 +168,7 @@ def _renumber(ids: np.ndarray):
         rank[by_first] = np.arange(len(heads))
         dense = np.empty_like(ids)
         dense[order] = rank[np.cumsum(fresh) - 1]
-        return dense, ordered[heads[by_first]], ordered[heads], rank
+        return dense, ordered[heads[by_first]]
     # ids within [low, low + span): a table of each one's first position
     ids -= low
     first = np.full(span, len(ids), dtype=np.int64)
@@ -189,8 +178,7 @@ def _renumber(ids: np.ndarray):
     rank = np.empty_like(by_first)
     rank[by_first] = np.arange(len(seen))
     first[seen] = rank
-    sorted_ids = seen + low
-    return first[ids], sorted_ids[by_first], sorted_ids, rank
+    return first[ids], seen[by_first] + low
 
 
 def _csr(n: int, keys: np.ndarray, counts: np.ndarray):
@@ -204,25 +192,20 @@ def _csr(n: int, keys: np.ndarray, counts: np.ndarray):
 def load_edge_list(source, directed: bool = False) -> Graph:
     """Parse a SNAP-style edge list into a :class:`Graph`.
 
-    ``source`` may be a path, a text or binary stream, or a str/bytes blob.
-    Lines end with LF; space, tab and CR separate tokens. Lines whose first
-    token starts with '#' or '%' are comments; every other non-blank line
-    holds two ids, each matching ``[+-]?[0-9]+`` within int64. Self-loops
-    and duplicate edges are dropped (duplicates orientation-insensitively
-    for undirected graphs); counters of both are kept on the graph.
-    The input is parsed in blocks, so only its ids are held at once.
+    ``source`` is a text or binary stream. Lines end with LF; space, tab
+    and CR separate tokens. Lines whose first token starts with '#' or '%'
+    are comments; every other non-blank line holds two ids, each matching
+    ``[+-]?[0-9]+`` within int64. Self-loops and duplicate edges are
+    dropped (duplicates orientation-insensitively for undirected graphs);
+    counters of both are kept on the graph. The input is parsed in blocks,
+    so only its ids are held at once.
     """
-    if isinstance(source, str) and "\n" not in source:
-        with open(source, "rb") as fh:
-            return load_edge_list(fh, directed)
-    if isinstance(source, (str, bytes)):
-        source = io.BytesIO(source.encode() if isinstance(source, str) else source)
     ids = _read_ids(source)
     keep = ids[0::2] != ids[1::2]
     edges = int(keep.sum())
     if not edges:
         raise EdgeListParseError("empty graph: no edges found")
-    dense, orig_ids, sorted_ids, dense_of_sorted = _renumber(ids)
+    dense, orig_ids = _renumber(ids)
     del ids
     n = len(orig_ids)
     u, v = dense[0::2], dense[1::2]
@@ -253,7 +236,7 @@ def load_edge_list(source, directed: bool = False) -> Graph:
     return Graph(
         n=n, m=m, directed=directed,
         fwd_offsets=fwd[0], fwd_targets=fwd[1], bwd_offsets=bwd[0], bwd_targets=bwd[1],
-        orig_ids=orig_ids, _sorted_ids=sorted_ids, _dense_of_sorted=dense_of_sorted,
+        orig_ids=orig_ids,
         self_loops_dropped=len(keep) - edges, duplicates_dropped=edges - m,
     )
 

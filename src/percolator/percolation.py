@@ -89,42 +89,23 @@ def random_states(n: int, seed: int) -> np.ndarray:
 
 
 def load_states(source, graph=None) -> np.ndarray:
-    """Read one state per line; '#'-prefixed header lines are skipped.
+    """Read one state per line of the text stream ``source``; '#'-prefixed
+    header lines are skipped.
 
     Line i (after comments) is the state of dense vertex i, i.e. of the
     i-th original id in first-appearance order. When ``graph`` is given
     the count is validated against it.
     """
-    own = isinstance(source, str)
-    fh = open(source) if own else source
-    try:
-        vals = []
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                vals.append(float(stripped))
-            except ValueError:
-                raise ValueError(f"states line {lineno}: not a number: {stripped!r}") from None
-    finally:
-        if own:
-            fh.close()
+    vals = []
+    for lineno, line in enumerate(source, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        try:
+            vals.append(float(stripped))
+        except ValueError:
+            raise ValueError(f"states line {lineno}: not a number: {stripped!r}") from None
     states = np.asarray(vals, dtype=np.float64)
     if graph is not None and states.size != graph.n:
         raise ValueError(f"states file has {states.size} values, graph has {graph.n} vertices")
     return states
-
-
-def save_states(target, states, graph=None) -> None:
-    """Write states one per line, after a header naming the id order."""
-    own = isinstance(target, str)
-    fh = open(target, "w") if own else target
-    try:
-        if graph is not None:
-            fh.write("# ids: " + " ".join(str(i) for i in graph.orig_ids) + "\n")
-        for v in np.asarray(states, dtype=np.float64):
-            fh.write(f"{v:.17g}\n")
-    finally:
-        if own:
-            fh.close()

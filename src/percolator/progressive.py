@@ -9,8 +9,10 @@ is within epsilon or the ceiling is reached. Either exit yields the
 (epsilon, delta) guarantee; the delta budget is split half to the
 ceiling and half across the iterations.
 
-No class bound can fall below ``xi_floor(t, r, 0.8 * delta_i)``, so
-while that floor exceeds epsilon below the ceiling the run cannot stop
+Class j's bound cannot fall below ``xi_floor(var_bound[j], t, r,
+0.8 * delta_i)``, and a run stops only when every occupied class meets
+epsilon. So while the floor of the occupied class with the largest
+variance bound exceeds epsilon below the ceiling, the run cannot stop
 and the bounds are not evaluated; the iteration that stops always
 evaluates every occupied class, so reports are the same as with an
 evaluation on every iteration.
@@ -198,9 +200,10 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
 
         # the per-iteration share enters the bound as 5/delta_i
         delta_b = 0.8 * config.delta_iter(iterations)
-        # below the ceiling with the floor above epsilon no class can meet
-        # epsilon, so the run cannot stop here: skip the evaluation
-        if state.r >= ceiling or xi_floor(partition.t, state.r, delta_b) <= config.epsilon:
+        # below the ceiling with the top class's floor above epsilon that
+        # class cannot meet epsilon, so the run cannot stop: skip the evaluation
+        floor = xi_floor(vhat_classes, partition.t, state.r, delta_b)
+        if state.r >= ceiling or floor <= config.epsilon:
             for j in occupied:
                 rc = mcera(state, members[j])
                 wim = wimpy_variance(state, members[j])

@@ -156,8 +156,8 @@ def test_eps_bound_floors_negative_rademacher():
 def test_xi_floor_is_eps_bound_with_zero_terms(t):
     for c, r, delta in itertools.product((1, 2, 25, 100), (1, 37, 1000, 10**7),
                                          (1e-9, 0.008, 0.4, 0.99)):
-        assert xi_floor(t, r, delta) == eps_bound(0.0, 0.0, 0.0, t, c, r, delta)
-    assert xi_floor(t, 1000, 0.1) == pytest.approx(25 / 3 * math.log(40.0 * t) / 1000)
+        assert xi_floor(0.0, t, r, delta) == eps_bound(0.0, 0.0, 0.0, t, c, r, delta)
+    assert xi_floor(0.0, t, 1000, 0.1) == pytest.approx(25 / 3 * math.log(40.0 * t) / 1000)
 
 
 @given(rc=st.floats(allow_nan=False, allow_infinity=False),
@@ -167,7 +167,7 @@ def test_xi_floor_is_eps_bound_with_zero_terms(t):
 @example(rc=-0.0, wimpy=0.0, var_bound=0.0, t=1, c=25, r=1, delta=0.5)
 @example(rc=-1e300, wimpy=0.25, var_bound=0.25, t=3, c=25, r=441, delta=0.01)
 def test_eps_bound_never_below_xi_floor(rc, wimpy, var_bound, t, c, r, delta):
-    assert eps_bound(rc, wimpy, var_bound, t, c, r, delta) >= xi_floor(t, r, delta)
+    assert eps_bound(rc, wimpy, var_bound, t, c, r, delta) >= xi_floor(var_bound, t, r, delta)
 
 
 def test_sufficient_sample_size_worked_value():

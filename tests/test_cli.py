@@ -83,7 +83,8 @@ def test_exact_tsv_round_trip_exact_floats(tmp_path):
     assert main(["exact", "--graph", graph, "--states", "random:3",
                  "--output", out, "--threads", "1"]) == 0
     from percolator import PercolationModel, exact_all, load_edge_list, random_states
-    g = load_edge_list(graph)
+    with open(graph, "rb") as fh:
+        g = load_edge_list(fh)
     p = exact_all(g, PercolationModel(random_states(g.n, 3))).p
     parsed = [float(line.split("\t")[1]) for line in Path(out).read_text().splitlines()]
     assert parsed == [float(v) for v in p]
@@ -110,6 +111,17 @@ def test_unknown_algorithm_usage_error(tmp_path):
         main(["approx", "--graph", graph, "--states", "random:1",
               "--output", str(tmp_path / "o"), "--algorithm", "bogus"])
     assert err.value.code == 2
+
+
+def test_approx_rejects_csv_format(tmp_path):
+    """``approx`` writes its JSON report and, on request, a TSV; a csv
+    request is a usage error rather than a silent JSON-only run."""
+    graph = write_graph(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main(["approx", "--graph", graph, "--states", "random:1",
+              "--output", str(tmp_path / "o"), "--format", "csv"])
+    assert err.value.code == 2
+    assert list(tmp_path.iterdir()) == [Path(graph)]
 
 
 def test_approx_report_echoes_defaults(tmp_path):
@@ -278,7 +290,8 @@ def test_approx_prk_fixed_refuses_exact_pass_over_budget(tmp_path, monkeypatch, 
 
     assert main([*args, "--algorithm", "p-rk-fixed", "--budget", "16"]) == 0
     assert len(calls) == 1
-    g = load_edge_list(graph)
+    with open(graph, "rb") as fh:
+        g = load_edge_list(fh)
     expected = baselines.run_prk_fixed(g, PercolationModel(random_states(g.n, 4)), 0.2, 0.2, 1)
     estimates = expected.pop("estimates")
     expected = json.loads(oracle_writer.json_with_estimates(

@@ -2,6 +2,7 @@
 
 import ast
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,39 @@ def test_samples_draw_through_the_driver():
     assert found == allowed
 
 
+def test_every_definition_is_used_outside_the_tests():
+    """Each top-level function and class of the package, and each of their
+    methods but dunders, is named (an ``ast.Name`` or ``ast.Attribute``)
+    by package code outside its own body or by the benchmark harness;
+    re-exports in ``__init__`` are imports, not uses. Surface that only
+    tests call is removed, apart from the two oracles listed here."""
+    oracles = {"exact.brute_force_percolation", "percolation.PercolationModel.kappa"}
+
+    def names(node):
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+    package = Path(percolator.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    harness = sorted((package.parents[1] / "perfbench").glob("*.py"))
+    assert harness
+    used = sum((names(tree) for tree in trees.values()), Counter())
+    used += sum((names(ast.parse(path.read_text())) for path in harness), Counter())
+    unused = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            members = [(f"{module}.{node.name}", node)]
+            if isinstance(node, ast.ClassDef):
+                members += [(f"{module}.{node.name}.{m.name}", m) for m in node.body
+                            if isinstance(m, ast.FunctionDef)
+                            and not (m.name.startswith("__") and m.name.endswith("__"))]
+            unused.update(qual for qual, member in members
+                          if not (used - names(member))[member.name])
+    assert unused == oracles
+
+
 def test_mcera_state_sized_by_touched_vertices():
     """The MC-ERA sums hold one row per vertex a sample touched, not one per
     vertex of the graph: dense, n = 2,000,000 and 25 trials would take
@@ -161,7 +195,8 @@ def test_pab_sample_memory_follows_the_search(tmp_path):
         for lo in range(0, tails.size, 1 << 18):
             block = slice(lo, lo + (1 << 18))
             fh.write("".join(map("{} {}\n".format, tails[block].tolist(), heads[block].tolist())))
-    graph = load_edge_list(str(path))
+    with open(path, "rb") as fh:
+        graph = load_edge_list(fh)
     model = PercolationModel(random_states(n, seed=4))
     ws = BfsWorkspace(n)
     pairs = [(int(s), int(s + gap) % n)

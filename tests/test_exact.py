@@ -103,11 +103,12 @@ def test_permutation_equivariance():
     p1 = exact_all(g1, PercolationModel(states1)).p
     perm = rng.permutation(12)
     g2 = build([(int(perm[u]), int(perm[v])) for u, v in edges])
+    dense2 = {int(o): i for i, o in enumerate(g2.orig_ids)}
     states2 = np.empty(g2.n)
     p1_mapped = np.empty(g2.n)
     for v in range(g1.n):
         lab = int(g1.orig_ids[v])
-        w = g2.dense_id(int(perm[lab]))
+        w = dense2[int(perm[lab])]
         states2[w] = by_label[lab]
         p1_mapped[w] = p1[v]
     p2 = exact_all(g2, PercolationModel(states2)).p

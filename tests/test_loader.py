@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -50,13 +49,7 @@ def edge_lists(draw):
     return text.rstrip("\r\n") if draw(st.booleans()) else text
 
 
-def sources(text: str, tmpdir: str):
-    path = Path(tmpdir) / "g.txt"
-    path.write_bytes(text.encode())
-    yield str(path)
-    if "\n" in text:           # a str without a newline is a path
-        yield text
-    yield text.encode()
+def sources(text: str):
     yield io.StringIO(text)
     yield io.BytesIO(text.encode())
     yield gzip.GzipFile(fileobj=io.BytesIO(gzip.compress(text.encode())))
@@ -75,10 +68,7 @@ def assert_matches_oracle(graph, expected):
     assert np.array_equal(graph.out_degrees, np.diff(expected["fwd_offsets"]))
     assert np.array_equal(graph.in_degrees, np.diff(expected["bwd_offsets"]))
     for original, dense in expected["dense_of"].items():
-        assert graph.dense_id(original) == dense
-    absent = max(expected["dense_of"]) + 1
-    with pytest.raises(KeyError):
-        graph.dense_id(absent)
+        assert graph.orig_ids[dense] == original
 
 
 def chunked(size: int):
@@ -98,8 +88,8 @@ def test_bulk_loader_matches_reference(text, directed, size):
         expected = oracle_loader.load_edge_list(io.StringIO(text), directed=directed)
     except EdgeListParseError:
         expected = None
-    with tempfile.TemporaryDirectory() as tmpdir, chunked(size):
-        for source in sources(text, tmpdir):
+    with chunked(size):
+        for source in sources(text):
             if expected is None:
                 with pytest.raises(EdgeListParseError, match="empty graph"):
                     load_edge_list(source, directed=directed)
@@ -127,7 +117,7 @@ def first_bad_line(data: bytes):
     max_size=40).map(b"".join), size=block_sizes)
 def test_garbage_fails_on_its_first_bad_line(data, size):
     bad = first_bad_line(data)
-    for source in (data, gzip.GzipFile(fileobj=io.BytesIO(gzip.compress(data)))):
+    for source in (io.BytesIO(data), gzip.GzipFile(fileobj=io.BytesIO(gzip.compress(data)))):
         with chunked(size):
             try:
                 graph = load_edge_list(source)
@@ -158,11 +148,11 @@ PREAMBLE = "# header\n\n  % note\n0 1\n\t\n"     # the bad line is line 6
     "1 -9223372036854775809",
     "1 0000000000000000099999999999999999999",
 ])
-def test_bad_line_named_after_comments_and_blanks(tmp_path, line):
+def test_bad_line_named_after_comments_and_blanks(line):
     text = PREAMBLE + line + "\r\n2 3\n"
     for size in (graph_module._CHUNK, *range(1, len(text) + 2)):
         with chunked(size):
-            for source in sources(text, str(tmp_path)):
+            for source in sources(text):
                 with pytest.raises(EdgeListParseError) as err:
                     load_edge_list(source)
                 assert str(err.value) == f"line 6: expected two int64 ids, got '{line}'"
@@ -170,41 +160,32 @@ def test_bad_line_named_after_comments_and_blanks(tmp_path, line):
 
 def test_non_ascii_id_named_with_escapes():
     with pytest.raises(EdgeListParseError) as err:
-        load_edge_list(PREAMBLE + "\u0661 2\n")
+        load_edge_list(io.StringIO(PREAMBLE + "\u0661 2\n"))
     assert str(err.value) == r"line 6: expected two int64 ids, got '\xd9\xa1 2'"
 
 
 def test_int64_extremes_and_long_zero_padded_ids_load():
-    g = load_edge_list(b"-9223372036854775808 9223372036854775807\n"
-                       b"+0000000000000000000000000001 -0\n")
+    g = load_edge_list(io.BytesIO(b"-9223372036854775808 9223372036854775807\n"
+                                  b"+0000000000000000000000000001 -0\n"))
     assert g.orig_ids.tolist() == [INT64_MIN, INT64_MAX, 1, 0]
-    assert g.dense_id(INT64_MIN) == 0 and g.dense_id(0) == 3
 
 
 @pytest.mark.parametrize("text", ["", "\n\n", "# a\n\n% b\n", "  # a\n", "3 3\n# x\n"])
 def test_no_edges_is_an_empty_graph(text):
     with pytest.raises(EdgeListParseError, match="^empty graph"):
-        load_edge_list(text.encode())
-
-
-def test_dense_id_rejects_ids_outside_the_graph():
-    g = load_edge_list("5 9\n9 -4\n")
-    assert [g.dense_id(i) for i in (5, 9, -4)] == [0, 1, 2]
-    for absent in (0, 6, 10, -5, 1 << 70, -(1 << 70)):
-        with pytest.raises(KeyError):
-            g.dense_id(absent)
+        load_edge_list(io.BytesIO(text.encode()))
 
 
 def test_degree_arrays_built_once_and_shared_when_undirected():
-    g = load_edge_list("0 1\n1 2\n")
+    g = load_edge_list(io.StringIO("0 1\n1 2\n"))
     assert g.in_degrees is g.out_degrees
     assert g.out_degrees.tolist() == [1, 2, 1]
-    d = load_edge_list("0 1\n1 2\n0 2\n", directed=True)
+    d = load_edge_list(io.StringIO("0 1\n1 2\n0 2\n"), directed=True)
     assert d.out_degrees.tolist() == [2, 1, 0]
     assert d.in_degrees.tolist() == [0, 1, 2]
     r = d.reversed()
     assert r.out_degrees.tolist() == [0, 1, 2]
-    assert r._sorted_ids is d._sorted_ids
+    assert r.orig_ids is d.orig_ids
 
 
 
@@ -216,12 +197,12 @@ EVERY_BOUNDARY = ("# comment -1 2\r\n-3 +4\r\n\r\n% 5 6\n"
 
 
 @pytest.mark.parametrize("directed", [False, True])
-def test_every_block_boundary_loads_the_same_graph(tmp_path, directed):
+def test_every_block_boundary_loads_the_same_graph(directed):
     expected = oracle_loader.load_edge_list(io.StringIO(EVERY_BOUNDARY), directed=directed)
     assert expected["n"] == 5 and expected["m"] == 3 + directed
     for size in range(1, len(EVERY_BOUNDARY) + 2):
         with chunked(size):
-            for source in sources(EVERY_BOUNDARY, str(tmp_path)):
+            for source in sources(EVERY_BOUNDARY):
                 assert_matches_oracle(load_edge_list(source, directed=directed), expected)
 
 
@@ -235,16 +216,16 @@ def status_bytes(key):
         return next(int(line.split()[1]) for line in fh if line.startswith(key)) * 1024
 
 rng = np.random.default_rng(3)
-with open(sys.argv[1], "w") as fh:        # 400k lines over 100k ids, 50k lines at a time
-    for _ in range(8):
+with open(sys.argv[1], "w") as fh:        # 500k lines over 100k ids, 50k lines at a time
+    for _ in range(10):
         u, v = rng.integers(100_000, size=(2, 50_000)).tolist()
         fh.write("".join(f"{a} {b}\\n" for a, b in zip(u, v)))
 graph._CHUNK = 1 << 16
 before = status_bytes("VmRSS:")
-g = graph.load_edge_list(sys.argv[1])
+with open(sys.argv[1], "rb") as fh:
+    g = graph.load_edge_list(fh)
 arrays = {id(a): a.nbytes for a in (g.fwd_offsets, g.fwd_targets, g.bwd_offsets, g.bwd_targets,
-                                    g.orig_ids, g._sorted_ids, g._dense_of_sorted,
-                                    g.out_degrees, g.in_degrees)}
+                                    g.orig_ids, g.out_degrees, g.in_degrees)}
 print(status_bytes("VmHWM:") - before, sum(arrays.values()))
 """
 
@@ -252,8 +233,9 @@ print(status_bytes("VmHWM:") - before, sum(arrays.values()))
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux VmHWM")
 def test_load_peak_stays_within_a_few_graphs(tmp_path):
     """A fresh process's peak growth while loading stays under 4x the graph's
-    own arrays: 2.0x here (20.3 MB for 10.4 MB of arrays), against 5.5x
-    (57.2 MB) for the whole-text loader this one replaced.
+    own arrays: 2.3-2.5x here (24.4-25.7 MB for 10.4 MB of arrays over
+    500k lines), against 5.5x on 400k lines for the whole-text loader this
+    one replaced.
     ``VmHWM`` counts this process alone; ``ru_maxrss`` would include the
     peak of the process that spawned it."""
     src = str(Path(graph_module.__file__).parents[1])

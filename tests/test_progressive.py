@@ -3,12 +3,12 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from percolator import (BfsWorkspace, PercolationModel, ScheduleConfig, bounds, estimate,
-                        exact_all, progressive, random_states,
-                        stopping_condition)
+from percolator import (BfsWorkspace, PercolationModel, ScheduleConfig, bounds,
+                        brute_force_percolation, estimate, exact_all, progressive,
+                        random_states, stopping_condition)
 from percolator.rng import ESTIMATE_STREAM, draw_samples
 
 from gen import build, chung_lu_edges, cycle_edges, erdos_renyi_edges, path_edges
@@ -144,7 +144,7 @@ def run_counting_mcera(monkeypatch, graph, model, config, seed, skip=True):
     with monkeypatch.context() as patch:
         patch.setattr(progressive, "mcera", counted)
         if not skip:
-            patch.setattr(progressive, "xi_floor", lambda t, r, delta: -math.inf)
+            patch.setattr(progressive, "xi_floor", lambda v, t, r, delta: -math.inf)
         report = estimate(graph, model, config, seed=seed)
     return strip_timing(report.as_dict()), len(calls)
 
@@ -182,6 +182,86 @@ def test_floor_skip_keeps_eps_met_reports(monkeypatch, name, eps):
         occupied = np.count_nonzero(skipped["xi_per_class"])
         assert full_calls == occupied * skipped["iterations"]
         assert occupied <= calls < full_calls
+
+
+def floors_on_schedule(eps, delta, v_top, rho):
+    """``estimate``'s targets for a run whose largest occupied class bound is
+    ``v_top`` and whose ceiling is sized with ``rho``, each as (iteration,
+    target, the top class's floor there); the last target is the ceiling.
+    A ceiling that grows during the run caps earlier targets lower, which
+    only lowers r at a given iteration, and a later iteration at the ceiling
+    has a smaller delta_i: neither lowers the smallest floor listed here."""
+    config = ScheduleConfig(epsilon=eps, delta=delta)
+    t = bounds.empirical_peeling(np.zeros(1), config.bootstrap_size, delta).t
+    ceiling = bounds.sufficient_sample_size(min(0.25, max(v_top, eps)), rho, eps, delta / 2)
+    target, i, out = min(config.first_target, ceiling), 1, []
+    while True:
+        out.append((i, target, bounds.xi_floor(v_top, t, target, 0.8 * config.delta_iter(i))))
+        if target == ceiling:
+            return out
+        target = min(math.ceil(config.geom_ratio * target), ceiling)
+        i += 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(eps=st.floats(1e-3, 0.95), delta=st.floats(1e-4, 0.9), rho=st.floats(1e-6, 1e8),
+       share=st.floats(0.0, 1.0))
+@example(eps=0.05, delta=0.1, rho=1e-12, share=1.0)   # rho substituted, n = 10^6
+@example(eps=1e-3, delta=0.00674379, rho=1e8, share=0.09268644)   # floor 1.09 eps
+def test_ceiling_comes_before_any_class_can_meet_epsilon(eps, delta, rho, share):
+    """While rho stays within [1e-6, 1e8] the top class's floor exceeds
+    epsilon at every target up to the ceiling, so every run ends
+    ``ceiling-hit`` and MC-ERA is evaluated once, at the ceiling. v_top is
+    drawn from [the bound of a class whose samples were all zero, 1/4]:
+    every occupied class's bound lies there. A change to the ceiling, the
+    bound's constants, the delta split or the schedule that lets a run stop
+    early fails here."""
+    config = ScheduleConfig(epsilon=eps, delta=delta)
+    edge0 = float(bounds.empirical_peeling(np.zeros(1), config.bootstrap_size,
+                                           delta).var_bound[-1])
+    v_top = edge0 + share * (0.25 - edge0)
+    for i, target, floor in floors_on_schedule(eps, delta, v_top, rho):
+        assert floor > eps, (i, target, floor)
+
+
+def test_a_huge_rho_lets_the_floor_drop_below_epsilon():
+    """``eps-met`` is reachable: with rho = 5.77e13, far past any graph held
+    in memory (rho <= n - 2), the ceiling (298,042) is so far out that the
+    top class's floor drops below epsilon one target short of it, so the
+    ``eps-met`` exit stays."""
+    eps, delta, v_top = 0.003261563685770309, 0.06612939759370268, 0.039540411818056044
+    schedule = floors_on_schedule(eps, delta, v_top, 5.77e13)
+    below = [(i, target) for i, target, floor in schedule if floor <= eps]
+    assert below == [(29, 274_913), (30, 298_042)]
+    assert schedule[-1][1] == 298_042
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["er", "chung-lu"]), directed=st.booleans(),
+       n=st.integers(4, 9), arcless=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_ids_with_no_arcs(kind, directed, n, arcless, seed):
+    """Ids that appear only on self-loop lines become vertices without arcs:
+    the exact engine still matches the path-enumeration oracle, and the
+    estimator's scores stay finite and are exactly 0 there."""
+    rng = np.random.default_rng(seed)
+    if kind == "er":
+        edges = erdos_renyi_edges(n, 0.4, seed=seed, directed=directed)
+    else:
+        edges = chung_lu_edges(n, 3, 2.3, seed=seed)
+        if all(u == v for u, v in edges):      # keep one arc
+            edges.append((0, 1))
+    loops = [(n + 10 + k, n + 10 + k) for k in range(arcless)]
+    for line in loops:                  # anywhere in the file, so any dense id
+        edges.insert(int(rng.integers(len(edges) + 1)), line)
+    graph = build(edges, directed=directed)
+    dense = [int(np.flatnonzero(graph.orig_ids == u)[0]) for u, _ in loops]
+    assert not graph.out_degrees[dense].any() and not graph.in_degrees[dense].any()
+    model = PercolationModel(random_states(graph.n, seed=seed + 1))
+    exact_p = exact_all(graph, model, threads=1).p
+    assert np.abs(exact_p - brute_force_percolation(graph, model)).max() < 1e-9
+    report = estimate(graph, model, ScheduleConfig(epsilon=0.3, delta=0.2), seed=seed)
+    assert np.isfinite(report.estimates).all()
+    assert (report.estimates[dense] == 0.0).all()
 
 
 HUBS = build(chung_lu_edges(150, 5, 2.3, seed=5))
