@@ -15,7 +15,7 @@ from functools import partial
 
 import numpy as np
 
-from .bounds import McEraState, era_upper_bound, mcera, vd_baseline_sample_size, wimpy_variance
+from .bounds import McEraState, era_upper_bound, mcera, vd_baseline_sample_size
 from .exact import exact_rho_and_diameter
 from .graph import Graph
 from .percolation import PercolationModel
@@ -81,7 +81,6 @@ def run_pab_naive(graph: Graph, model: PercolationModel, epsilon: float,
 
     state = McEraState(n=n, c=mc_trials, seed=seed)
     sum_f = np.zeros(n)
-    everyone = np.arange(n)
     target = min(config.first_target, max_samples)
     iterations = 0
     xi = math.inf
@@ -94,9 +93,9 @@ def run_pab_naive(graph: Graph, model: PercolationModel, epsilon: float,
             sum_f[contrib.idx] += contrib.val
             state.add_sample(contrib, row)
         delta_i = config.delta_iter(iterations)
-        rc = mcera(state, everyone)
-        wim = wimpy_variance(state, everyone)
-        era = era_upper_bound(max(rc, 0.0), wim, mc_trials, state.r, delta_i / 2.0)
+        # the whole family as one class
+        (rc,), (wimpy,) = mcera(state, np.zeros(n, dtype=np.int64), 1)
+        era = era_upper_bound(max(float(rc), 0.0), float(wimpy), mc_trials, state.r, delta_i / 2.0)
         xi = 2.0 * era + 3.0 * math.sqrt(math.log(8.0 / delta_i) / (2.0 * state.r))
         if xi <= epsilon or state.r >= max_samples:
             break

@@ -10,7 +10,6 @@ variance-aware one and the vertex-diameter baseline used for comparison).
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -18,8 +17,6 @@ import numpy as np
 
 from .rng import rademacher_signs
 from .sampling import Contribution
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -33,9 +30,6 @@ class Partition:
     t: int
     class_of: np.ndarray           # per-vertex class index in [0, t)
     var_bound: np.ndarray          # per-class bound, in (0, 1/4]
-
-    def members(self, j: int) -> np.ndarray:
-        return np.nonzero(self.class_of == j)[0]
 
 
 @dataclass
@@ -94,42 +88,30 @@ class McEraState:
         self.row_of[vertices] = new
         return new
 
-    def touched_rows(self, members: np.ndarray) -> tuple[np.ndarray, bool]:
-        """Rows of the touched ``members``, and whether any is untouched."""
-        rows = self.row_of[members]
-        touched = rows[rows >= 0]
-        return touched, touched.size < rows.size
 
+def mcera(state: McEraState, class_of: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """Monte-Carlo Rademacher average and wimpy variance of each of the t
+    classes of ``class_of``, from one pass over the touched rows.
 
-def wimpy_variance(state: McEraState, members: np.ndarray) -> float:
-    """Largest mean-of-squares over the class: max_v sq_sums[v] / r."""
-    if state.r < 1:
-        raise ValueError("wimpy variance needs at least one sample")
-    if members.size == 0:
-        log.debug("wimpy variance of an empty class, returning 0")
-        return 0.0
-    rows, _ = state.touched_rows(members)
-    # sums of squares are >= 0, so an untouched member's exact 0 can
-    # always join the max
-    return float(state.sq_sums[rows].max(initial=0.0) / state.r)
-
-
-def mcera(state: McEraState, members: np.ndarray) -> float:
-    """Monte-Carlo Rademacher average of the class, sup taken as-is.
-
-    (1/c) * sum over trials of max_v signed_sums[v, k] / r; may be
-    negative, no clamping here.
+    ``rc[j]`` is (1/c) * sum over trials of max_v signed_sums[v, k] / r,
+    taken as-is (it may be negative, no clamping here); ``wimpy[j]`` is
+    max_v sq_sums[v] / r; both maxima run over class j's members. An
+    untouched member's sums are exactly 0, so they join both maxima; an
+    empty class holds no function and gets 0 for both.
     """
     if state.r < 1:
         raise ValueError("mcera needs at least one sample")
-    if members.size == 0:
-        log.debug("mcera of an empty class, returning 0")
-        return 0.0
-    rows, untouched = state.touched_rows(members)
-    # an untouched member's sums are exactly 0, so they join each trial's max
-    top = state.signed_sums[rows].max(axis=0, initial=0.0 if untouched else -np.inf)
-    per_trial = top / state.r
-    return float(per_trial.mean())
+    touched = np.flatnonzero(state.row_of >= 0)
+    rows, cls = state.row_of[touched], class_of[touched]
+    sizes = np.bincount(class_of, minlength=t)
+    # only a nonempty class touched throughout has no exact 0 in its maxima
+    whole = (np.bincount(cls, minlength=t) == sizes) & (sizes > 0)
+    top = np.repeat(np.where(whole, -np.inf, 0.0)[:, None], state.c, axis=1)
+    np.maximum.at(top, cls, state.signed_sums[rows])
+    # sums of squares are >= 0, so 0 can start every class's max
+    sq_top = np.zeros(t)
+    np.maximum.at(sq_top, cls, state.sq_sums[rows])
+    return (top / state.r).mean(axis=1), sq_top / state.r
 
 
 def era_upper_bound(rc: float, wimpy: float, c: int, r: int, delta: float) -> float:
@@ -263,30 +245,17 @@ def empirical_peeling(sq_sums: np.ndarray, r: int, delta: float) -> Partition:
     """
     if r < 1:
         raise ValueError("peeling needs at least one bootstrap sample")
-    n = sq_sums.size
     what = sq_sums / r
     t = int(math.ceil(math.log(r) / math.log(4.0))) + 2
     edges = 0.25 ** np.arange(1, t + 1)          # bucket upper edges, descending
-    class_of = np.empty(n, dtype=np.int64)
-    for j in range(t):
-        if j == t - 1:
-            mask = what <= edges[j]
-        elif j == 0:
-            mask = what > edges[1]
-        else:
-            mask = (what > edges[j + 1]) & (what <= edges[j])
-        class_of[mask] = j
+    # how many of the inner edges edges[1:] lie strictly below each value
+    class_of = (t - 1) - np.searchsorted(edges[:0:-1], what, side="left")
 
     ell = math.log(2.0 * t / delta)
-    var_bound = np.empty(t)
-    for j in range(t):
-        if j < t - 1:
-            edge = edges[j]
-        else:
-            members = what[class_of == j]
-            edge = float(members.max()) if members.size else 0.0
-        slack = math.sqrt(2.0 * edge * ell / r) + ell / (3.0 * r)
-        var_bound[j] = min(0.25, edge + slack)
+    # the catch-all bucket's edge is its largest member (0 when empty)
+    top = np.append(edges[:-1], what[class_of == t - 1].max(initial=0.0))
+    slack = np.sqrt(2.0 * top * ell / r) + ell / (3.0 * r)
+    var_bound = np.minimum(0.25, top + slack)
     return Partition(t=t, class_of=class_of, var_bound=var_bound)
 
 

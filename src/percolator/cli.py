@@ -50,9 +50,6 @@ def _resolve_states(source: str, graph: Graph) -> np.ndarray:
 def _threads(args) -> int:
     if args.threads is not None:
         return max(1, args.threads)
-    env = os.environ.get("PERCOLATOR_THREADS")
-    if env:
-        return max(1, int(env))
     return os.cpu_count() or 1
 
 
@@ -269,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="states file path or random:SEED")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=None,
-                       help="defaults to PERCOLATOR_THREADS or all cores")
+                       help="defaults to all cores")
         p.add_argument("--output", required=True)
 
     def estimator_options(p):

@@ -8,7 +8,7 @@ Graphs are immutable after construction and safe for concurrent reads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,13 +50,6 @@ class Graph:
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range [0, {self.n})")
         return self.bwd_targets[self.bwd_offsets[v]:self.bwd_offsets[v + 1]]
-
-    def reversed(self) -> "Graph":
-        """Graph with every arc flipped (identity for undirected graphs)."""
-        if not self.directed:
-            return self
-        return replace(self, fwd_offsets=self.bwd_offsets, fwd_targets=self.bwd_targets,
-                       bwd_offsets=self.fwd_offsets, bwd_targets=self.fwd_targets)
 
     def expand_frontier(self, frontier: np.ndarray, backward: bool = False):
         """All arcs leaving ``frontier``: (repeated sources, targets).

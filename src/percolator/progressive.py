@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .bounds import (McEraState, empirical_peeling, eps_bound, mcera,
-                     sufficient_sample_size, wimpy_variance, xi_floor)
+                     sufficient_sample_size, xi_floor)
 from .graph import Graph
 from .percolation import PercolationModel
 from .rng import BOOTSTRAP_STREAM, ESTIMATE_STREAM, draw_samples
@@ -160,12 +160,11 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
         rho_substituted = True
 
     partition = empirical_peeling(sq_boot, r_boot, config.delta)
-    members = [partition.members(j) for j in range(partition.t)]
-    occupied = [j for j in range(partition.t) if members[j].size]
+    occupied = np.bincount(partition.class_of, minlength=partition.t) > 0
     # every vertex lives in some occupied class, so their largest bound
     # covers the whole family; floored at epsilon to keep the ceiling's
     # log term bounded when the empirical variances are all near zero
-    vhat_classes = max(float(partition.var_bound[j]) for j in occupied)
+    vhat_classes = float(partition.var_bound[occupied].max())
     vhat = min(0.25, max(vhat_classes, config.epsilon))
     ceiling = sufficient_sample_size(vhat, rho, config.epsilon, config.delta / 2.0)
     elapsed_boot = time.perf_counter() - t0
@@ -174,9 +173,7 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
     state = McEraState(n=n, c=config.mc_trials, seed=seed)
     sum_f = np.zeros(n)
     # empty classes hold no functions: their deviation is trivially zero
-    xi = np.zeros(partition.t)
-    for j in occupied:
-        xi[j] = 1.0
+    xi = occupied.astype(float)
     target = min(config.first_target, ceiling)
     iterations = 0
 
@@ -204,10 +201,9 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
         # class cannot meet epsilon, so the run cannot stop: skip the evaluation
         floor = xi_floor(vhat_classes, partition.t, state.r, delta_b)
         if state.r >= ceiling or floor <= config.epsilon:
-            for j in occupied:
-                rc = mcera(state, members[j])
-                wim = wimpy_variance(state, members[j])
-                xi[j] = eps_bound(rc, wim, float(partition.var_bound[j]),
+            rc, wimpy = mcera(state, partition.class_of, partition.t)
+            for j in np.flatnonzero(occupied):
+                xi[j] = eps_bound(float(rc[j]), float(wimpy[j]), float(partition.var_bound[j]),
                                   partition.t, config.mc_trials, state.r, delta_b)
             if stopping_condition(config.epsilon, xi, ceiling, state.r):
                 break

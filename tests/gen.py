@@ -1,6 +1,7 @@
 """Small graph generators for the tests; everything is seeded."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 
@@ -14,6 +15,14 @@ def build(edges, directed=False) -> Graph:
 
 def out_neighbors(graph: Graph, v: int) -> np.ndarray:
     return graph.fwd_targets[graph.fwd_offsets[v]:graph.fwd_offsets[v + 1]]
+
+
+def reversed_graph(graph: Graph) -> Graph:
+    """Graph with every arc flipped (identity for undirected graphs)."""
+    if not graph.directed:
+        return graph
+    return replace(graph, fwd_offsets=graph.bwd_offsets, fwd_targets=graph.bwd_targets,
+                   bwd_offsets=graph.fwd_offsets, bwd_targets=graph.fwd_targets)
 
 
 def edge_text(graph: Graph) -> str:

@@ -3,13 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from percolator import (Contribution, McEraState, PercolationModel, empirical_peeling,
                         eps_bound, era_upper_bound, exact_all, mcera,
                         random_states, sufficient_sample_size,
-                        vd_baseline_sample_size, wimpy_variance, xi_floor)
+                        vd_baseline_sample_size, xi_floor)
 from percolator.bounds import sufficient_sample_size_closed_form
 from percolator.progressive import _draw_pair_sample
 from percolator.rng import derive_rng, rademacher_signs
@@ -37,31 +37,37 @@ def make_state(value_rows, c=1):
     return state, vals
 
 
+def whole(state):
+    """(mcera, wimpy variance) of the one class holding every vertex."""
+    rc, wimpy = mcera(state, np.zeros(state.n, dtype=np.int64), 1)
+    return float(rc[0]), float(wimpy[0])
+
+
 def test_wimpy_examples():
     state, _ = make_state([1.0, 0.0, 1.0])
-    assert wimpy_variance(state, np.array([0])) == pytest.approx(2 / 3)
+    assert whole(state)[1] == pytest.approx(2 / 3)
 
     state, _ = make_state([0.0, 0.0, 0.0])
-    assert wimpy_variance(state, np.array([0])) == 0.0
+    assert whole(state)[1] == 0.0
 
     two = fold(McEraState(n=2, c=1, seed=0), [{0: 0.5, 1: 1.0}, {0: 0.5}])
     assert two.r == 2
-    assert wimpy_variance(two, np.array([0, 1])) == pytest.approx(0.5)
+    assert whole(two)[1] == pytest.approx(0.5)
 
 
 def test_mcera_examples():
     zero = fold(McEraState(n=1, c=4, seed=0), [{}, {}, {}])
     assert zero.r == 3
-    assert mcera(zero, np.array([0])) == 0.0
+    assert whole(zero)[0] == 0.0
 
     # signed sum 1.0 * 1 + 1.0 * -1
     one = fold(McEraState(n=1, c=1, seed=0), [{0: 1.0}, {0: 1.0}], signs=[[1], [-1]])
-    assert mcera(one, np.array([0])) == 0.0
+    assert whole(one)[0] == 0.0
 
     # f = (1, 0); lambda rows (+1, +1) and (-1, +1) by trial
     two = fold(McEraState(n=1, c=2, seed=0), [{0: 1.0}, {}], signs=[[1, -1], [1, 1]])
     assert two.signed_sums[two.row_of[0]].tolist() == [1.0, -1.0]
-    assert mcera(two, np.array([0])) == pytest.approx(0.0)
+    assert whole(two)[0] == pytest.approx(0.0)
 
 
 def test_mcera_all_plus_one_equals_max_mean():
@@ -70,11 +76,22 @@ def test_mcera_all_plus_one_equals_max_mean():
     state = fold(McEraState(n=3, c=2, seed=0), [dict(enumerate(means))] * 4,
                  signs=np.ones((4, 2)))
     assert state.r == 4
-    assert mcera(state, np.arange(3)) == pytest.approx(means.max())
+    assert whole(state)[0] == pytest.approx(means.max())
 
 
 def same_bits(a: float, b: float) -> bool:
     return np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
+
+
+def assert_matches_oracle_by_class(state, oracle, class_of, t):
+    """The one-pass ``mcera`` of each class equals the dense oracle's
+    ``mcera`` and ``wimpy_variance`` over that class's members, bit for bit."""
+    rc, wimpy = mcera(state, class_of, t)
+    assert rc.shape == wimpy.shape == (t,)
+    for j in range(t):
+        members = np.flatnonzero(class_of == j)
+        assert same_bits(rc[j], oracle_mcera.mcera(oracle, members)), j
+        assert same_bits(wimpy[j], oracle_mcera.wimpy_variance(oracle, members)), j
 
 
 @pytest.mark.parametrize("c", [1, 25])
@@ -88,9 +105,10 @@ def test_sparse_state_matches_dense_oracle(seed, negative, c):
     rng = np.random.default_rng(seed)
     state = McEraState(n=n, c=c, seed=seed)
     oracle = oracle_mcera.McEraState(n=n, c=c, seed=seed)
-    classes = [np.arange(n), np.arange(reach), np.arange(reach - 3, reach + 3),
-               np.arange(reach, n), np.empty(0, dtype=np.int64),
-               rng.choice(n, 40, replace=False), np.array([reach - 1, 0, n - 1])]
+    labellings = [(np.zeros(n, dtype=np.int64), 1),                 # everyone
+                  ((np.arange(n) >= reach).astype(np.int64), 2),    # reachable, never touched
+                  (np.arange(n) // 70, 5),                          # class 2 straddles reach
+                  (rng.integers(0, 5, n), 8)]                       # classes 5-7 empty
     for _ in range(5):
         signs = state.signs_for_block(40)
         if negative:
@@ -104,16 +122,43 @@ def test_sparse_state_matches_dense_oracle(seed, negative, c):
         signed, sq = oracle_mcera.dense_sums(state)
         assert np.array_equal(signed.view(np.int64), oracle.signed_sums.view(np.int64))
         assert np.array_equal(sq.view(np.int64), oracle.sq_sums.view(np.int64))
-        for members in classes:
-            assert same_bits(mcera(state, members), oracle_mcera.mcera(oracle, members))
-            assert same_bits(wimpy_variance(state, members),
-                             oracle_mcera.wimpy_variance(oracle, members))
+        for class_of, t in labellings:
+            assert_matches_oracle_by_class(state, oracle, class_of, t)
     touched = np.nonzero(state.row_of >= 0)[0]
     assert state.rows == touched.size <= reach
     if negative:
         # the untouched members' zero sums decide the max
-        assert mcera(state, touched) < 0.0
-        assert mcera(state, np.arange(n)) == 0.0
+        rc, _ = mcera(state, (state.row_of < 0).astype(np.int64), 2)
+        assert rc[0] < 0.0 and rc[1] == 0.0
+        assert whole(state)[0] == 0.0
+
+
+@st.composite
+def classed_samples(draw):
+    """(t, class of each vertex, samples as {vertex: value} dicts, c, whether
+    every sign is -1); small n and many samples make fully touched classes
+    common, t up to 8 over at most 10 vertices leaves classes empty."""
+    t = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 10))
+    class_of = draw(st.lists(st.integers(0, t - 1), min_size=n, max_size=n))
+    samples = draw(st.lists(st.dictionaries(st.integers(0, n - 1), st.floats(0.01, 1.0),
+                                            max_size=n), min_size=1, max_size=8))
+    return t, class_of, samples, draw(st.integers(1, 4)), draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(classed_samples())
+@example((1, [0, 0], [{0: 0.5}], 2, True))      # an untouched member decides the max
+@example((1, [0], [{0: 0.5}], 1, True))         # touched throughout, all sums negative
+@example((3, [0, 2], [{0: 0.5}, {1: 0.25}], 3, False))   # class 1 empty
+def test_one_pass_matches_dense_oracle_class_by_class(case):
+    t, class_of, samples, c, negative = case
+    class_of = np.array(class_of, dtype=np.int64)
+    state = McEraState(n=class_of.size, c=c, seed=5)
+    signs = -np.ones((len(samples), c)) if negative else state.signs_for_block(len(samples))
+    fold(state, samples, signs)
+    oracle = fold(oracle_mcera.McEraState(n=class_of.size, c=c, seed=5), samples, signs)
+    assert_matches_oracle_by_class(state, oracle, class_of, t)
 
 
 def test_era_upper_bound_values():
@@ -211,6 +256,38 @@ def test_peeling_bucket_assignment():
     assert part.class_of[0] != part.class_of[1]
 
 
+def mask_loop_classes(what, t):
+    """The class rule ``empirical_peeling`` applied with one set of masks
+    per class before it became one ``searchsorted``, kept as an oracle."""
+    edges = 0.25 ** np.arange(1, t + 1)
+    class_of = np.empty(what.size, dtype=np.int64)
+    for j in range(t):
+        if j == t - 1:
+            mask = what <= edges[j]
+        elif j == 0:
+            mask = what > edges[1]
+        else:
+            mask = (what > edges[j + 1]) & (what <= edges[j])
+        class_of[mask] = j
+    return class_of
+
+
+def test_peeling_classes_match_the_mask_loop_at_every_edge():
+    """Every bucket edge 4^-k, both of its float neighbours, 0 and values
+    above 1/4 land in the class the mask loop gives, for t = 2..13; r is a
+    power of two, so sq_sums / r gives the intended values exactly."""
+    edges = 0.25 ** np.arange(0, 16)
+    what = np.concatenate((edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+                           [0.0, 0.3, 0.9, 2.0]))
+    seen = set()
+    for log2_r in range(23):
+        r = 1 << log2_r
+        part = empirical_peeling(what * r, r, delta=0.1)
+        assert np.array_equal(part.class_of, mask_loop_classes(what, part.t))
+        seen.add(part.t)
+    assert seen == set(range(2, 14))
+
+
 def test_peeling_bounds_capped_and_monotone():
     rng = np.random.default_rng(0)
     part = empirical_peeling(rng.random(50) * 30, r=30, delta=0.1)
@@ -270,9 +347,7 @@ def test_deviation_bound_coverage():
             contrib, _, _ = _draw_pair_sample(g, model, rng, alpha=math.log(10), cap=1 << 16)
             sum_f[contrib.idx] += contrib.val
             state.add_sample(contrib, signs[i])
-        everyone = np.arange(g.n)
-        xi = eps_bound(mcera(state, everyone), wimpy_variance(state, everyone),
-                       0.25, t=1, c=c, r=r, delta=delta)
+        xi = eps_bound(*whole(state), 0.25, t=1, c=c, r=r, delta=delta)
         sd = np.abs(sum_f / r - p).max()
         hits += sd <= xi
     # should hold in >= (1 - delta) of trials; binomial 3 sigma slack

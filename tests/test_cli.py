@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from percolator import cli
 from percolator.cli import main
 
 from gen import build, edge_text, layered_edges
@@ -367,12 +368,25 @@ def test_exact_json_and_csv_formats(tmp_path):
     assert float(rows[2][1]) == 1 / 6
 
 
-def test_env_thread_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("PERCOLATOR_THREADS", "1")
+def test_threads_default_to_all_cores(tmp_path, monkeypatch):
+    """Without ``--threads`` the exact pass uses every core the machine
+    reports, and writes the bytes a serial run writes."""
     graph = write_graph(tmp_path)
-    out = str(tmp_path / "exact.tsv")
-    assert main(["exact", "--graph", graph, "--states", "random:1",
-                 "--output", out]) == 0
+    seen = []
+    real = cli.exact_all
+
+    def spy(graph, model, threads):
+        seen.append(threads)
+        return real(graph, model, threads=threads)
+
+    monkeypatch.setattr(cli, "exact_all", spy)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    outs = [str(tmp_path / "default.tsv"), str(tmp_path / "serial.tsv")]
+    for out, extra in zip(outs, ([], ["--threads", "1"])):
+        assert main(["exact", "--graph", graph, "--states", "random:1",
+                     "--output", out, *extra]) == 0
+    assert seen == [2, 1]
+    assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
 
 
 @pytest.mark.parametrize("bad_line", [

@@ -133,35 +133,39 @@ def test_samples_draw_through_the_driver():
 
 
 def test_every_definition_is_used_outside_the_tests():
-    """Each top-level function and class of the package, and each of their
-    methods but dunders, is named (an ``ast.Name`` or ``ast.Attribute``)
-    by package code outside its own body or by the benchmark harness;
-    re-exports in ``__init__`` are imports, not uses. Surface that only
-    tests call is removed, apart from the two oracles listed here."""
+    """Each top-level function and class of the package is named (an
+    ``ast.Name`` or ``ast.Attribute``), and each of their methods but
+    dunders is looked up as an attribute (an ``ast.Attribute``; a bare name
+    such as the builtin ``reversed`` is not the method), by package code
+    outside its own body or by the benchmark harness; re-exports in
+    ``__init__`` are imports, not uses. Surface that only tests call is
+    removed, apart from the two oracles listed here."""
     oracles = {"exact.brute_force_percolation", "percolation.PercolationModel.kappa"}
+    anywhere, attribute = (ast.Name, ast.Attribute), (ast.Attribute,)
 
-    def names(node):
+    def names(node, kinds):
         return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                       if isinstance(n, (ast.Name, ast.Attribute)))
+                       if isinstance(n, kinds))
 
     package = Path(percolator.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     harness = sorted((package.parents[1] / "perfbench").glob("*.py"))
     assert harness
-    used = sum((names(tree) for tree in trees.values()), Counter())
-    used += sum((names(ast.parse(path.read_text())) for path in harness), Counter())
+    sources = [*trees.values(), *(ast.parse(path.read_text()) for path in harness)]
+    used = {kinds: sum((names(tree, kinds) for tree in sources), Counter())
+            for kinds in (anywhere, attribute)}
     unused = set()
     for module, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            members = [(f"{module}.{node.name}", node)]
+            members = [(f"{module}.{node.name}", node, anywhere)]
             if isinstance(node, ast.ClassDef):
-                members += [(f"{module}.{node.name}.{m.name}", m) for m in node.body
+                members += [(f"{module}.{node.name}.{m.name}", m, attribute) for m in node.body
                             if isinstance(m, ast.FunctionDef)
                             and not (m.name.startswith("__") and m.name.endswith("__"))]
-            unused.update(qual for qual, member in members
-                          if not (used - names(member))[member.name])
+            unused.update(qual for qual, member, kinds in members
+                          if not (used[kinds] - names(member, kinds))[member.name])
     assert unused == oracles
 
 

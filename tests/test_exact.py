@@ -8,7 +8,7 @@ from percolator import exact
 
 import oracle_exact
 from gen import (build, complete_edges, cycle_edges, erdos_renyi_edges,
-                 layered_edges, path_edges, star_edges)
+                 layered_edges, path_edges, reversed_graph, star_edges)
 
 
 def test_path_graph_hand_case():
@@ -121,9 +121,9 @@ def test_reversed_graph_swaps_endpoint_roles():
         g = build(erdos_renyi_edges(10, 0.25, seed=seed, directed=True), directed=True)
         x = random_states(g.n, seed=50 + seed)
         p_fwd = exact_all(g, PercolationModel(x)).p
-        p_rev = exact_all(g.reversed(), PercolationModel(1.0 - x)).p
+        p_rev = exact_all(reversed_graph(g), PercolationModel(1.0 - x)).p
         assert np.abs(p_fwd - p_rev).max() < 1e-12
-        bf = brute_force_percolation(g.reversed(), PercolationModel(1.0 - x))
+        bf = brute_force_percolation(reversed_graph(g), PercolationModel(1.0 - x))
         assert np.abs(p_fwd - bf).max() < 1e-9
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from percolator import EdgeListParseError, graph as graph_module, load_edge_list
 
 import oracle_loader
+from gen import reversed_graph
 
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 FIELDS = ("n", "m", "directed", "fwd_offsets", "fwd_targets", "bwd_offsets",
@@ -183,7 +184,7 @@ def test_degree_arrays_built_once_and_shared_when_undirected():
     d = load_edge_list(io.StringIO("0 1\n1 2\n0 2\n"), directed=True)
     assert d.out_degrees.tolist() == [2, 1, 0]
     assert d.in_degrees.tolist() == [0, 1, 2]
-    r = d.reversed()
+    r = reversed_graph(d)
     assert r.out_degrees.tolist() == [0, 1, 2]
     assert r.orig_ids is d.orig_ids
 

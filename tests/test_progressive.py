@@ -132,21 +132,22 @@ def test_rho_substitution_flag():
 
 
 def run_counting_mcera(monkeypatch, graph, model, config, seed, skip=True):
-    """``estimate``'s report dict without timings, and its number of
-    ``mcera`` calls; ``skip=False`` disables the floor skip by making
-    ``xi_floor`` return -inf, so every iteration evaluates every class."""
+    """``estimate``'s report dict without timings, and the sample count r
+    of each ``mcera`` call, one call evaluating every class of an iteration;
+    ``skip=False`` disables the floor skip by making ``xi_floor`` return
+    -inf, so every iteration evaluates."""
     calls = []
 
-    def counted(state, members):
+    def counted(state, class_of, t):
         calls.append(state.r)
-        return bounds.mcera(state, members)
+        return bounds.mcera(state, class_of, t)
 
     with monkeypatch.context() as patch:
         patch.setattr(progressive, "mcera", counted)
         if not skip:
             patch.setattr(progressive, "xi_floor", lambda v, t, r, delta: -math.inf)
         report = estimate(graph, model, config, seed=seed)
-    return strip_timing(report.as_dict()), len(calls)
+    return strip_timing(report.as_dict()), calls
 
 
 def test_floor_skip_keeps_the_golden_report(monkeypatch):
@@ -157,10 +158,9 @@ def test_floor_skip_keeps_the_golden_report(monkeypatch):
     full, full_calls = run_counting_mcera(monkeypatch, graph, model, cfg, seed=3, skip=False)
     assert skipped == full
     assert skipped["stop_reason"] == "ceiling-hit" and skipped["iterations"] > 1
-    # a ceiling-hit run evaluates each occupied class once, at the ceiling
-    occupied = np.count_nonzero(skipped["xi_per_class"])
-    assert calls == occupied
-    assert full_calls == occupied * skipped["iterations"]
+    # a ceiling-hit run evaluates once, at the ceiling
+    assert calls == [skipped["r_final"]]
+    assert len(full_calls) == skipped["iterations"]
 
 
 @pytest.mark.parametrize("eps", [0.2, 0.1])
@@ -179,9 +179,10 @@ def test_floor_skip_keeps_eps_met_reports(monkeypatch, name, eps):
         full, full_calls = run_counting_mcera(monkeypatch, graph, model, cfg, seed, skip=False)
         assert skipped == full
         assert skipped["stop_reason"] == "eps-met"
-        occupied = np.count_nonzero(skipped["xi_per_class"])
-        assert full_calls == occupied * skipped["iterations"]
-        assert occupied <= calls < full_calls
+        assert len(full_calls) == skipped["iterations"]
+        # the stopping iteration evaluates; some earlier ones do not
+        assert calls[-1] == full_calls[-1] == skipped["r_final"]
+        assert set(calls) < set(full_calls)
 
 
 def floors_on_schedule(eps, delta, v_top, rho):
