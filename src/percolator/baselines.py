@@ -81,6 +81,7 @@ def run_pab_naive(graph: Graph, model: PercolationModel, epsilon: float,
 
     state = McEraState(n=n, c=mc_trials, seed=seed)
     sum_f = np.zeros(n)
+    one_class = np.zeros(n, dtype=np.int64)     # the whole family as one class
     target = min(config.first_target, max_samples)
     iterations = 0
     xi = math.inf
@@ -93,8 +94,7 @@ def run_pab_naive(graph: Graph, model: PercolationModel, epsilon: float,
             sum_f[contrib.idx] += contrib.val
             state.add_sample(contrib, row)
         delta_i = config.delta_iter(iterations)
-        # the whole family as one class
-        (rc,), (wimpy,) = mcera(state, np.zeros(n, dtype=np.int64), 1)
+        (rc,), (wimpy,) = mcera(state, one_class, 1)
         era = era_upper_bound(max(float(rc), 0.0), float(wimpy), mc_trials, state.r, delta_i / 2.0)
         xi = 2.0 * era + 3.0 * math.sqrt(math.log(8.0 / delta_i) / (2.0 * state.r))
         if xi <= epsilon or state.r >= max_samples:

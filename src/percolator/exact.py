@@ -50,6 +50,13 @@ def _source_sweep(graph: Graph, x: np.ndarray, s: int):
     delta_p = np.zeros(n)
     delta_b = np.zeros(n)
     place = np.empty(n, dtype=np.int64)
+    # what a vertex passes up per path to its predecessors: its pair weight
+    # plus its dependency, and 1 plus its dependency. Set once per vertex
+    # when its level is summed (the deepest level's are zero) and gathered
+    # per arc, they are the values each arc would compute.
+    gain = np.maximum(x[s] - x, 0.0)
+    carry_p = gain.copy()
+    carry_b = np.ones(n)
     # depth 0 would only write the source's entry, whose dependency is zero
     for depth in range(len(arcs) - 1, 0, -1):
         level = levels[depth]
@@ -57,11 +64,11 @@ def _source_sweep(graph: Graph, x: np.ndarray, s: int):
         place[level] = np.arange(level.size)
         slots = place[v]
         ratio = sigma[v] / sigma[w]
-        weight = np.maximum(x[s] - x[w], 0.0)
-        delta_p[level] = np.bincount(slots, weights=ratio * (weight + delta_p[w]),
-                                     minlength=level.size)
-        delta_b[level] = np.bincount(slots, weights=ratio * (1.0 + delta_b[w]),
-                                     minlength=level.size)
+        dep_p = np.bincount(slots, weights=ratio * carry_p[w], minlength=level.size)
+        dep_b = np.bincount(slots, weights=ratio * carry_b[w], minlength=level.size)
+        delta_p[level], delta_b[level] = dep_p, dep_b
+        carry_p[level] = gain[level] + dep_p
+        carry_b[level] = 1.0 + dep_b
     # levels[1:][i] lies at distance i + 1: i internal vertices per path
     internal_sum = float(sum(i * level.size for i, level in enumerate(levels[1:])))
     return delta_p, delta_b, internal_sum, len(levels) - 1

@@ -60,7 +60,7 @@ class Graph:
         offsets = self.bwd_offsets if backward else self.fwd_offsets
         targets = self.bwd_targets if backward else self.fwd_targets
         starts = offsets[frontier]
-        counts = offsets[frontier + 1] - starts
+        counts = (self.in_degrees if backward else self.out_degrees)[frontier]
         total = int(counts.sum())
         if total == 0:
             empty = np.empty(0, dtype=np.int64)
@@ -74,12 +74,11 @@ class Graph:
         return srcs, targets[pos]
 
 
-_WS, _DIGIT, _SIGN, _COMMENT = (np.isin(np.arange(256), list(chars))
-                                for chars in (b" \t\r\n", b"0123456789", b"+-", b"#%"))
-_ALLOWED = _WS | _DIGIT | _SIGN
+_WS, _DIGIT, _COMMENT = (np.isin(np.arange(256), list(chars))
+                         for chars in (b" \t\r\n", b"0123456789", b"#%"))
 _INT64 = np.iinfo(np.int64)
 _LINE = re.compile(rb"[ \t\r]*(?:[#%].*|([+-]?[0-9]+)[ \t\r]+([+-]?[0-9]+)[ \t\r]*)?")
-_CHUNK = 1 << 22       # bytes read per block; parsing one peaks at about 6x that
+_CHUNK = 1 << 22       # bytes read per block; parsing one peaks at about 5x that
 
 
 def _line_error(data: bytes, lines_before: int = 0) -> EdgeListParseError:
@@ -94,34 +93,61 @@ def _line_error(data: bytes, lines_before: int = 0) -> EdgeListParseError:
     return EdgeListParseError("empty graph: no edges found")
 
 
-def _parse_ids(data: bytes) -> np.ndarray | None:
+def _mark(buf: np.ndarray, chars: bytes, mask: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``mask``, also set where ``buf`` holds a byte of ``chars``: one
+    compare each, written to ``scratch``, then or-ed in place."""
+    for char in chars:
+        mask |= np.equal(buf, char, out=scratch)
+    return mask
+
+
+def _parse_ids(data: bytes) -> tuple[np.ndarray, int] | None:
     """Id tokens of ``data`` (framed by newlines) outside comments, in order,
-    or None if a line breaks the grammar. It is all checked on byte masks
-    first: ``np.fromstring`` stops silently at a bad token and saturates."""
+    and the number of newlines in ``data``; None if a line breaks the
+    grammar. It is all checked on byte masks first: ``np.fromstring`` stops
+    silently at a bad token and saturates. The byte masks are compares
+    (a 256-entry table lookup per byte costs as much as 40), and each
+    block-sized array is dropped as soon as it is read, to keep the peak."""
     buf = np.frombuffer(data, dtype=np.uint8)
-    ws = _WS[buf]
-    bounds = np.flatnonzero(ws[1:] != ws[:-1]) + 1
+    newline = buf == ord("\n")
+    edge = np.empty_like(newline)
+    ws = _mark(buf, b" \t\r", newline.copy(), edge)
+    # tokens start and end where whitespace stops and starts
+    edge[0] = False
+    np.not_equal(ws[1:], ws[:-1], out=edge[1:])
+    del ws
+    bounds = edge.nonzero()[0]
+    del edge
     starts, ends = bounds[0::2], bounds[1::2]
     # last[i]: a newline lies between token i and the next (always after the last token)
-    last = np.logical_or.reduceat(buf == ord("\n"), ends)
+    last = np.logical_or.reduceat(newline, ends)
+    lines = int(np.count_nonzero(newline))
+    del newline
     heads = np.flatnonzero(np.concatenate(([True], last)))[:-1]     # first token of each line
     comment = np.repeat(_COMMENT[buf[starts[heads]]], np.diff(heads, append=len(starts)))
+    del heads
     if comment.any():     # whole lines, so ``last`` of the other tokens holds
         marks = np.zeros(len(buf) + 1, dtype=np.int8)
         marks[starts[comment]], marks[ends[comment]] = 1, -1
         buf = np.where(np.cumsum(marks[:-1], dtype=np.int8), ord(" "), buf)
         starts, ends, last = starts[~comment], ends[~comment], last[~comment]
     if not len(last):     # blank and comment lines only
-        return np.empty(0, dtype=np.int64)
-    signs = np.flatnonzero(_SIGN[buf])
+        return np.empty(0, dtype=np.int64), lines
+    scratch = np.empty(buf.size, dtype=bool)
+    mask = _mark(buf, b"-", buf == ord("+"), scratch)
+    signs = mask.nonzero()[0]
+    # every byte whitespace, a sign or a digit: minus "0", only digits are under 10
+    digit = np.subtract(buf, ord("0"), out=scratch.view(np.uint8))
+    mask |= np.less(digit, 10, out=scratch)
+    allowed = bool(_mark(buf, b" \t\r\n", mask, scratch).all())
+    del mask, scratch, digit
     long = ends - starts >= 19
-    if (len(last) % 2 or last[0::2].any() or not last[1::2].all()
-            or not _ALLOWED[buf].all()
+    if (len(last) % 2 or last[0::2].any() or not last[1::2].all() or not allowed
             or not (_WS[buf[signs - 1]].all() and _DIGIT[buf[signs + 1]].all())
             or not all(_INT64.min <= int(data[s:e]) <= _INT64.max
                        for s, e in zip(starts[long].tolist(), ends[long].tolist()))):
         return None
-    return np.fromstring(buf, dtype=np.int64, sep=" ")
+    return np.fromstring(buf, dtype=np.int64, count=len(starts), sep=" "), lines
 
 
 def _read_ids(stream) -> np.ndarray:
@@ -137,13 +163,13 @@ def _read_ids(stream) -> np.ndarray:
             continue
         framed = b"".join((b"\n", rest, memoryview(block)[:cut], b"\n"))
         rest = block[cut:]
-        ids = _parse_ids(framed)
-        if ids is None:
+        parsed = _parse_ids(framed)
+        if parsed is None:
             raise _line_error(framed[1:-1], lines)
-        parts.append(ids)
+        parts.append(parsed[0])
         if not block:
             return np.concatenate(parts)
-        lines += framed.count(b"\n") - 2
+        lines += parsed[1] - 2
 
 
 def _renumber(ids: np.ndarray):
@@ -250,12 +276,22 @@ def _next_level(tails: np.ndarray, heads: np.ndarray, depth: int,
                 dist: np.ndarray, sigma: np.ndarray, place: np.ndarray):
     """One BFS level step: label every unseen head of the arcs ``tails ->
     heads`` at depth+1 and count its paths. Returns the new level, ascending,
-    and the arcs into it in their given order; ``place`` is scratch."""
-    # every unseen head lands in the new level, so these are the DAG arcs
-    into_next = dist[heads] < 0
-    tails, heads = tails[into_next], heads[into_next]
-    level = sorted_unique(heads)
-    dist[level] = depth + 1
+    and the arcs into it in their given order; ``place`` is scratch.
+
+    A level with at least n/8 arcs into it is read off a scan of ``dist``
+    (n compares beat sorting that many heads); a smaller one is sorted, so
+    a step costs at most 8x its arcs and a search costs what it explores.
+    """
+    # every unseen head lands in the new level, so these are the DAG arcs;
+    # an index take is several times cheaper than a boolean mask
+    into_next = (dist[heads] < 0).nonzero()[0]
+    tails, heads = tails.take(into_next), heads.take(into_next)
+    if 8 * heads.size >= dist.size:
+        dist[heads] = depth + 1
+        level = (dist == depth + 1).nonzero()[0]
+    else:
+        level = sorted_unique(heads)
+        dist[level] = depth + 1
     # summed in slots of the new level, arc order kept: per vertex the
     # same additions as one bincount over all n vertices
     place[level] = np.arange(level.size)

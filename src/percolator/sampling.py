@@ -398,8 +398,8 @@ def pab_sample(graph: Graph, model: PercolationModel, s: int, z: int,
             values.append(sigma[level[kept]] * walked[kept] / meet.sigma_sz * weight / denom[kept])
             if depth > 1:
                 srcs, ends = graph.expand_frontier(level, backward=backward)
-                below = dist[ends] == depth - 1
-                ends, shares = ends[below], walked[ws.place[srcs[below]]]
+                below = (dist[ends] == depth - 1).nonzero()[0]
+                ends, shares = ends.take(below), walked[ws.place[srcs.take(below)]]
     return Contribution(np.concatenate(found), np.concatenate(values))
 
 

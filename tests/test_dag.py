@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import percolator
 from percolator import (BfsWorkspace, Contribution, McEraState, PercolationModel, load_edge_list,
                         pab_sample, random_states)
+from percolator import graph as graph_module
 from percolator.exact import _source_sweep
 from percolator.graph import shortest_path_dag, sorted_unique
 
@@ -27,6 +28,10 @@ GRAPHS = {
     "er-directed": build(erdos_renyi_edges(50, 0.08, seed=4, directed=True), directed=True),
     "hubs": build(chung_lu_edges(120, 5, 2.3, seed=5)),
     "layered": build(layered_edges([1, 3, 5, 4, 2, 1])),
+    # a hub's 24 leaves all joined to vertex 25, then a 30-vertex tail:
+    # levels with n/8 or more arcs into them and levels with one
+    "broom": build([(0, i) for i in range(1, 25)] + [(i, 25) for i in range(1, 25)]
+                   + [(i, i + 1) for i in range(25, 55)]),
     # path counts past 2^53, where the order of every addition shows
     "layers-2^53": build(random_layers([1] + [6] * 40 + [1], 0.5, seed=6)),
     "layers-2^53-directed": build(random_layers([1] + [6] * 40 + [1], 0.5, seed=7),
@@ -61,6 +66,51 @@ def test_dag_matches_reference_bfs(case):
                 into_next = dist[nbrs] == depth + 1
                 assert np.array_equal(tails, srcs[into_next])
                 assert np.array_equal(heads, nbrs[into_next])
+
+
+@pytest.fixture
+def sorted_sizes(monkeypatch):
+    """The size of every array the level step sorts, in call order."""
+    sizes = []
+
+    def spy(values):
+        sizes.append(values.size)
+        return sorted_unique(values)
+
+    monkeypatch.setattr(graph_module, "sorted_unique", spy)
+    return sizes
+
+
+def test_level_step_scans_dense_levels_and_sorts_sparse_ones(sorted_sizes):
+    """A BFS step sorts the heads of its arcs into unseen vertices when
+    they number under n/8, and otherwise reads the level off a scan of
+    the distances. The step after the deepest level has no arcs, so it
+    sorts. The broom takes both branches, so the graphs above do."""
+    taken = {}
+    for name, graph in GRAPHS.items():
+        sorts = steps = 0
+        for s in range(graph.n):
+            del sorted_sizes[:]
+            arcs = shortest_path_dag(graph, s)[3]
+            small = [heads.size for _, heads in arcs if 8 * heads.size < graph.n]
+            assert sorted_sizes == small + [0]
+            sorts += len(small)
+            steps += len(arcs)
+        taken[name] = (sorts, steps - sorts)
+    assert all(taken["broom"])
+
+
+def test_deep_narrow_graph_sorts_every_level(sorted_sizes):
+    """On 1,100 levels two wide, every step has at most 12 arcs into unseen
+    vertices, far under n/8: each one sorts them, and none scans all n
+    distances, or one search would cost 1,100 x n."""
+    graph = build(layered_edges([1] + [2] * 1100 + [1]))
+    for s in (0, 1, graph.n // 2, graph.n - 1):
+        del sorted_sizes[:]
+        levels = shortest_path_dag(graph, s)[0]
+        assert len(levels) > 550
+        assert len(sorted_sizes) == len(levels)
+        assert max(sorted_sizes) <= 12
 
 
 def test_source_sweep_matches_reference(case):
