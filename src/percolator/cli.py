@@ -26,6 +26,7 @@ from .graph import EdgeListParseError, Graph, load_edge_list, shortest_path_dag
 from .percolation import PercolationModel, load_states, random_states
 from .progressive import ScheduleConfig, estimate
 from .rng import DIAMETER_STREAM, combine, derive_rng
+from .sampling import DEFAULT_BAG_CAP
 
 log = logging.getLogger("percolator")
 
@@ -150,11 +151,10 @@ def _run_algorithm(name: str, graph: Graph, model: PercolationModel,
 
 
 def _sampled_vertex_diameter(graph: Graph, seed: int, probes: int = 16) -> int:
-    """Upper bound on the vertex diameter from sampled eccentricities.
-
-    Used only when the exact pass is skipped; doubles the largest probed
-    eccentricity, which bounds the diameter on undirected graphs and is
-    a labeled heuristic on directed ones.
+    """Vertex-diameter estimate from sampled eccentricities, for when the
+    exact pass is skipped: twice the largest probed one, plus one. It
+    bounds the diameter only on connected undirected graphs; a probe in
+    a small component misses a longer one (ROADMAP item 4).
     """
     rng = derive_rng(seed, DIAMETER_STREAM, 0)
     # a vertex without out-arcs has eccentricity 0 and bounds nothing
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delta", type=float, default=0.1)
         p.add_argument("--mc-trials", type=int, default=25)
         p.add_argument("--beta", type=float, default=0.1)
-        p.add_argument("--alpha-cap", type=int, default=1 << 16,
+        p.add_argument("--alpha-cap", type=int, default=DEFAULT_BAG_CAP,
                        help="max paths drawn per sampled pair")
         p.add_argument("--budget", type=int, default=100_000_000,
                        help="refuse an exact pass (compare's ground truth, "

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _next_level, shortest_path_dag, sorted_unique
+from .graph import Graph, _next_level, _renumber, shortest_path_dag, sorted_unique
 from .percolation import PercolationModel
 
 DEFAULT_BAG_CAP = 1 << 16
@@ -367,9 +367,10 @@ def pab_sample(graph: Graph, model: PercolationModel, s: int, z: int,
 
     While sigma_sz is below 2^53 every count and every partial sum is an
     integer no larger than sigma_sz, hence an exact float, so each value
-    has the bits of :func:`_pab_sample_dag`'s, whatever the addition
-    order. From 2^53 on that routine runs instead. A non-percolated
-    pair returns before the search.
+    has the reference's bits, whatever the addition order. From 2^53 on
+    the order shows, and :func:`_pab_sample_dag` runs instead: the
+    reference's walk back from z, in its order. A non-percolated pair
+    returns before the search.
     """
     if s == z:
         raise ValueError("endpoints must be distinct")
@@ -406,41 +407,28 @@ def pab_sample(graph: Graph, model: PercolationModel, s: int, z: int,
 def _pab_sample_dag(graph: Graph, model: PercolationModel, s: int, z: int,
                     weight: float) -> Contribution:
     """:func:`pab_sample` of a percolated pair (``weight`` its pair weight)
-    over the s-z DAG of one BFS from s, truncated at z's level; z must be
+    from the labels of one BFS from s, truncated at z's level; z must be
     reachable from s.
 
-    Walking the DAG arcs back from z, level by level, gives each vertex v
-    on a shortest s-z path its omega[v]. The order of the additions is
-    fixed, since past 2^53 it changes the rounding: a level lists its
-    vertices as they are first met when the arcs into the level below are
-    read head by head in that level's order, tails ascending per head,
-    and omega[v] adds its successors in that order.
+    The reference's own loop, one level per step from z toward s: the
+    in-arcs of a level, head by head in its order and then in CSR order,
+    pass each head's omega to the tails one level closer to s. The next
+    level lists those tails by first appearance, and each omega adds its
+    shares in arc order, since past 2^53 the order changes the rounding.
     """
-    _, _, sigma, arcs = shortest_path_dag(graph, s, until=z)
+    _, dist, sigma, _ = shortest_path_dag(graph, s, until=z)
     if not math.isfinite(sigma[z]):     # no count on an s-z path exceeds sigma[z]
         raise OverflowError("shortest-path count overflowed float64")
-    place = np.full(graph.n, -1, dtype=np.int64)    # index of a vertex in its level
     level = np.array([z], dtype=np.int64)
     omega = np.ones(1)
     found, values = [NO_CONTRIBUTION.idx], [NO_CONTRIBUTION.val]    # z next to s: none
-    for tails, heads in reversed(arcs[1:]):
-        place[level] = np.arange(level.size)
-        at = place[heads]
-        on_path = at >= 0
-        tails, at = tails[on_path], at[on_path]
-        # the arcs come grouped by tail ascending: a tail is first met at
-        # its head placed first, and tails first met at one head ascend
-        fresh = np.diff(tails, prepend=-1) != 0
-        starts = np.flatnonzero(fresh)
-        by_first = np.argsort(np.minimum.reduceat(at, starts), kind="stable")
-        level = tails[starts[by_first]]
-        rank = np.empty(level.size, dtype=np.int64)
-        rank[by_first] = np.arange(level.size)
-        # a tail's heads are distinct, so arcs ordered by head place add
-        # up each omega in the order above
-        by_head = np.argsort(at)
-        omega = np.bincount(rank[np.cumsum(fresh) - 1][by_head],
-                            weights=omega[at[by_head]], minlength=level.size)
+    for depth in range(int(dist[z]) - 1, 0, -1):
+        _, tails = graph.expand_frontier(level, backward=True)
+        shares = omega.repeat(graph.in_degrees[level])
+        on_path = (dist[tails] == depth).nonzero()[0]
+        # fresh (``_renumber`` may shift it) and never empty: each vertex has a predecessor
+        rank, level = _renumber(tails.take(on_path))
+        omega = np.bincount(rank, weights=shares.take(on_path), minlength=level.size)
         denom = model.minus_s[level]
         kept = denom > 0.0
         found.append(level[kept])

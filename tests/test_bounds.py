@@ -222,6 +222,15 @@ def test_sufficient_sample_size_worked_value():
     assert closed == pytest.approx(expected, rel=1e-9)
 
 
+def test_numeric_supremum_exceeds_the_closed_form():
+    """A point of the reachable domain (v = 1/4, rho = 1/(n(n - 1)) at
+    n = 4, delta/2 = 0.495) where the closed form does not dominate: the
+    numeric search stays (see test_progressive's two-edge run)."""
+    closed = sufficient_sample_size_closed_form(0.25, 1 / 12, 0.88, 0.495)
+    assert closed == pytest.approx(0.987, abs=1e-3) and math.ceil(closed) == 1
+    assert sufficient_sample_size(0.25, 1 / 12, 0.88, 0.495) == 2
+
+
 def test_sufficient_sample_size_eps_scaling():
     r1 = sufficient_sample_size(0.25, 3.97, 0.05, 0.1)
     r2 = sufficient_sample_size(0.25, 3.97, 0.025, 0.1)

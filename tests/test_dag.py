@@ -164,6 +164,35 @@ def test_no_np_unique_in_the_package():
         assert "np.unique(" not in path.read_text(), path.name
 
 
+def test_first_appearance_numbering_lives_in_the_loader():
+    """The loader's ``_renumber`` numbers ids by first appearance; the 2^53
+    pair sample numbers its levels with it too, so no other module keeps a
+    copy of the ``minimum.reduceat`` ranking."""
+    for path in sorted(Path(percolator.__file__).parent.glob("*.py")):
+        assert ("minimum.reduceat" in path.read_text()) == (path.name == "graph.py"), path.name
+
+
+# ids within a span no longer than the list take the table branch, and a
+# wider span the sort branch; both with repeats and single ids
+TABLE_IDS = st.integers(-(1 << 62), 1 << 62).flatmap(lambda low: st.integers(1, 60).flatmap(
+    lambda span: st.lists(st.integers(low, low + span - 1), min_size=span, max_size=200)))
+SORT_IDS = st.lists(st.one_of(st.integers(-4, 4), st.integers(INT64_MIN, INT64_MAX)),
+                    min_size=1, max_size=200)
+
+
+@given(st.one_of(TABLE_IDS, SORT_IDS))
+@example([7])
+@example([3] * 40)
+@example([INT64_MAX, INT64_MIN, INT64_MAX, 0])
+@example([INT64_MIN, INT64_MIN + 1, INT64_MIN])
+@example([INT64_MAX - 1, INT64_MAX, INT64_MAX])
+def test_renumber_numbers_by_first_appearance(values):
+    dense, distinct = graph_module._renumber(np.array(values, dtype=np.int64))
+    first_seen = list(dict.fromkeys(values))
+    assert distinct.dtype == np.int64 and distinct.tolist() == first_seen
+    assert dense.tolist() == [first_seen.index(v) for v in values]
+
+
 def test_samples_draw_through_the_driver():
     """Sample i of stream S draws from ``derive_rng(seed, S, i)``. Only the
     driver ``rng.draw_samples`` makes those generators, so every estimator

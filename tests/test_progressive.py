@@ -131,6 +131,21 @@ def test_rho_substitution_flag():
     assert report.rho_estimate == pytest.approx(1.0 / 6.0)
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       states=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+def test_numeric_supremum_sets_the_ceiling_on_two_edges(seed, states):
+    """Every pair of ``0 1`` / ``2 3`` is adjacent or disconnected, so rho
+    is substituted with 1/(n(n - 1)) = 1/12. At epsilon 0.88 and delta
+    0.99 the closed form asks for 0.987 samples, the numeric supremum for
+    2: the search sets this report's ceiling, so it cannot be dropped for
+    the closed form."""
+    report = estimate(build([(0, 1), (2, 3)]), PercolationModel(states),
+                      ScheduleConfig(epsilon=0.88, delta=0.99), seed=seed)
+    assert report.rho_substituted and report.rho_estimate == 1.0 / 12.0
+    assert (report.ceiling, report.r_final) == (2, 2)
+
+
 def run_counting_mcera(monkeypatch, graph, model, config, seed, skip=True):
     """``estimate``'s report dict without timings, and the sample count r
     of each ``mcera`` call, one call evaluating every class of an iteration;
