@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from functools import partial
 
 import numpy as np
 
@@ -21,13 +20,24 @@ from .graph import Graph
 from .percolation import PercolationModel
 from .progressive import ScheduleConfig
 from .rng import BASELINE_STREAM, draw_samples
-from .sampling import BfsWorkspace, pab_sample, prk_sample, sample_pair
+from .sampling import pab_sample, prk_sample, sample_pair
+from .workers import bind
+
+
+# the samplers a pool job names: private, as pickle looks them up by name
+def _prk_draw(graph: Graph, model: PercolationModel, rng, ws):
+    return prk_sample(graph, model, rng, ws)
+
+
+def _pab_draw(graph: Graph, model: PercolationModel, rng, ws):
+    return pab_sample(graph, model, *sample_pair(graph.n, rng), ws=ws)
 
 
 def run_prk_fixed(graph: Graph, model: PercolationModel, epsilon: float,
                   delta: float, seed: int,
-                  vertex_diameter: int | None = None) -> dict:
-    """Fixed sample size from the vertex-diameter bound, single-path draws."""
+                  vertex_diameter: int | None = None, pool=None) -> dict:
+    """Fixed sample size from the vertex-diameter bound, single-path draws,
+    in ``pool``'s workers when given (``workers.open_pool``)."""
     if model.n != graph.n:
         raise ValueError("model and graph disagree on vertex count")
     ScheduleConfig(epsilon, delta)      # its argument checks, before the exact pass
@@ -40,8 +50,8 @@ def run_prk_fixed(graph: Graph, model: PercolationModel, epsilon: float,
     samples = vd_baseline_sample_size(vertex_diameter, epsilon, delta)
     t1 = time.perf_counter()
     sum_f = np.zeros(graph.n)
-    sample = partial(prk_sample, graph, model, ws=BfsWorkspace(graph.n))
-    for contrib in draw_samples(sample, seed, BASELINE_STREAM, 0, samples):
+    sample = bind(_prk_draw, graph, model, pool)
+    for contrib in draw_samples(sample, seed, BASELINE_STREAM, 0, samples, pool):
         sum_f[contrib.idx] += contrib.val
     return {
         "algorithm": "p-rk-fixed",
@@ -60,8 +70,9 @@ def run_prk_fixed(graph: Graph, model: PercolationModel, epsilon: float,
 
 def run_pab_naive(graph: Graph, model: PercolationModel, epsilon: float,
                   delta: float, seed: int, mc_trials: int = 25,
-                  max_samples: int = 1 << 20) -> dict:
-    """Doubling schedule on pair samples with a whole-family bound.
+                  max_samples: int = 1 << 20, pool=None) -> dict:
+    """Doubling schedule on pair samples with a whole-family bound, drawn
+    in ``pool``'s workers when given (``workers.open_pool``).
 
     The stop rule chains the Monte-Carlo Rademacher average through the
     standard symmetrization constants, with no variance partitioning;
@@ -74,11 +85,7 @@ def run_pab_naive(graph: Graph, model: PercolationModel, epsilon: float,
     config = ScheduleConfig(epsilon, delta, mc_trials=mc_trials)
     t0 = time.perf_counter()
     n = graph.n
-    ws = BfsWorkspace(n)
-
-    def sample(rng):
-        return pab_sample(graph, model, *sample_pair(n, rng), ws=ws)
-
+    sample = bind(_pab_draw, graph, model, pool)
     state = McEraState(n=n, c=mc_trials, seed=seed)
     sum_f = np.zeros(n)
     one_class = np.zeros(n, dtype=np.int64)     # the whole family as one class
@@ -89,7 +96,7 @@ def run_pab_naive(graph: Graph, model: PercolationModel, epsilon: float,
     while True:
         iterations += 1
         signs = state.signs_for_block(target - state.r)
-        samples = draw_samples(sample, seed, BASELINE_STREAM, state.r, target)
+        samples = draw_samples(sample, seed, BASELINE_STREAM, state.r, target, pool)
         for row, contrib in zip(signs, samples):
             sum_f[contrib.idx] += contrib.val
             state.add_sample(contrib, row)

@@ -27,6 +27,7 @@ from .percolation import PercolationModel, load_states, random_states
 from .progressive import ScheduleConfig, estimate
 from .rng import DIAMETER_STREAM, combine, derive_rng
 from .sampling import DEFAULT_BAG_CAP
+from .workers import open_pool
 
 log = logging.getLogger("percolator")
 
@@ -136,17 +137,18 @@ def _config(args, epsilon: float) -> ScheduleConfig:
 
 def _run_algorithm(name: str, graph: Graph, model: PercolationModel,
                    config: ScheduleConfig, seed: int,
-                   vertex_diameter: int | None = None) -> tuple[dict, np.ndarray]:
-    """One run of ``name``: its report without the estimates, and the estimates."""
+                   vertex_diameter: int | None = None, pool=None) -> tuple[dict, np.ndarray]:
+    """One run of ``name``, its samples drawn in ``pool`` when given: its
+    report without the estimates, and the estimates."""
     if name == "mcera":
-        report = estimate(graph, model, config, seed)
+        report = estimate(graph, model, config, seed, pool=pool)
         return {**report.head(), "algorithm": "mcera"}, report.estimates
     if name == "p-rk-fixed":
         out = run_prk_fixed(graph, model, config.epsilon, config.delta, seed,
-                            vertex_diameter=vertex_diameter)
+                            vertex_diameter=vertex_diameter, pool=pool)
     else:
         out = run_pab_naive(graph, model, config.epsilon, config.delta, seed,
-                            mc_trials=config.mc_trials)
+                            mc_trials=config.mc_trials, pool=pool)
     return out, out.pop("estimates")
 
 
@@ -203,33 +205,35 @@ def cmd_compare(args) -> int:
     states = _resolve_states(args.states, graph)
     model = PercolationModel(states)
 
-    exact_p = None
-    if args.no_exact:
-        vertex_diameter = _sampled_vertex_diameter(graph, args.seed)
-    else:
-        if _over_budget(graph, args.budget, "--no-exact or --budget"):
-            return EXIT_BUDGET
-        result = exact_all(graph, model, threads=_threads(args))
-        exact_p = result.p
-        vertex_diameter = result.vertex_diameter
-
+    if not args.no_exact and _over_budget(graph, args.budget, "--no-exact or --budget"):
+        return EXIT_BUDGET
     rows = []
-    for eps_idx, config in enumerate(configs):
-        for rep in range(args.repetitions):
-            for algo_idx, name in enumerate(algorithms):
-                sub_seed = combine(args.seed, eps_idx, rep, algo_idx)
-                log.info("run algorithm=%s eps=%g rep=%d sub_seed=%d",
-                         name, config.epsilon, rep, sub_seed)
-                t0 = time.perf_counter()
-                head, estimates = _run_algorithm(name, graph, model, config, sub_seed,
-                                                 vertex_diameter=vertex_diameter)
-                seconds = time.perf_counter() - t0
-                if exact_p is not None:
-                    dev = np.abs(estimates - exact_p)
-                    sd, mad = float(dev.max()), float(dev.mean())
-                else:
-                    sd = mad = math.nan
-                rows.append([name, config.epsilon, rep, head["r_final"], seconds, sd, mad])
+    # one pool for the exact pass and every sampler; closed before the writes
+    with open_pool(graph, model, _threads(args)) as pool:
+        exact_p = None
+        if args.no_exact:
+            vertex_diameter = _sampled_vertex_diameter(graph, args.seed)
+        else:
+            result = exact_all(graph, model, pool=pool)
+            exact_p = result.p
+            vertex_diameter = result.vertex_diameter
+
+        for eps_idx, config in enumerate(configs):
+            for rep in range(args.repetitions):
+                for algo_idx, name in enumerate(algorithms):
+                    sub_seed = combine(args.seed, eps_idx, rep, algo_idx)
+                    log.info("run algorithm=%s eps=%g rep=%d sub_seed=%d",
+                             name, config.epsilon, rep, sub_seed)
+                    t0 = time.perf_counter()
+                    head, estimates = _run_algorithm(name, graph, model, config, sub_seed,
+                                                     vertex_diameter=vertex_diameter, pool=pool)
+                    seconds = time.perf_counter() - t0
+                    if exact_p is not None:
+                        dev = np.abs(estimates - exact_p)
+                        sd, mad = float(dev.max()), float(dev.mean())
+                    else:
+                        sd = mad = math.nan
+                    rows.append([name, config.epsilon, rep, head["r_final"], seconds, sd, mad])
 
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -11,13 +11,13 @@ approximation tests.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph, shortest_path_dag
 from .percolation import PercolationModel
+from .workers import bind, open_pool
 
 
 class PathExplosionError(RuntimeError):
@@ -44,12 +44,12 @@ def _source_sweep(graph: Graph, x: np.ndarray, s: int):
     list them.
     """
     n = graph.n
-    levels, _, sigma, arcs = shortest_path_dag(graph, s)
+    place = np.empty(n, dtype=np.int64)     # each vertex's index in its level
+    levels, _, sigma, arcs = shortest_path_dag(graph, s, place=place)
     if not np.isfinite(sigma.max()):    # inf counts would turn the ratios into NaN
         raise OverflowError("shortest-path count overflowed float64")
     delta_p = np.zeros(n)
     delta_b = np.zeros(n)
-    place = np.empty(n, dtype=np.int64)
     # what a vertex passes up per path to its predecessors: its pair weight
     # plus its dependency, and 1 plus its dependency. Set once per vertex
     # when its level is summed (the deepest level's are zero) and gathered
@@ -61,7 +61,6 @@ def _source_sweep(graph: Graph, x: np.ndarray, s: int):
     for depth in range(len(arcs) - 1, 0, -1):
         level = levels[depth]
         v, w = arcs[depth]
-        place[level] = np.arange(level.size)
         slots = place[v]
         ratio = sigma[v] / sigma[w]
         dep_p = np.bincount(slots, weights=ratio * carry_p[w], minlength=level.size)
@@ -95,34 +94,31 @@ def _sweep_block(graph: Graph, x: np.ndarray, sources: range):
 _BLOCK = 256    # fixed block size keeps the reduction tree, and hence the
                 # float result, independent of the worker count
 
-_worker_inputs: tuple = ()   # (graph, x), set once per pool worker
+
+def _sweep_block_in_worker(graph: Graph, model: PercolationModel, sources: range, ws):
+    return _sweep_block(graph, model.x, sources)
 
 
-def _install_inputs(graph: Graph, x: np.ndarray) -> None:
-    global _worker_inputs
-    _worker_inputs = (graph, x)
-
-
-def _sweep_block_in_worker(sources: range):
-    return _sweep_block(*_worker_inputs, sources)
-
-
-def exact_all(graph: Graph, model: PercolationModel, threads: int | None = 1) -> ExactResult:
-    """Exact percolation centrality, betweenness, rho, and diameter."""
+def exact_all(graph: Graph, model: PercolationModel, threads: int | None = 1,
+              pool=None) -> ExactResult:
+    """Exact percolation centrality, betweenness, rho, and diameter. The
+    sweeps run in ``pool`` (``workers.open_pool``) when given, else in a
+    pool of ``threads`` workers opened for this pass."""
     if model.n != graph.n:
         raise ValueError("model and graph disagree on vertex count")
     n = graph.n
     threads = max(1, int(threads or 1))     # None and 0 mean one process
     # jobs carry only their source range; pool workers get the graph once
     jobs = [range(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK)]
-    if threads <= 1 or len(jobs) < 2:
-        acc_p, acc_b, internal, max_d = _fold(
-            (_sweep_block(graph, model.x, job) for job in jobs), n)
-    else:
-        with ProcessPoolExecutor(max_workers=threads, initializer=_install_inputs,
-                                 initargs=(graph, model.x)) as pool:
+    own = threads if pool is None and len(jobs) > 1 else 1
+    with open_pool(graph, model, own) as opened:
+        pool = pool or opened
+        if pool is None:
+            parts = (_sweep_block(graph, model.x, job) for job in jobs)
+        else:
             # map yields in block order, so the fold is deterministic
-            acc_p, acc_b, internal, max_d = _fold(pool.map(_sweep_block_in_worker, jobs), n)
+            parts = pool.map(bind(_sweep_block_in_worker, graph, model, pool), jobs)
+        acc_p, acc_b, internal, max_d = _fold(parts, n)
     pairs = n * (n - 1)
     safe = np.where(model.minus_s > 0.0, model.minus_s, 1.0)
     p = np.where(model.minus_s > 0.0, acc_p / (pairs * safe), 0.0)

@@ -299,7 +299,8 @@ def _next_level(tails: np.ndarray, heads: np.ndarray, depth: int,
     return level, tails, heads
 
 
-def shortest_path_dag(graph: Graph, source: int, until: int | None = None):
+def shortest_path_dag(graph: Graph, source: int, until: int | None = None,
+                      place: np.ndarray | None = None):
     """Level-synchronous BFS with shortest-path counting that keeps its DAG.
 
     Returns (levels, dist, sigma, arcs): ``levels[d]`` holds the vertices
@@ -309,11 +310,14 @@ def shortest_path_dag(graph: Graph, source: int, until: int | None = None):
     d+1) of the DAG arcs between those levels, grouped by tail ascending
     and ascending within a tail, as the CSR rows list them. With ``until``
     set, stops as soon as the level containing it is complete, leaving
-    deeper vertices unexplored.
+    deeper vertices unexplored. The search writes each vertex's index in
+    its level into ``place`` (n-long int64; fresh when none is given):
+    after it, every reached vertex but the source has its entry there.
     """
     dist = np.full(graph.n, -1, dtype=np.int64)
     sigma = np.zeros(graph.n, dtype=np.float64)
-    place = np.empty(graph.n, dtype=np.int64)    # index of a vertex in its level
+    if place is None:
+        place = np.empty(graph.n, dtype=np.int64)
     dist[source] = 0
     sigma[source] = 1.0
     frontier = np.array([source], dtype=np.int64)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, field, fields
-from functools import partial
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .rng import BOOTSTRAP_STREAM, ESTIMATE_STREAM, draw_samples
 from .sampling import (DEFAULT_BAG_CAP, NO_CONTRIBUTION, BfsWorkspace,
                        bag_estimate, balanced_bidirectional_bfs, sample_pair,
                        sample_paths)
+from .workers import bind
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,9 @@ def _draw_pair_sample(graph: Graph, model: PercolationModel, rng,
 
 
 def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
-             seed: int) -> RunReport:
-    """Full progressive run; see the module docstring for the phases."""
+             seed: int, pool=None) -> RunReport:
+    """Full progressive run; see the module docstring for the phases. The
+    samples are drawn in ``pool``'s workers when given (``workers.open_pool``)."""
     if graph.n < 3:
         raise ValueError("need at least 3 vertices for internal vertices to exist")
     if model.n != graph.n:
@@ -140,15 +141,14 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
     n = graph.n
     min_rho = 1.0 / (n * (n - 1))
     t0 = time.perf_counter()
-    draw = partial(_draw_pair_sample, graph, model, alpha=config.alpha,
-                   cap=config.bag_cap, ws=BfsWorkspace(n))
+    draw = bind(_draw_pair_sample, graph, model, pool, alpha=config.alpha, cap=config.bag_cap)
 
     # bootstrap: squared contributions for peeling, distances for rho
     r_boot = config.bootstrap_size
     sq_boot = np.zeros(n)
     internal_sum = 0.0
     cap_events = 0
-    for contrib, obs, capped in draw_samples(draw, seed, BOOTSTRAP_STREAM, 0, r_boot):
+    for contrib, obs, capped in draw_samples(draw, seed, BOOTSTRAP_STREAM, 0, r_boot, pool):
         internal_sum += obs
         cap_events += capped
         sq_boot[contrib.idx] += contrib.val * contrib.val
@@ -180,7 +180,7 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
     while True:
         iterations += 1
         signs = state.signs_for_block(target - state.r)
-        samples = draw_samples(draw, seed, ESTIMATE_STREAM, state.r, target)
+        samples = draw_samples(draw, seed, ESTIMATE_STREAM, state.r, target, pool)
         for row, (contrib, obs, capped) in zip(signs, samples):
             internal_sum += obs
             cap_events += capped

@@ -7,6 +7,8 @@ replaying earlier draws, and single-threaded runs are bit-reproducible.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -42,12 +44,27 @@ def derive_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(combine(seed, stream, index)))
 
 
-def draw_samples(sampler, seed: int, stream: int, start: int, stop: int):
+_BLOCK = 64     # samples per pool job; no result depends on it
+
+
+def draw_samples(sampler, seed: int, stream: int, start: int, stop: int, pool=None):
     """``sampler(rng)`` for the samples ``[start, stop)`` of a stream, in index
     order. Sample i draws only from ``derive_rng(seed, stream, i)``, so it
-    is the same however a run splits its index range."""
-    for i in range(start, stop):
-        yield sampler(derive_rng(seed, stream, i))
+    is the same however a run splits its index range. With a ``pool``
+    (``workers.open_pool``), blocks of ``_BLOCK`` indices are drawn in its
+    workers by ``sampler``, made by ``workers.bind`` so that it pickles
+    small, and the samples still come in index order."""
+    if pool is None:
+        for i in range(start, stop):
+            yield sampler(derive_rng(seed, stream, i))
+        return
+    blocks = [range(i, min(i + _BLOCK, stop)) for i in range(start, stop, _BLOCK)]
+    for block in pool.map(partial(_draw_block, sampler, seed, stream), blocks):
+        yield from block
+
+
+def _draw_block(sampler, seed: int, stream: int, block: range) -> list:
+    return list(draw_samples(sampler, seed, stream, block.start, block.stop))
 
 
 def rademacher_signs(seed: int, start: int, count: int, c: int) -> np.ndarray:

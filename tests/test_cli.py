@@ -3,12 +3,13 @@ import gzip
 import io
 import json
 import math
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from percolator import cli
+from percolator import cli, workers
 from percolator.cli import main
 
 from gen import build, edge_text, layered_edges
@@ -397,6 +398,32 @@ def test_threads_default_to_all_cores(tmp_path, monkeypatch):
                      "--output", out, *extra]) == 0
     assert seen == [2, 1]
     assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+
+
+def test_compare_opens_one_pool_and_joins_it(tmp_path, monkeypatch):
+    """``compare --threads 2`` runs its exact pass and every sampler in one
+    pool, and ``exact`` keeps its one; one thread and ``approx`` open none.
+    Every worker is joined before ``main`` returns."""
+    opened = []
+
+    class Spy(workers.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(workers, "ProcessPoolExecutor", Spy)
+    # 301 vertices: two exact source blocks, so ``exact`` needs a pool too
+    graph = write_graph(tmp_path, "".join(f"{i} {i + 1}\n" for i in range(300)))
+    out = str(tmp_path / "o")
+    runs = [(["compare", "--epsilon-grid", "0.3", "--repetitions", "1", "--threads", "2"], [2]),
+            (["compare", "--epsilon-grid", "0.3", "--repetitions", "1", "--threads", "1"], []),
+            (["approx", "--epsilon", "0.3", "--threads", "2"], []),
+            (["exact", "--threads", "2"], [2])]
+    for argv, pools in runs:
+        opened.clear()
+        assert main([*argv, "--graph", graph, "--states", "random:1", "--output", out]) == 0
+        assert opened == pools, argv
+        assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("bad_line", [

@@ -10,8 +10,11 @@ rewrite of the sampler or the exact engine must reproduce them bit for bit.
 import hashlib
 import json
 
+import pytest
+
 from percolator import PercolationModel, ScheduleConfig, estimate, exact_all, random_states
 from percolator.baselines import run_pab_naive, run_prk_fixed
+from percolator.workers import open_pool
 
 from gen import build, chung_lu_edges
 
@@ -55,3 +58,21 @@ def test_exact_all_digest():
     graph, model = hub_graph()
     assert digest(vars(exact_all(graph, model))) == (
         "839c916229292384ba9c253b8e7aa02d66c60a661f3d7db70f072a03c4baedfd")
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_pooled_samplers_report_what_one_process_reports(threads):
+    """Drawn in a pool, every estimator's report is the one-process report,
+    timings apart. Blocks of samples smaller than a pool job (the bootstrap,
+    47 samples) and spanning several (the naive baseline's steps of 94 and
+    more) both occur."""
+    graph, model = hub_graph()
+    runs = (lambda pool: estimate(graph, model, ScheduleConfig(epsilon=0.05, delta=0.1),
+                                  seed=3, pool=pool).as_dict(),
+            lambda pool: run_prk_fixed(graph, model, 0.05, 0.1, seed=3, pool=pool),
+            lambda pool: run_pab_naive(graph, model, 0.05, 0.1, seed=3, max_samples=4096,
+                                       pool=pool))
+    serial = [digest(run(None)) for run in runs]
+    with open_pool(graph, model, threads) as pool:
+        pooled = [digest(run(pool)) for run in runs]
+    assert pooled == serial

@@ -12,7 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from percolator import PercolationModel, ScheduleConfig, estimate, random_states
+from percolator import PercolationModel, ScheduleConfig, estimate, random_states, rng
 from percolator.cli import main
 
 from gen import build, chung_lu_edges
@@ -77,6 +77,24 @@ def test_compare_csv_bytes(tmp_path, hub_path):
                  "--repetitions", "2", "--seed", "3", "--threads", "1"]) == 0
     assert (sha(without_columns(str(out), "seconds")),
             sha(without_columns(str(tmp_path / "cmp.agg.csv"), "seconds"))) == COMPARE_DIGESTS
+
+
+@pytest.mark.parametrize("threads", ["2", "3"])
+def test_compare_csv_bytes_for_any_thread_count(tmp_path, hub_path, threads):
+    """With workers, the exact pass and every sampler run in the pool, and
+    the files hold the one-process bytes, seconds apart. The naive
+    baseline's doubling steps cover the sample blocks both ways: at eps
+    0.3 it grows 16 -> 512, so its first step (16) is smaller than a block
+    and its last (256) spans several."""
+    out = tmp_path / "cmp.csv"
+    assert main(["compare", "--graph", hub_path, "--states", "random:9",
+                 "--output", str(out), "--epsilon-grid", "0.3", "0.2",
+                 "--repetitions", "2", "--seed", "3", "--threads", threads]) == 0
+    assert (sha(without_columns(str(out), "seconds")),
+            sha(without_columns(str(tmp_path / "cmp.agg.csv"), "seconds"))) == COMPARE_DIGESTS
+    with open(out, newline="") as fh:
+        naive = {int(row[3]) for row in csv.reader(fh) if row[0] == "p-ab-progressive-naive"}
+    assert 512 in naive and 16 < rng._BLOCK < 256 // 2
 
 
 def test_as_dict_is_estimates_then_head():
