@@ -33,21 +33,20 @@ def _pab_draw(graph: Graph, model: PercolationModel, rng, ws):
     return pab_sample(graph, model, *sample_pair(graph.n, rng), ws=ws)
 
 
-def run_prk_fixed(graph: Graph, model: PercolationModel, epsilon: float,
-                  delta: float, seed: int,
-                  vertex_diameter: int | None = None, pool=None) -> dict:
-    """Fixed sample size from the vertex-diameter bound, single-path draws,
-    in ``pool``'s workers when given (``workers.open_pool``)."""
+def run_prk_fixed(graph: Graph, model: PercolationModel, config: ScheduleConfig,
+                  seed: int, vertex_diameter: int | None = None, pool=None) -> dict:
+    """Fixed sample size from the vertex-diameter bound at ``config``'s
+    epsilon and delta, single-path draws, in ``pool``'s workers when given
+    (``workers.open_pool``)."""
     if model.n != graph.n:
         raise ValueError("model and graph disagree on vertex count")
-    ScheduleConfig(epsilon, delta)      # its argument checks, before the exact pass
     t0 = time.perf_counter()
     if vertex_diameter is None:
         _, diameter = exact_rho_and_diameter(graph)
         vertex_diameter = diameter + 1
     vd_elapsed = time.perf_counter() - t0
 
-    samples = vd_baseline_sample_size(vertex_diameter, epsilon, delta)
+    samples = vd_baseline_sample_size(vertex_diameter, config.epsilon, config.delta)
     t1 = time.perf_counter()
     sum_f = np.zeros(graph.n)
     sample = bind(_prk_draw, graph, model, pool)
@@ -61,32 +60,30 @@ def run_prk_fixed(graph: Graph, model: PercolationModel, epsilon: float,
         "stop_reason": "fixed-size",
         "vertex_diameter": int(vertex_diameter),
         "seed": seed,
-        "epsilon": epsilon,
-        "delta": delta,
+        "epsilon": config.epsilon,
+        "delta": config.delta,
         "elapsed_bootstrap": vd_elapsed,
         "elapsed_estimation": time.perf_counter() - t1,
     }
 
 
-def run_pab_naive(graph: Graph, model: PercolationModel, epsilon: float,
-                  delta: float, seed: int, mc_trials: int = 25,
-                  max_samples: int = 1 << 20, pool=None) -> dict:
+def run_pab_naive(graph: Graph, model: PercolationModel, config: ScheduleConfig,
+                  seed: int, max_samples: int = 1 << 20, pool=None) -> dict:
     """Doubling schedule on pair samples with a whole-family bound, drawn
     in ``pool``'s workers when given (``workers.open_pool``).
 
     The stop rule chains the Monte-Carlo Rademacher average through the
     standard symmetrization constants, with no variance partitioning;
-    intentionally looser than the progressive estimator's rule. The first
-    target, the per-iteration delta shares and the argument checks are
-    ``ScheduleConfig``'s.
+    intentionally looser than the progressive estimator's rule. Epsilon,
+    delta, the trial count, the first target and the per-iteration delta
+    shares are ``config``'s.
     """
     if model.n != graph.n:
         raise ValueError("model and graph disagree on vertex count")
-    config = ScheduleConfig(epsilon, delta, mc_trials=mc_trials)
     t0 = time.perf_counter()
     n = graph.n
     sample = bind(_pab_draw, graph, model, pool)
-    state = McEraState(n=n, c=mc_trials, seed=seed)
+    state = McEraState(n=n, c=config.mc_trials, seed=seed)
     sum_f = np.zeros(n)
     one_class = np.zeros(n, dtype=np.int64)     # the whole family as one class
     target = min(config.first_target, max_samples)
@@ -102,9 +99,10 @@ def run_pab_naive(graph: Graph, model: PercolationModel, epsilon: float,
             state.add_sample(contrib, row)
         delta_i = config.delta_iter(iterations)
         (rc,), (wimpy,) = mcera(state, one_class, 1)
-        era = era_upper_bound(max(float(rc), 0.0), float(wimpy), mc_trials, state.r, delta_i / 2.0)
+        era = era_upper_bound(max(float(rc), 0.0), float(wimpy), config.mc_trials, state.r,
+                              delta_i / 2.0)
         xi = 2.0 * era + 3.0 * math.sqrt(math.log(8.0 / delta_i) / (2.0 * state.r))
-        if xi <= epsilon or state.r >= max_samples:
+        if xi <= config.epsilon or state.r >= max_samples:
             break
         target = min(2 * target, max_samples)
 
@@ -113,12 +111,12 @@ def run_pab_naive(graph: Graph, model: PercolationModel, epsilon: float,
         "estimates": sum_f / state.r,
         "r_final": state.r,
         "iterations": iterations,
-        "stop_reason": "eps-met" if xi <= epsilon else "ceiling-hit",
+        "stop_reason": "eps-met" if xi <= config.epsilon else "ceiling-hit",
         "xi_final": xi,
         "seed": seed,
-        "epsilon": epsilon,
-        "delta": delta,
-        "mc_trials": mc_trials,
+        "epsilon": config.epsilon,
+        "delta": config.delta,
+        "mc_trials": config.mc_trials,
         "elapsed_bootstrap": 0.0,
         "elapsed_estimation": time.perf_counter() - t0,
     }

@@ -109,7 +109,8 @@ def cmd_exact(args) -> int:
     states = _resolve_states(args.states, graph)
     model = PercolationModel(states)
     t0 = time.perf_counter()
-    result = exact_all(graph, model, threads=_threads(args))
+    with open_pool(graph, model, _threads(args)) as pool:
+        result = exact_all(graph, model, pool=pool)
     elapsed = time.perf_counter() - t0
     _write_estimates(args.output, graph, result.p, args.format)
     sidecar = {
@@ -144,11 +145,9 @@ def _run_algorithm(name: str, graph: Graph, model: PercolationModel,
         report = estimate(graph, model, config, seed, pool=pool)
         return {**report.head(), "algorithm": "mcera"}, report.estimates
     if name == "p-rk-fixed":
-        out = run_prk_fixed(graph, model, config.epsilon, config.delta, seed,
-                            vertex_diameter=vertex_diameter, pool=pool)
+        out = run_prk_fixed(graph, model, config, seed, vertex_diameter, pool=pool)
     else:
-        out = run_pab_naive(graph, model, config.epsilon, config.delta, seed,
-                            mc_trials=config.mc_trials, pool=pool)
+        out = run_pab_naive(graph, model, config, seed, pool=pool)
     return out, out.pop("estimates")
 
 
@@ -210,13 +209,13 @@ def cmd_compare(args) -> int:
     rows = []
     # one pool for the exact pass and every sampler; closed before the writes
     with open_pool(graph, model, _threads(args)) as pool:
-        exact_p = None
-        if args.no_exact:
-            vertex_diameter = _sampled_vertex_diameter(graph, args.seed)
-        else:
+        exact_p = vertex_diameter = None
+        if not args.no_exact:
             result = exact_all(graph, model, pool=pool)
             exact_p = result.p
             vertex_diameter = result.vertex_diameter
+        elif "p-rk-fixed" in algorithms:        # the probe's only reader
+            vertex_diameter = _sampled_vertex_diameter(graph, args.seed)
 
         for eps_idx, config in enumerate(configs):
             for rep in range(args.repetitions):
@@ -263,17 +262,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact and approximate percolation centrality")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, exact_pass: bool):
         p.add_argument("--graph", required=True, help="edge-list path (.gz ok)")
         p.add_argument("--directed", action="store_true")
         p.add_argument("--states", required=True,
                        help="states file path or random:SEED")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=None,
-                       help="defaults to all cores")
+        if exact_pass:      # --threads sizes its pool
+            p.add_argument("--threads", type=int, default=None,
+                           help="defaults to all cores")
         p.add_argument("--output", required=True)
 
     def estimator_options(p):
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--delta", type=float, default=0.1)
         p.add_argument("--mc-trials", type=int, default=25)
         p.add_argument("--beta", type=float, default=0.1)
@@ -284,12 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "p-rk-fixed's vertex diameter) when n*m exceeds this")
 
     p_exact = sub.add_parser("exact", help="exact centralities and graph stats")
-    common(p_exact)
+    common(p_exact, exact_pass=True)
     p_exact.add_argument("--format", choices=["tsv", "json", "csv"], default="tsv")
     p_exact.set_defaults(func=cmd_exact)
 
     p_approx = sub.add_parser("approx", help="one approximation run")
-    common(p_approx)
+    common(p_approx, exact_pass=False)
     p_approx.add_argument("--epsilon", type=float, default=0.05)
     estimator_options(p_approx)
     p_approx.add_argument("--algorithm", choices=ALGORITHMS, default="mcera")
@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_approx.set_defaults(func=cmd_approx)
 
     p_cmp = sub.add_parser("compare", help="benchmark estimators on one graph")
-    common(p_cmp)
+    common(p_cmp, exact_pass=True)
     p_cmp.add_argument("--epsilon-grid", type=float, nargs="+",
                        default=[0.1, 0.05], metavar="EPS")
     p_cmp.add_argument("--repetitions", type=int, default=10)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .graph import Graph, shortest_path_dag
 from .percolation import PercolationModel
-from .workers import bind, open_pool
+from .workers import bind
 
 
 class PathExplosionError(RuntimeError):
@@ -99,26 +99,20 @@ def _sweep_block_in_worker(graph: Graph, model: PercolationModel, sources: range
     return _sweep_block(graph, model.x, sources)
 
 
-def exact_all(graph: Graph, model: PercolationModel, threads: int | None = 1,
-              pool=None) -> ExactResult:
+def exact_all(graph: Graph, model: PercolationModel, pool=None) -> ExactResult:
     """Exact percolation centrality, betweenness, rho, and diameter. The
-    sweeps run in ``pool`` (``workers.open_pool``) when given, else in a
-    pool of ``threads`` workers opened for this pass."""
+    sweeps run in ``pool``'s workers (``workers.open_pool``) when given."""
     if model.n != graph.n:
         raise ValueError("model and graph disagree on vertex count")
     n = graph.n
-    threads = max(1, int(threads or 1))     # None and 0 mean one process
     # jobs carry only their source range; pool workers get the graph once
     jobs = [range(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK)]
-    own = threads if pool is None and len(jobs) > 1 else 1
-    with open_pool(graph, model, own) as opened:
-        pool = pool or opened
-        if pool is None:
-            parts = (_sweep_block(graph, model.x, job) for job in jobs)
-        else:
-            # map yields in block order, so the fold is deterministic
-            parts = pool.map(bind(_sweep_block_in_worker, graph, model, pool), jobs)
-        acc_p, acc_b, internal, max_d = _fold(parts, n)
+    if pool is None or len(jobs) == 1:      # one block would only wait on a fork
+        parts = (_sweep_block(graph, model.x, job) for job in jobs)
+    else:
+        # map yields in block order, so the fold is deterministic
+        parts = pool.map(bind(_sweep_block_in_worker, graph, model, pool), jobs)
+    acc_p, acc_b, internal, max_d = _fold(parts, n)
     pairs = n * (n - 1)
     safe = np.where(model.minus_s > 0.0, model.minus_s, 1.0)
     p = np.where(model.minus_s > 0.0, acc_p / (pairs * safe), 0.0)

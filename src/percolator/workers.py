@@ -29,13 +29,13 @@ def _install_inputs(graph: Graph, model: PercolationModel) -> None:
 
 
 @contextmanager
-def open_pool(graph: Graph, model: PercolationModel, threads: int):
-    """A fork pool of ``threads`` workers that hold ``graph`` and ``model``,
-    or None for one thread. Leaving the block joins the workers."""
-    if threads <= 1:
+def open_pool(graph: Graph, model: PercolationModel, processes: int):
+    """A fork pool of ``processes`` workers that hold ``graph`` and ``model``,
+    or None for one process. Leaving the block joins the workers."""
+    if processes <= 1:
         yield None
         return
-    with ProcessPoolExecutor(max_workers=threads, mp_context=multiprocessing.get_context("fork"),
+    with ProcessPoolExecutor(max_workers=processes, mp_context=multiprocessing.get_context("fork"),
                              initializer=_install_inputs, initargs=(graph, model)) as pool:
         yield pool
 

@@ -22,7 +22,7 @@ from percolator import (PercolationModel, ScheduleConfig,
 from percolator.bounds import sufficient_sample_size_closed_form
 from percolator.progressive import _draw_pair_sample
 
-from gen import (build, cycle_edges, erdos_renyi_edges, layered_edges,
+from gen import (build, chung_lu_edges, cycle_edges, erdos_renyi_edges, layered_edges,
                  newman_watts_edges, path_edges)
 from oracle_exact import bfs_level_counts
 
@@ -231,6 +231,35 @@ def test_criterion_7_guarantee(er1000, er1000_exact):
             report = estimate(graph, model, cfg, seed=seed)
             ok += np.abs(report.estimates - p).max() <= cfg.epsilon
         assert ok >= 42, f"only {ok}/50 runs within epsilon"
+
+
+def test_accuracy_relative_to_the_scores():
+    """Checks that scale with the scores, beside criterion 7. On the golden
+    hub graph the largest score is 2.8e-6, so criterion 7's absolute bound
+    holds for an estimator that returns zeros. The mass ratio
+    sum(est) / sum(p) and the largest error over the largest score do
+    not: over seeds 0-19 the estimator gives 0.889-1.174 and 0.066-0.269,
+    while doubled estimates (mass 1.78-2.35, error 0.46-1.30), zeros (0,
+    1.0) and estimates with the top tenth of vertices by p zeroed (mass
+    0.22-0.37, error 1.0) fail on every seed."""
+    graph = build(chung_lu_edges(400, 6, 2.3, seed=5))
+    model = PercolationModel(random_states(graph.n, seed=9))
+    p = exact_all(graph, model).p
+    top = np.argsort(p)[-(graph.n // 10):]
+    cfg = ScheduleConfig(epsilon=0.05, delta=0.1)
+    assert p.max() <= cfg.epsilon       # zeros meet criterion 7's bound
+
+    def accurate(est):
+        mass = est.sum() / p.sum()
+        return 0.8 <= mass <= 1.25 and np.abs(est - p).max() <= 0.4 * p.max()
+
+    for seed in range(20):
+        est = estimate(graph, model, cfg, seed=seed).estimates
+        assert accurate(est), seed
+        hubs_dropped = est.copy()
+        hubs_dropped[top] = 0.0
+        for mutant in (2.0 * est, np.zeros_like(est), hubs_dropped):
+            assert not accurate(mutant), seed
 
 
 def test_criterion_8_sample_size_improvement(er1000, er1000_exact, smallworld5k):

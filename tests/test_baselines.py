@@ -10,7 +10,7 @@ from gen import build, cycle_edges
 
 def test_prk_fixed_uses_baseline_sample_count(er1000, er1000_exact):
     graph, model = er1000
-    report = run_prk_fixed(graph, model, epsilon=0.1, delta=0.1, seed=0,
+    report = run_prk_fixed(graph, model, ScheduleConfig(epsilon=0.1, delta=0.1), seed=0,
                            vertex_diameter=er1000_exact.vertex_diameter)
     assert report["r_final"] == vd_baseline_sample_size(
         er1000_exact.vertex_diameter, 0.1, 0.1)
@@ -21,7 +21,7 @@ def test_prk_fixed_computes_diameter_when_missing():
     g = build(cycle_edges(5))
     from percolator import PercolationModel, random_states
     model = PercolationModel(random_states(5, seed=1))
-    report = run_prk_fixed(g, model, epsilon=0.3, delta=0.2, seed=2)
+    report = run_prk_fixed(g, model, ScheduleConfig(epsilon=0.3, delta=0.2), seed=2)
     assert report["vertex_diameter"] == 3
 
 
@@ -29,7 +29,7 @@ def test_pab_naive_stops_and_is_labeled():
     g = build(cycle_edges(6))
     from percolator import PercolationModel, random_states
     model = PercolationModel(random_states(6, seed=3))
-    report = run_pab_naive(g, model, epsilon=0.3, delta=0.2, seed=4,
+    report = run_pab_naive(g, model, ScheduleConfig(epsilon=0.3, delta=0.2), seed=4,
                            max_samples=50_000)
     assert report["algorithm"] == "p-ab-progressive-naive"
     assert report["stop_reason"] in ("eps-met", "ceiling-hit")
@@ -42,7 +42,7 @@ def test_progressive_beats_fixed_size_in_time_and_samples(er1000, er1000_exact):
     graph, model = er1000
     eps = 0.01
     mcera_report = estimate(graph, model, ScheduleConfig(epsilon=eps, delta=0.1), seed=0)
-    prk_report = run_prk_fixed(graph, model, epsilon=eps, delta=0.1, seed=0,
+    prk_report = run_prk_fixed(graph, model, ScheduleConfig(epsilon=eps, delta=0.1), seed=0,
                                vertex_diameter=er1000_exact.vertex_diameter)
     assert mcera_report.r_final < prk_report["r_final"]
     mcera_seconds = mcera_report.elapsed_bootstrap + mcera_report.elapsed_estimation
@@ -64,12 +64,12 @@ def test_pab_naive_checks_arguments_before_sampling(monkeypatch, kwargs):
     monkeypatch.setattr(baselines, "pab_sample", counted)
     g = build(cycle_edges(6))
     model = PercolationModel(random_states(6, seed=3))
-    args = dict(epsilon=0.3, delta=0.2, seed=4, max_samples=64)
-    run_pab_naive(g, model, **args)
+    args = dict(epsilon=0.3, delta=0.2)
+    run_pab_naive(g, model, ScheduleConfig(**args), seed=4, max_samples=64)
     assert calls
     calls.clear()
     with pytest.raises(ValueError):
-        run_pab_naive(g, model, **{**args, **kwargs})
+        run_pab_naive(g, model, ScheduleConfig(**{**args, **kwargs}), seed=4, max_samples=64)
     assert calls == []
 
 
@@ -86,12 +86,13 @@ def test_prk_fixed_checks_arguments_before_the_exact_pass(monkeypatch, n, kwargs
         return real(graph)
     monkeypatch.setattr(baselines, "exact_rho_and_diameter", counted)
     g = build(cycle_edges(6))
-    args = dict(epsilon=0.3, delta=0.2, seed=4)
-    run_prk_fixed(g, PercolationModel(random_states(6, seed=3)), **args)
+    args = dict(epsilon=0.3, delta=0.2)
+    run_prk_fixed(g, PercolationModel(random_states(6, seed=3)), ScheduleConfig(**args), seed=4)
     assert calls == [6]
     calls.clear()
     with pytest.raises(ValueError):
-        run_prk_fixed(g, PercolationModel(random_states(n, seed=3)), **{**args, **kwargs})
+        run_prk_fixed(g, PercolationModel(random_states(n, seed=3)),
+                      ScheduleConfig(**{**args, **kwargs}), seed=4)
     assert calls == []
 
 
@@ -100,4 +101,4 @@ def test_pab_naive_rejects_a_model_of_another_size(n):
     g = build(cycle_edges(6))
     with pytest.raises(ValueError, match="vertex count"):
         run_pab_naive(g, PercolationModel(random_states(n, seed=3)),
-                      epsilon=0.3, delta=0.2, seed=4, max_samples=64)
+                      ScheduleConfig(epsilon=0.3, delta=0.2), seed=4, max_samples=64)

@@ -259,6 +259,25 @@ def test_compare_no_exact_probes_only_vertices_with_out_arcs(tmp_path):
     assert [r[0] for r in rows[1:]] == ["p-rk-fixed"] and int(rows[1][3]) >= 1
 
 
+@pytest.mark.parametrize("algorithms,probes", [("mcera", 0), ("p-ab-progressive-naive", 0),
+                                               ("mcera,p-rk-fixed", 1)])
+def test_no_exact_probes_the_diameter_only_for_p_rk_fixed(tmp_path, monkeypatch,
+                                                          algorithms, probes):
+    """Without the exact pass only p-rk-fixed reads a vertex diameter, so
+    only a run that selects it pays for the 16 sampled searches."""
+    real, calls = cli._sampled_vertex_diameter, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(cli, "_sampled_vertex_diameter", counted)
+    graph = write_graph(tmp_path, "0 1\n1 2\n2 3\n3 0\n0 2\n")
+    assert main(["compare", "--graph", graph, "--states", "random:1",
+                 "--output", str(tmp_path / "cmp.csv"), "--no-exact", "--repetitions", "1",
+                 "--epsilon-grid", "0.3", "--threads", "1", "--algorithms", algorithms]) == 0
+    assert len(calls) == probes
+
+
 @pytest.mark.xfail(strict=True, reason="the sampled probe bounds only connected graphs; "
                                         "ROADMAP item 4 replaces it")
 def test_no_exact_vertex_diameter_bounds_a_disconnected_graph():
@@ -276,12 +295,13 @@ def test_nan_state_exit_code(tmp_path, capsys, command):
     states.write_text("0.5\nnan\n0.1\n")
     out = tmp_path / "o"
     assert main([command, "--graph", graph, "--states", str(states),
-                 "--output", str(out), "--threads", "1"]) == 3
+                 "--output", str(out)]) == 3
     assert "states must lie in [0, 1]" in capsys.readouterr().err
     assert not out.exists()
 
 def test_approx_prk_fixed_refuses_exact_pass_over_budget(tmp_path, monkeypatch, capsys):
-    from percolator import PercolationModel, baselines, load_edge_list, random_states
+    from percolator import (PercolationModel, ScheduleConfig, baselines, load_edge_list,
+                            random_states)
     import oracle_writer
     real, calls = baselines.exact_rho_and_diameter, []
 
@@ -304,7 +324,8 @@ def test_approx_prk_fixed_refuses_exact_pass_over_budget(tmp_path, monkeypatch, 
     assert len(calls) == 1
     with open(graph, "rb") as fh:
         g = load_edge_list(fh)
-    expected = baselines.run_prk_fixed(g, PercolationModel(random_states(g.n, 4)), 0.2, 0.2, 1)
+    expected = baselines.run_prk_fixed(g, PercolationModel(random_states(g.n, 4)),
+                                       ScheduleConfig(0.2, 0.2), 1)
     estimates = expected.pop("estimates")
     expected = json.loads(oracle_writer.json_with_estimates(
         {**expected, "n": g.n, "m": g.m}, g, estimates))
@@ -337,6 +358,20 @@ def test_compare_checks_inputs_before_any_pass(tmp_path, monkeypatch, flag, valu
                  "--output", str(out), "--repetitions", "1", flag, *value.split()]) == code
     assert calls == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag", [("approx", "--threads"), ("exact", "--seed")])
+def test_commands_reject_flags_they_do_not_read(tmp_path, capsys, command, flag):
+    """``--threads`` sizes the exact pass's pool (``exact``, ``compare``) and
+    ``--seed`` the samples (``approx``, ``compare``); elsewhere either is a
+    usage error rather than a flag that changes nothing."""
+    graph = write_graph(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        main([command, "--graph", graph, "--states", "random:1",
+              "--output", str(tmp_path / "o"), flag, "1"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: " + flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [Path(graph)]
 
 
 def test_estimator_options_share_defaults():
@@ -384,13 +419,13 @@ def test_threads_default_to_all_cores(tmp_path, monkeypatch):
     reports, and writes the bytes a serial run writes."""
     graph = write_graph(tmp_path)
     seen = []
-    real = cli.exact_all
+    real = cli.open_pool
 
     def spy(graph, model, threads):
         seen.append(threads)
-        return real(graph, model, threads=threads)
+        return real(graph, model, threads)
 
-    monkeypatch.setattr(cli, "exact_all", spy)
+    monkeypatch.setattr(cli, "open_pool", spy)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     outs = [str(tmp_path / "default.tsv"), str(tmp_path / "serial.tsv")]
     for out, extra in zip(outs, ([], ["--threads", "1"])):
@@ -402,7 +437,7 @@ def test_threads_default_to_all_cores(tmp_path, monkeypatch):
 
 def test_compare_opens_one_pool_and_joins_it(tmp_path, monkeypatch):
     """``compare --threads 2`` runs its exact pass and every sampler in one
-    pool, and ``exact`` keeps its one; one thread and ``approx`` open none.
+    pool, and ``exact`` runs its pass in one; one thread and ``approx`` open none.
     Every worker is joined before ``main`` returns."""
     opened = []
 
@@ -417,7 +452,7 @@ def test_compare_opens_one_pool_and_joins_it(tmp_path, monkeypatch):
     out = str(tmp_path / "o")
     runs = [(["compare", "--epsilon-grid", "0.3", "--repetitions", "1", "--threads", "2"], [2]),
             (["compare", "--epsilon-grid", "0.3", "--repetitions", "1", "--threads", "1"], []),
-            (["approx", "--epsilon", "0.3", "--threads", "2"], []),
+            (["approx", "--epsilon", "0.3"], []),
             (["exact", "--threads", "2"], [2])]
     for argv, pools in runs:
         opened.clear()

@@ -211,6 +211,21 @@ def test_samples_draw_through_the_driver():
     assert found == allowed
 
 
+def test_only_the_cli_opens_pools():
+    """The command layer owns a run's resources: ``workers.open_pool`` is
+    called only in ``cli.py``, and no package function takes a worker
+    count named ``threads``; a solver runs in the pool it is handed."""
+    for path in sorted(Path(percolator.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        opens = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and ast.unparse(node.func).split(".")[-1] == "open_pool"]
+        assert bool(opens) == (path.name == "cli.py"), path.name
+        functions = (fn for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.Lambda)))
+        params = [arg.arg for fn in functions
+                  for arg in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs)]
+        assert "threads" not in params, path.name
+
+
 def test_every_definition_is_used_outside_the_tests():
     """Each top-level function and class of the package is named (an
     ``ast.Name`` or ``ast.Attribute``), and each of their methods but

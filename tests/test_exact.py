@@ -1,10 +1,13 @@
+import argparse
+
 import numpy as np
 import pytest
 
 from percolator import (PathExplosionError, PercolationModel,
                         brute_force_percolation, exact_all,
                         exact_rho_and_diameter, random_states)
-from percolator import exact
+from percolator import cli, exact
+from percolator.workers import open_pool
 
 import oracle_exact
 from gen import (build, complete_edges, cycle_edges, erdos_renyi_edges,
@@ -151,11 +154,12 @@ def test_path_explosion_guard():
 
 
 def test_parallel_bit_identical_to_serial():
-    # fixed-size source blocks make the reduction independent of threads
+    # fixed-size source blocks make the reduction independent of the workers
     g = build(erdos_renyi_edges(600, 0.02, seed=4))
     m = PercolationModel(random_states(g.n, seed=5))
-    one = exact_all(g, m, threads=1)
-    two = exact_all(g, m, threads=2)
+    one = exact_all(g, m)
+    with open_pool(g, m, 2) as pool:
+        two = exact_all(g, m, pool=pool)
     assert (one.p == two.p).all()
     assert (one.b == two.b).all()
     assert one.rho == two.rho and one.diameter == two.diameter
@@ -179,22 +183,27 @@ def test_blocks_fold_in_source_order():
     safe = np.where(m.minus_s > 0.0, m.minus_s, 1.0)
     p = np.where(m.minus_s > 0.0, acc_p / (pairs * safe), 0.0)
     for threads in (1, 2):
-        res = exact_all(g, m, threads=threads)
+        with open_pool(g, m, threads) as pool:
+            res = exact_all(g, m, pool=pool)
         assert np.array_equal(res.p, p) and np.array_equal(res.b, acc_b / pairs)
 
 
 @pytest.fixture(scope="module")
 def two_blocks():
-    """Enough sources for two 256-source blocks, so threads=2 uses the pool."""
+    """Enough sources for two 256-source blocks, so a pool of two gets one each."""
     g = build(erdos_renyi_edges(300, 0.03, seed=6))
     m = PercolationModel(random_states(g.n, seed=7))
-    return g, m, exact_all(g, m, threads=1)
+    return g, m, exact_all(g, m)
 
 
 @pytest.mark.parametrize("threads", [None, 0, 1, 2])
-def test_every_entry_point_takes_any_thread_count(two_blocks, threads):
+def test_every_entry_point_takes_any_thread_count(two_blocks, monkeypatch, threads):
+    """Every ``--threads`` value (None: all cores, here two; 0 and 1: one
+    process) opens the pool that gives the one-process bits."""
     g, m, serial = two_blocks
-    res = exact_all(g, m, threads=threads)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    with open_pool(g, m, cli._threads(argparse.Namespace(threads=threads))) as pool:
+        res = exact_all(g, m, pool=pool)
     assert np.array_equal(res.p, serial.p) and np.array_equal(res.b, serial.b)
     assert (res.rho, res.diameter) == (serial.rho, serial.diameter)
     assert exact_rho_and_diameter(g) == (serial.rho, serial.diameter)

@@ -40,7 +40,7 @@ def test_estimate_report_digest():
 
 def test_prk_fixed_report_digest():
     graph, model = hub_graph()
-    out = run_prk_fixed(graph, model, 0.05, 0.1, seed=3)
+    out = run_prk_fixed(graph, model, ScheduleConfig(0.05, 0.1), seed=3)
     assert out["r_final"] == 1061
     assert digest(out) == (
         "64ea27d1d101e7bd3a2c646f16296bf87b67b36a1904cc7e54d0e1b008db892b")
@@ -48,7 +48,7 @@ def test_prk_fixed_report_digest():
 
 def test_pab_naive_report_digest():
     graph, model = hub_graph()
-    out = run_pab_naive(graph, model, 0.05, 0.1, seed=3, max_samples=4096)
+    out = run_pab_naive(graph, model, ScheduleConfig(0.05, 0.1), seed=3, max_samples=4096)
     assert out["r_final"] == 4096
     assert digest(out) == (
         "f7d8db5e2d69c47a7b6f1808c6501ca335f6475595360b2d41a170d59d690022")
@@ -67,10 +67,10 @@ def test_pooled_samplers_report_what_one_process_reports(threads):
     47 samples) and spanning several (the naive baseline's steps of 94 and
     more) both occur."""
     graph, model = hub_graph()
-    runs = (lambda pool: estimate(graph, model, ScheduleConfig(epsilon=0.05, delta=0.1),
-                                  seed=3, pool=pool).as_dict(),
-            lambda pool: run_prk_fixed(graph, model, 0.05, 0.1, seed=3, pool=pool),
-            lambda pool: run_pab_naive(graph, model, 0.05, 0.1, seed=3, max_samples=4096,
+    config = ScheduleConfig(epsilon=0.05, delta=0.1)
+    runs = (lambda pool: estimate(graph, model, config, seed=3, pool=pool).as_dict(),
+            lambda pool: run_prk_fixed(graph, model, config, seed=3, pool=pool),
+            lambda pool: run_pab_naive(graph, model, config, seed=3, max_samples=4096,
                                        pool=pool))
     serial = [digest(run(None)) for run in runs]
     with open_pool(graph, model, threads) as pool:

@@ -64,7 +64,7 @@ def test_approx_report_bytes(tmp_path, hub_path, algorithm):
     out = tmp_path / "report.json"
     assert main(["approx", "--graph", hub_path, "--states", "random:9",
                  "--output", str(out), "--algorithm", algorithm, "--seed", "3",
-                 "--epsilon", "0.2", "--format", "tsv", "--threads", "1"]) == 0
+                 "--epsilon", "0.2", "--format", "tsv"]) == 0
     report_digest, tsv_digest = APPROX_DIGESTS[algorithm]
     assert sha(without_timings(out.read_text())) == report_digest
     assert sha((tmp_path / "report.json.tsv").read_text()) == tsv_digest

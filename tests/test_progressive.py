@@ -273,7 +273,7 @@ def test_ids_with_no_arcs(kind, directed, n, arcless, seed):
     dense = [int(np.flatnonzero(graph.orig_ids == u)[0]) for u, _ in loops]
     assert not graph.out_degrees[dense].any() and not graph.in_degrees[dense].any()
     model = PercolationModel(random_states(graph.n, seed=seed + 1))
-    exact_p = exact_all(graph, model, threads=1).p
+    exact_p = exact_all(graph, model).p
     assert np.abs(exact_p - brute_force_percolation(graph, model)).max() < 1e-9
     report = estimate(graph, model, ScheduleConfig(epsilon=0.3, delta=0.2), seed=seed)
     assert np.isfinite(report.estimates).all()
