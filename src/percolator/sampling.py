@@ -114,7 +114,24 @@ def _expand_side(graph: Graph, frontier: np.ndarray, depth: int,
     Arcs to vertices the other side has seen are the candidate arcs; the
     search ends at the first level with any, so that level builds no next
     frontier (its labels would never be read).
+
+    A frontier of one vertex v expands as its CSR row, which the loader
+    keeps ascending and free of repeats: the row's unseen vertices are the
+    next level, in order, each with v's count (the float a one-weight
+    bincount gives), so no arc list, sort or bincount is built.
     """
+    if frontier.size == 1:
+        v = frontier[0]
+        offsets, targets = ((graph.bwd_offsets, graph.bwd_targets) if backward
+                            else (graph.fwd_offsets, graph.fwd_targets))
+        row = targets[offsets[v]:offsets[v + 1]]
+        met = (dist_other[row] >= 0).nonzero()[0]
+        if met.size:
+            return _NO_VERTICES, frontier.repeat(met.size), row.take(met)
+        new = row.take((dist_own[row] < 0).nonzero()[0])
+        dist_own[new] = depth + 1
+        sigma_own[new] = sigma_own[v]
+        return new, _NO_VERTICES, _NO_VERTICES
     srcs, nbrs = graph.expand_frontier(frontier, backward=backward)
     met = dist_other[nbrs] >= 0
     if met.any():
@@ -148,17 +165,21 @@ def balanced_bidirectional_bfs(graph: Graph, s: int, z: int,
     dist_z[z] = 0
     sigma_z[z] = 1.0
     depth_s = depth_z = 0
+    # each frontier's arc count, taken once when the frontier is built
+    arcs_s, arcs_z = graph.out_degrees[s], graph.in_degrees[z]
 
     while frontier_s.size and frontier_z.size:
-        if graph.out_degrees[frontier_s].sum() <= graph.in_degrees[frontier_z].sum():
+        if arcs_s <= arcs_z:
             frontier_s, cand_s, cand_z = _expand_side(
                 graph, frontier_s, depth_s, dist_s, sigma_s, dist_z, ws.place, backward=False)
             ws.touched_s.append(frontier_s)
+            arcs_s = graph.out_degrees[frontier_s].sum()
             depth_s += 1
         else:
             frontier_z, cand_z, cand_s = _expand_side(
                 graph, frontier_z, depth_z, dist_z, sigma_z, dist_s, ws.place, backward=True)
             ws.touched_z.append(frontier_z)
+            arcs_z = graph.in_degrees[frontier_z].sum()
             depth_z += 1
         if cand_s.size:
             totals = dist_s[cand_s] + 1 + dist_z[cand_z]
@@ -182,12 +203,13 @@ def balanced_bidirectional_bfs(graph: Graph, s: int, z: int,
 
 
 def _walk_down(graph: Graph, v: np.ndarray, z_side: np.ndarray, dist, sigma,
-               uniforms: np.ndarray, first: np.ndarray) -> np.ndarray:
+               uniforms: np.ndarray, first: np.ndarray, roots) -> np.ndarray:
     """Random descents to depth 0 from every ``v[i]`` at once, weighting each
     step by its path count.
 
     Walker i descends the s side (``z_side[i]`` False: in-arcs, ``dist[0]``,
-    ``sigma[0]``) or the z side (out-arcs, ``dist[1]``, ``sigma[1]``). Its
+    ``sigma[0]``) or the z side (out-arcs, ``dist[1]``, ``sigma[1]``),
+    whose only vertex at depth 0 is ``roots[0]`` or ``roots[1]``. Its
     step t reads the uniform ``uniforms[first[i] + t]`` and sets
     ``rem = draw * sigma[v]``; subtracting the predecessors' counts from
     ``rem`` one at a time, in CSR order, it goes to the first predecessor at
@@ -195,7 +217,9 @@ def _walk_down(graph: Graph, v: np.ndarray, z_side: np.ndarray, dist, sigma,
     positive. That is bit for bit an in-order ``subtract.accumulate``,
     never a cumsum. Every walker takes one step per iteration, and each
     distinct (side, vertex) of a step has its neighbour list read once,
-    since a vertex's predecessors depend only on the vertex.
+    since a vertex's predecessors depend only on the vertex. A walker one
+    step above its root has the root as its one predecessor: it takes it
+    without reading a list, and its uniform stays unread.
 
     Returns ``trail`` of shape (len(v), deepest + 1): ``trail[i, t]`` is
     walker i's vertex after t steps, for t up to its depth; later entries
@@ -208,13 +232,19 @@ def _walk_down(graph: Graph, v: np.ndarray, z_side: np.ndarray, dist, sigma,
     steps = max(done_at, default=0)
     trail = np.empty((steps + 1, v.size), dtype=np.int64)
     trail[0] = v
-    rows, cur, zs, at = np.arange(v.size), v, z_side, first
+    rows = (left > 0).nonzero()[0]                  # walkers not at depth 0
+    cur, zs, at, left = v[rows], z_side[rows], first[rows], left[rows]
+    root_s, root_z = roots
     # numpy's ndarray methods and ufuncs below skip the wrappers of the
     # np.* functions, a large share of the cost at a bag's array sizes
     for t in range(steps):
-        if t in done_at:                              # drop the walkers at depth 0
-            go = left > t
+        if t + 1 in done_at:                          # the walkers one step above a root
+            top = left == t + 1
+            trail[t + 1, rows[top]] = np.where(zs[top], root_z, root_s)
+            go = ~top
             rows, cur, zs, at, left = rows[go], cur[go], zs[go], at[go], left[go]
+            if not rows.size:
+                break
         # the step's distinct (side, vertex) keys, and each walker's slot among them
         key = cur + n * zs
         ukey = sorted_unique(key)
@@ -294,7 +324,7 @@ def sample_paths(meet: MeetResult, alpha: float, rng,
     first = np.arange(k) * d + 1
     trail = _walk_down(meet.graph, np.concatenate((u, w)), np.arange(2 * k) >= k,
                        (meet.dist_s, meet.dist_z), (meet.sigma_s, meet.sigma_z),
-                       uniforms, np.concatenate((first, first + head)))
+                       uniforms, np.concatenate((first, first + head)), (meet.s, meet.z))
     paths = np.empty((k, d + 1), dtype=np.int64)
     paths[:, :head + 1] = trail[:k, head::-1]     # an s-side trail runs u -> s
     paths[:, head + 1:] = trail[k:, :d - head]

@@ -13,6 +13,7 @@ from percolator import sampling
 from percolator.sampling import DEFAULT_BAG_CAP, PathBag, _walk_down
 
 import oracle_exact
+import oracle_search
 import oracle_walk
 from oracle_exact import bfs_level_counts
 from oracle_contrib import as_dict
@@ -375,16 +376,18 @@ class EdgeDraws:
         return self.values[self.i % len(self.values)]
 
 
-def walk(graph, starts, toward_z, dist, sigma, rng):
+def walk(graph, starts, toward_z, dist, sigma, rng, roots):
     """The vectorized walk from ``starts[i]`` on side ``toward_z[i]``, with
-    ``dist``/``sigma`` the (s side, z side) arrays. Walker i reads the
+    ``dist``/``sigma`` the (s side, z side) arrays and ``roots`` their
+    vertices at depth 0. Walker i reads the
     uniforms after walker i-1's, all from one ``rng.random`` call, as
     sequential calls of the per-neighbour loop would. Returns the paths."""
     starts = np.asarray(starts, dtype=np.int64)
     toward_z = np.asarray(toward_z, dtype=bool)
     depth = np.where(toward_z, dist[1][starts], dist[0][starts])
     uniforms = rng.random(int(depth.sum()))
-    trail = _walk_down(graph, starts, toward_z, dist, sigma, uniforms, np.cumsum(depth) - depth)
+    trail = _walk_down(graph, starts, toward_z, dist, sigma, uniforms, np.cumsum(depth) - depth,
+                       roots)
     return [row[:d + 1].tolist() for row, d in zip(trail, depth.tolist())]
 
 
@@ -431,7 +434,7 @@ def test_walk_matches_per_neighbour_loop(name, graph):
                     sides.append(toward_z)
                     for make in (np.random.default_rng, EdgeDraws):
                         new_rng, old_rng = make(trial * 1000 + v), make(trial * 1000 + v)
-                        got = walk(graph, [v], [toward_z], dists, sigmas, new_rng)
+                        got = walk(graph, [v], [toward_z], dists, sigmas, new_rng, (s, z))
                         want = oracle_walk._walk_down(graph, v, dist, counts, old_rng,
                                                       toward_z)
                         assert got == [want]
@@ -439,7 +442,7 @@ def test_walk_matches_per_neighbour_loop(name, graph):
                         checked += 1
             for make in (np.random.default_rng, EdgeDraws):
                 new_rng, old_rng = make(trial), make(trial)
-                got = walk(graph, starts, sides, dists, sigmas, new_rng)
+                got = walk(graph, starts, sides, dists, sigmas, new_rng, (s, z))
                 want = [oracle_walk._walk_down(graph, v, dists[side], sigmas[side], old_rng, side)
                         for v, side in zip(starts, sides)]
                 assert got == want
@@ -448,19 +451,47 @@ def test_walk_matches_per_neighbour_loop(name, graph):
 
 
 def test_walk_subtracts_predecessors_in_order():
-    # v = 0 with predecessors 1, 2, 3 counting 1, 2^53 and 4 paths and a
-    # pick of 2^53 + 2: one at a time, 2^53 + 2 - 1 rounds to 2^53 and the
-    # walk stops at 2; pick minus the summed counts would go on to 3
-    g = build([(0, 1), (0, 2), (0, 3)])
-    dist = np.array([1, 0, 0, 0])
-    sigma = np.array([2.0 ** 54 + 4, 1.0, 2.0 ** 53, 4.0])
+    # v = 0 with predecessors 1, 2, 3 counting 1, 2^53 and 4 paths, all
+    # under the root 4, and a pick of 2^53 + 2: one at a time, 2^53 + 2 - 1
+    # rounds to 2^53 and the walk stops at 2; pick minus the summed counts
+    # would go on to 3
+    g = build([(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+    dist = np.array([2, 1, 1, 1, 0])
+    sigma = np.array([2.0 ** 54 + 4, 1.0, 2.0 ** 53, 4.0, 1.0])
 
     class Half:
         def random(self, size=None):
             return 0.5 if size is None else np.full(size, 0.5)
 
-    assert oracle_walk._walk_down(g, 0, dist, sigma, Half(), toward_z=False) == [0, 2]
-    assert walk(g, [0], [False], (dist, dist), (sigma, sigma), Half()) == [[0, 2]]
+    assert oracle_walk._walk_down(g, 0, dist, sigma, Half(), toward_z=False) == [0, 2, 4]
+    assert walk(g, [0], [False], (dist, dist), (sigma, sigma), Half(), (4, 4)) == [[0, 2, 4]]
+
+
+@pytest.mark.parametrize("name,graph", [pytest.param(n, g, id=n) for n, g in walk_graphs()])
+def test_walkers_one_step_above_their_roots_read_no_list(name, graph):
+    """On a copy of the graph whose neighbour lists all point out of range,
+    so that reading one raises, walkers at depth 1 on either side still end
+    at their roots, while walkers at depth 2 raise."""
+    broken = dataclasses.replace(graph, fwd_targets=np.full_like(graph.fwd_targets, 1 << 40),
+                                 bwd_targets=np.full_like(graph.bwd_targets, 1 << 40))
+    sides_checked = set()
+    for s, z in walk_pairs(name, graph):
+        meet = balanced_bidirectional_bfs(graph, s, z)
+        if not meet.connected:
+            continue
+        dists, sigmas = (meet.dist_s, meet.dist_z), (meet.sigma_s, meet.sigma_z)
+        for side, root in ((False, s), (True, z)):
+            starts = np.flatnonzero(dists[side] == 1).tolist()
+            got = walk(broken, starts, [side] * len(starts), dists, sigmas,
+                       np.random.default_rng(s), (s, z))
+            assert got == [[v, root] for v in starts]
+            sides_checked.update([side] if starts else [])
+            deeper = np.flatnonzero(dists[side] == 2).tolist()
+            if deeper:
+                with pytest.raises(IndexError):
+                    walk(broken, deeper, [side] * len(deeper), dists, sigmas,
+                         np.random.default_rng(s), (s, z))
+    assert sides_checked == {False, True}
 
 
 def draw_cases():
@@ -606,6 +637,83 @@ def test_workspace_reuse_matches_fresh_searches(graph):
     ws.reset()
     assert (ws.dist_s == -1).all() and (ws.dist_z == -1).all()
     assert (ws.sigma_s == 0.0).all() and (ws.sigma_z == 0.0).all()
+
+
+def search_cases():
+    """(name, graph, ordered pairs): random pairs, adjacent pairs (met on
+    the first expansion of a root's row) and the cases named below."""
+    rng = np.random.default_rng(31)
+
+    def pairs(graph, count, adjacent=0):
+        drawn = [tuple(map(int, rng.choice(graph.n, 2, replace=False))) for _ in range(count)]
+        tails = rng.choice(graph.n, adjacent)
+        return drawn + [(int(u), int(out_neighbors(graph, u)[0])) for u in tails.tolist()
+                        if out_neighbors(graph, u).size]
+
+    graph = build(erdos_renyi_edges(60, 0.06, seed=13))
+    yield "er", graph, pairs(graph, 120, 30)
+    graph = build(chung_lu_edges(300, 6, 2.1, seed=4))
+    yield "hubs", graph, pairs(graph, 120, 30)
+    # the last id has an in-arc and no out-arc; many pairs connect one way only
+    graph = build(erdos_renyi_edges(60, 0.04, seed=12, directed=True) + [(0, 1000)],
+                  directed=True)
+    last = graph.n - 1
+    assert graph.out_degrees[last] == 0
+    yield "directed", graph, pairs(graph, 120, 30) + [(last, 0), (0, last), (5, last)]
+    graph = two_component_graph()
+    yield "two-components", graph, pairs(graph, 120, 20)
+    # 3- and 5-wide layers: the end-to-end count is far past 2^53
+    graph = build(layered_edges([1] + [3, 5] * 20 + [1]))
+    yield "layered-2^53", graph, [(0, graph.n - 1), (graph.n - 1, 0)] + pairs(graph, 40)
+    # a side expands the one-vertex level under a 3-wide one, count 3, and
+    # moves on without meeting
+    graph = build(layered_edges([1, 3, 1, 1, 3, 1]))
+    yield "one-vertex-count-3", graph, [(s, z) for s in range(graph.n)
+                                        for z in range(graph.n) if s != z]
+
+
+def one_vertex_levels_past_the_root(ws):
+    """How many one-vertex levels past a root, counting more than one path,
+    the last search expanded into a further level."""
+    return sum(level.size == 1 and sigma[level[0]] > 1.0 and following.size > 0
+               for touched, sigma in ((ws.touched_s, ws.sigma_s), (ws.touched_z, ws.sigma_z))
+               for level, following in zip(touched[1:], touched[2:]))
+
+
+@pytest.mark.parametrize("name,graph,pairs", [pytest.param(*case, id=case[0])
+                                              for case in search_cases()])
+def test_search_matches_reference_bit_for_bit(name, graph, pairs):
+    """The search, one-row levels and cached arc counts included, leaves the
+    labels and returns the result of the reference that expands every level
+    through ``expand_frontier``: every ``MeetResult`` field and every
+    workspace entry, bit for bit. Each side runs all pairs on one
+    workspace, so every reset is checked too."""
+    ws, ref_ws = BfsWorkspace(graph.n), BfsWorkspace(graph.n)
+    outcomes, deep_single = set(), 0
+    for s, z in pairs:
+        got = balanced_bidirectional_bfs(graph, s, z, ws)
+        want = oracle_search.balanced_bidirectional_bfs(graph, s, z, ref_ws)
+        for f in dataclasses.fields(sampling.MeetResult):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if f.name == "graph":
+                assert a is b
+            else:
+                a, b = np.asarray(a), np.asarray(b)
+                assert a.dtype == b.dtype and a.shape == b.shape, f.name
+                assert a.tobytes() == b.tobytes(), (f.name, s, z)
+        for side in ("touched_s", "touched_z"):
+            assert [level.tolist() for level in getattr(ws, side)] == \
+                [level.tolist() for level in getattr(ref_ws, side)]
+        outcomes.add((got.connected, got.dist))
+        deep_single += one_vertex_levels_past_the_root(ws)
+    if name == "layered-2^53":
+        assert balanced_bidirectional_bfs(graph, 0, graph.n - 1, ws).sigma_sz > 2.0 ** 53
+    if name in ("two-components", "directed"):
+        assert (False, -1) in outcomes
+    if name != "layered-2^53":
+        assert (True, 1) in outcomes               # adjacent pairs
+    if name == "one-vertex-count-3":
+        assert deep_single > 0
 
 
 def test_workspace_size_must_match_graph():
