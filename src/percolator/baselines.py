@@ -19,7 +19,7 @@ from .exact import exact_rho_and_diameter
 from .graph import Graph
 from .percolation import PercolationModel
 from .progressive import ScheduleConfig
-from .rng import BASELINE_STREAM, draw_samples
+from .rng import BASELINE_STREAM, SampleStream
 from .sampling import pab_sample, prk_sample, sample_pair
 from .workers import bind
 
@@ -49,9 +49,9 @@ def run_prk_fixed(graph: Graph, model: PercolationModel, config: ScheduleConfig,
     samples = vd_baseline_sample_size(vertex_diameter, config.epsilon, config.delta)
     t1 = time.perf_counter()
     sum_f = np.zeros(graph.n)
-    sample = bind(_prk_draw, graph, model, pool)
-    for contrib in draw_samples(sample, seed, BASELINE_STREAM, 0, samples, pool):
-        sum_f[contrib.idx] += contrib.val
+    with SampleStream(bind(_prk_draw, graph, model, pool), seed, BASELINE_STREAM, pool) as stream:
+        for contrib in stream.take(samples):
+            sum_f[contrib.idx] += contrib.val
     return {
         "algorithm": "p-rk-fixed",
         "estimates": sum_f / samples,
@@ -82,29 +82,41 @@ def run_pab_naive(graph: Graph, model: PercolationModel, config: ScheduleConfig,
         raise ValueError("model and graph disagree on vertex count")
     t0 = time.perf_counter()
     n = graph.n
-    sample = bind(_pab_draw, graph, model, pool)
     state = McEraState(n=n, c=config.mc_trials, seed=seed)
     sum_f = np.zeros(n)
-    one_class = np.zeros(n, dtype=np.int64)     # the whole family as one class
+    # the whole family as one class
+    one_class, sizes = np.zeros(n, dtype=np.int64), np.array([n])
+
+    def floor(r: int, i: int) -> float:
+        """xi at iteration i and r samples less its Rademacher term 2 * era >= 0."""
+        return 3.0 * math.sqrt(math.log(8.0 / config.delta_iter(i)) / (2.0 * r))
+
+    def horizon(target: int, i: int) -> int:
+        """The first planned target, from iteration i's on, at which the run may stop."""
+        while floor(target, i) > config.epsilon and target < max_samples:
+            target, i = min(2 * target, max_samples), i + 1
+        return target
+
     target = min(config.first_target, max_samples)
     iterations = 0
     xi = math.inf
 
-    while True:
-        iterations += 1
-        signs = state.signs_for_block(target - state.r)
-        samples = draw_samples(sample, seed, BASELINE_STREAM, state.r, target, pool)
-        for row, contrib in zip(signs, samples):
-            sum_f[contrib.idx] += contrib.val
-            state.add_sample(contrib, row)
-        delta_i = config.delta_iter(iterations)
-        (rc,), (wimpy,) = mcera(state, one_class, 1)
-        era = era_upper_bound(max(float(rc), 0.0), float(wimpy), config.mc_trials, state.r,
-                              delta_i / 2.0)
-        xi = 2.0 * era + 3.0 * math.sqrt(math.log(8.0 / delta_i) / (2.0 * state.r))
-        if xi <= config.epsilon or state.r >= max_samples:
-            break
-        target = min(2 * target, max_samples)
+    with SampleStream(bind(_pab_draw, graph, model, pool), seed, BASELINE_STREAM, pool) as stream:
+        while True:
+            iterations += 1
+            stream.reserve(horizon(target, iterations))
+            signs = state.signs_for_block(target - state.r)
+            for row, contrib in zip(signs, stream.take(target)):
+                sum_f[contrib.idx] += contrib.val
+                state.add_sample(contrib, row)
+            delta_i = config.delta_iter(iterations)
+            (rc,), (wimpy,) = mcera(state, one_class, sizes)
+            era = era_upper_bound(max(float(rc), 0.0), float(wimpy), config.mc_trials, state.r,
+                                  delta_i / 2.0)
+            xi = 2.0 * era + floor(state.r, iterations)
+            if xi <= config.epsilon or state.r >= max_samples:
+                break
+            target = min(2 * target, max_samples)
 
     return {
         "algorithm": "p-ab-progressive-naive",

@@ -42,7 +42,8 @@ class McEraState:
     samples and ``sq_sums[row_of[v]]`` the running sum of f_v squared; an
     untouched vertex's sums are exactly zero. Signs come from the
     counter-based stream keyed by (seed, sample index, trial). Only the
-    first ``rows`` rows are in use; the arrays grow by doubling.
+    first ``rows`` rows are in use, ``vertex_of[:rows]`` names their
+    vertices; the arrays grow by doubling.
     """
 
     n: int
@@ -51,11 +52,13 @@ class McEraState:
     r: int = 0
     rows: int = field(default=0, init=False)
     row_of: np.ndarray = field(init=False)
+    vertex_of: np.ndarray = field(init=False)
     signed_sums: np.ndarray = field(init=False)
     sq_sums: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.row_of = np.full(self.n, -1, dtype=np.int64)
+        self.vertex_of = np.zeros(0, dtype=np.int64)
         self.signed_sums = np.zeros((0, self.c))
         self.sq_sums = np.zeros(0)
 
@@ -84,33 +87,38 @@ class McEraState:
             signed[:self.sq_sums.size] = self.signed_sums
             sq = np.zeros(size)
             sq[:self.sq_sums.size] = self.sq_sums
-            self.signed_sums, self.sq_sums = signed, sq
+            vertex_of = np.zeros(size, dtype=np.int64)
+            vertex_of[:self.sq_sums.size] = self.vertex_of
+            self.signed_sums, self.sq_sums, self.vertex_of = signed, sq, vertex_of
         self.row_of[vertices] = new
+        self.vertex_of[new] = vertices
         return new
 
 
-def mcera(state: McEraState, class_of: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo Rademacher average and wimpy variance of each of the t
-    classes of ``class_of``, from one pass over the touched rows.
+def mcera(state: McEraState, class_of: np.ndarray,
+          sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Monte-Carlo Rademacher average and wimpy variance of each of the
+    classes of ``class_of``, whose member counts are ``sizes`` (t = its
+    length), from one pass over the touched rows.
 
     ``rc[j]`` is (1/c) * sum over trials of max_v signed_sums[v, k] / r,
     taken as-is (it may be negative, no clamping here); ``wimpy[j]`` is
     max_v sq_sums[v] / r; both maxima run over class j's members. An
     untouched member's sums are exactly 0, so they join both maxima; an
-    empty class holds no function and gets 0 for both.
+    empty class holds no function and gets 0 for both. Maxima do not
+    depend on the order of their terms, so the rows are read in row order.
     """
     if state.r < 1:
         raise ValueError("mcera needs at least one sample")
-    touched = np.flatnonzero(state.row_of >= 0)
-    rows, cls = state.row_of[touched], class_of[touched]
-    sizes = np.bincount(class_of, minlength=t)
+    t, rows = sizes.size, state.rows
+    cls = class_of[state.vertex_of[:rows]]
     # only a nonempty class touched throughout has no exact 0 in its maxima
     whole = (np.bincount(cls, minlength=t) == sizes) & (sizes > 0)
     top = np.repeat(np.where(whole, -np.inf, 0.0)[:, None], state.c, axis=1)
-    np.maximum.at(top, cls, state.signed_sums[rows])
+    np.maximum.at(top, cls, state.signed_sums[:rows])
     # sums of squares are >= 0, so 0 can start every class's max
     sq_top = np.zeros(t)
-    np.maximum.at(sq_top, cls, state.sq_sums[rows])
+    np.maximum.at(sq_top, cls, state.sq_sums[:rows])
     return (top / state.r).mean(axis=1), sq_top / state.r
 
 

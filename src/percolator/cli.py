@@ -27,7 +27,7 @@ from .percolation import PercolationModel, load_states, random_states
 from .progressive import ScheduleConfig, estimate
 from .rng import DIAMETER_STREAM, combine, derive_rng
 from .sampling import DEFAULT_BAG_CAP
-from .workers import open_pool
+from .workers import open_pool, winding_down
 
 log = logging.getLogger("percolator")
 
@@ -50,8 +50,11 @@ def _resolve_states(source: str, graph: Graph) -> np.ndarray:
 
 
 def _threads(args) -> int:
+    """``--threads``, by default the CPUs this process may run on."""
     if args.threads is not None:
         return max(1, args.threads)
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -176,11 +179,15 @@ def cmd_approx(args) -> int:
         return EXIT_BUDGET
     states = _resolve_states(args.states, graph)
     model = PercolationModel(states)
-    head, estimates = _run_algorithm(args.algorithm, graph, model, config, args.seed)
-    with open(args.output, "w") as fh:
-        _json_with_estimates(fh, {**head, "n": graph.n, "m": graph.m}, graph, estimates)
-    if args.format == "tsv":
-        _write_estimates(args.output + ".tsv", graph, estimates, "tsv")
+    with open_pool(graph, model, _threads(args)) as pool:
+        head, estimates = _run_algorithm(args.algorithm, graph, model, config, args.seed,
+                                         pool=pool)
+        # the workers exit while the report is written
+        with winding_down(pool):
+            with open(args.output, "w") as fh:
+                _json_with_estimates(fh, {**head, "n": graph.n, "m": graph.m}, graph, estimates)
+            if args.format == "tsv":
+                _write_estimates(args.output + ".tsv", graph, estimates, "tsv")
     return EXIT_OK
 
 
@@ -262,14 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact and approximate percolation centrality")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, exact_pass: bool):
+    def common(p):
         p.add_argument("--graph", required=True, help="edge-list path (.gz ok)")
         p.add_argument("--directed", action="store_true")
         p.add_argument("--states", required=True,
                        help="states file path or random:SEED")
-        if exact_pass:      # --threads sizes its pool
-            p.add_argument("--threads", type=int, default=None,
-                           help="defaults to all cores")
+        p.add_argument("--threads", type=int, default=None,
+                       help="worker processes; defaults to the CPUs this process may use")
         p.add_argument("--output", required=True)
 
     def estimator_options(p):
@@ -284,12 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "p-rk-fixed's vertex diameter) when n*m exceeds this")
 
     p_exact = sub.add_parser("exact", help="exact centralities and graph stats")
-    common(p_exact, exact_pass=True)
+    common(p_exact)
     p_exact.add_argument("--format", choices=["tsv", "json", "csv"], default="tsv")
     p_exact.set_defaults(func=cmd_exact)
 
     p_approx = sub.add_parser("approx", help="one approximation run")
-    common(p_approx, exact_pass=False)
+    common(p_approx)
     p_approx.add_argument("--epsilon", type=float, default=0.05)
     estimator_options(p_approx)
     p_approx.add_argument("--algorithm", choices=ALGORITHMS, default="mcera")
@@ -297,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_approx.set_defaults(func=cmd_approx)
 
     p_cmp = sub.add_parser("compare", help="benchmark estimators on one graph")
-    common(p_cmp, exact_pass=True)
+    common(p_cmp)
     p_cmp.add_argument("--epsilon-grid", type=float, nargs="+",
                        default=[0.1, 0.05], metavar="EPS")
     p_cmp.add_argument("--repetitions", type=int, default=10)

@@ -15,7 +15,11 @@ epsilon. So while the floor of the occupied class with the largest
 variance bound exceeds epsilon below the ceiling, the run cannot stop
 and the bounds are not evaluated; the iteration that stops always
 evaluates every occupied class, so reports are the same as with an
-evaluation on every iteration.
+evaluation on every iteration. The same test tells how far ahead the
+samples may be drawn: every sample up to the first planned target at
+which the run could stop is certain to be folded, so that whole range
+is reserved with the sample stream at once, and a pool draws it while
+the main process folds.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .bounds import (McEraState, empirical_peeling, eps_bound, mcera,
                      sufficient_sample_size, xi_floor)
 from .graph import Graph
 from .percolation import PercolationModel
-from .rng import BOOTSTRAP_STREAM, ESTIMATE_STREAM, draw_samples
+from .rng import BOOTSTRAP_STREAM, ESTIMATE_STREAM, SampleStream
 from .sampling import (DEFAULT_BAG_CAP, NO_CONTRIBUTION, BfsWorkspace,
                        bag_estimate, balanced_bidirectional_bfs, sample_pair,
                        sample_paths)
@@ -148,10 +152,11 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
     sq_boot = np.zeros(n)
     internal_sum = 0.0
     cap_events = 0
-    for contrib, obs, capped in draw_samples(draw, seed, BOOTSTRAP_STREAM, 0, r_boot, pool):
-        internal_sum += obs
-        cap_events += capped
-        sq_boot[contrib.idx] += contrib.val * contrib.val
+    with SampleStream(draw, seed, BOOTSTRAP_STREAM, pool) as boot:
+        for contrib, obs, capped in boot.take(r_boot):
+            internal_sum += obs
+            cap_events += capped
+            sq_boot[contrib.idx] += contrib.val * contrib.val
 
     rho_substituted = False
     rho = internal_sum / r_boot
@@ -160,7 +165,8 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
         rho_substituted = True
 
     partition = empirical_peeling(sq_boot, r_boot, config.delta)
-    occupied = np.bincount(partition.class_of, minlength=partition.t) > 0
+    sizes = np.bincount(partition.class_of, minlength=partition.t)
+    occupied = sizes > 0
     # every vertex lives in some occupied class, so their largest bound
     # covers the whole family; floored at epsilon to keep the ceiling's
     # log term bounded when the empirical variances are all near zero
@@ -168,6 +174,21 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
     vhat = min(0.25, max(vhat_classes, config.epsilon))
     ceiling = sufficient_sample_size(vhat, rho, config.epsilon, config.delta / 2.0)
     elapsed_boot = time.perf_counter() - t0
+
+    def could_stop(r: int, i: int) -> bool:
+        """Whether iteration i, at r samples, may stop: at the ceiling, or
+        with the top class's floor within epsilon (the per-iteration delta
+        share enters the bound as 5/delta_i)."""
+        return r >= ceiling or xi_floor(vhat_classes, partition.t, r,
+                                        0.8 * config.delta_iter(i)) <= config.epsilon
+
+    def horizon(target: int, i: int) -> int:
+        """The first planned target, from iteration i's on, at which the
+        run may stop. The ceiling only grows, so the run folds every sample
+        below it."""
+        while not could_stop(target, i):
+            target, i = min(math.ceil(config.geom_ratio * target), ceiling), i + 1
+        return target
 
     t1 = time.perf_counter()
     state = McEraState(n=n, c=config.mc_trials, seed=seed)
@@ -177,37 +198,36 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
     target = min(config.first_target, ceiling)
     iterations = 0
 
-    while True:
-        iterations += 1
-        signs = state.signs_for_block(target - state.r)
-        samples = draw_samples(draw, seed, ESTIMATE_STREAM, state.r, target, pool)
-        for row, (contrib, obs, capped) in zip(signs, samples):
-            internal_sum += obs
-            cap_events += capped
-            sum_f[contrib.idx] += contrib.val
-            state.add_sample(contrib, row)
+    with SampleStream(draw, seed, ESTIMATE_STREAM, pool) as stream:
+        while True:
+            iterations += 1
+            stream.reserve(horizon(target, iterations))
+            signs = state.signs_for_block(target - state.r)
+            for row, (contrib, obs, capped) in zip(signs, stream.take(target)):
+                internal_sum += obs
+                cap_events += capped
+                sum_f[contrib.idx] += contrib.val
+                state.add_sample(contrib, row)
 
-        # refresh rho and, one-sidedly, the ceiling
-        rho = internal_sum / (r_boot + state.r)
-        if rho == 0.0:
-            rho = min_rho
-            rho_substituted = True
-        ceiling = max(ceiling, sufficient_sample_size(
-            vhat, rho, config.epsilon, config.delta / 2.0))
+            # refresh rho and, one-sidedly, the ceiling
+            rho = internal_sum / (r_boot + state.r)
+            if rho == 0.0:
+                rho = min_rho
+                rho_substituted = True
+            ceiling = max(ceiling, sufficient_sample_size(
+                vhat, rho, config.epsilon, config.delta / 2.0))
 
-        # the per-iteration share enters the bound as 5/delta_i
-        delta_b = 0.8 * config.delta_iter(iterations)
-        # below the ceiling with the top class's floor above epsilon that
-        # class cannot meet epsilon, so the run cannot stop: skip the evaluation
-        floor = xi_floor(vhat_classes, partition.t, state.r, delta_b)
-        if state.r >= ceiling or floor <= config.epsilon:
-            rc, wimpy = mcera(state, partition.class_of, partition.t)
-            for j in np.flatnonzero(occupied):
-                xi[j] = eps_bound(float(rc[j]), float(wimpy[j]), float(partition.var_bound[j]),
-                                  partition.t, config.mc_trials, state.r, delta_b)
-            if stopping_condition(config.epsilon, xi, ceiling, state.r):
-                break
-        target = min(math.ceil(config.geom_ratio * target), ceiling)
+            # while the run cannot stop, the bounds are not evaluated
+            if could_stop(state.r, iterations):
+                delta_b = 0.8 * config.delta_iter(iterations)
+                rc, wimpy = mcera(state, partition.class_of, sizes)
+                for j in np.flatnonzero(occupied):
+                    xi[j] = eps_bound(float(rc[j]), float(wimpy[j]),
+                                      float(partition.var_bound[j]), partition.t,
+                                      config.mc_trials, state.r, delta_b)
+                if stopping_condition(config.epsilon, xi, ceiling, state.r):
+                    break
+            target = min(math.ceil(config.geom_ratio * target), ceiling)
 
     stop_reason = "eps-met" if bool(np.all(xi <= config.epsilon)) else "ceiling-hit"
     return RunReport(

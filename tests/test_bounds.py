@@ -39,7 +39,7 @@ def make_state(value_rows, c=1):
 
 def whole(state):
     """(mcera, wimpy variance) of the one class holding every vertex."""
-    rc, wimpy = mcera(state, np.zeros(state.n, dtype=np.int64), 1)
+    rc, wimpy = mcera(state, np.zeros(state.n, dtype=np.int64), np.array([state.n]))
     return float(rc[0]), float(wimpy[0])
 
 
@@ -86,7 +86,7 @@ def same_bits(a: float, b: float) -> bool:
 def assert_matches_oracle_by_class(state, oracle, class_of, t):
     """The one-pass ``mcera`` of each class equals the dense oracle's
     ``mcera`` and ``wimpy_variance`` over that class's members, bit for bit."""
-    rc, wimpy = mcera(state, class_of, t)
+    rc, wimpy = mcera(state, class_of, np.bincount(class_of, minlength=t))
     assert rc.shape == wimpy.shape == (t,)
     for j in range(t):
         members = np.flatnonzero(class_of == j)
@@ -126,9 +126,12 @@ def test_sparse_state_matches_dense_oracle(seed, negative, c):
             assert_matches_oracle_by_class(state, oracle, class_of, t)
     touched = np.nonzero(state.row_of >= 0)[0]
     assert state.rows == touched.size <= reach
+    # vertex_of inverts row_of on the rows in use
+    assert np.array_equal(state.row_of[state.vertex_of[:state.rows]], np.arange(state.rows))
     if negative:
         # the untouched members' zero sums decide the max
-        rc, _ = mcera(state, (state.row_of < 0).astype(np.int64), 2)
+        untouched = (state.row_of < 0).astype(np.int64)
+        rc, _ = mcera(state, untouched, np.bincount(untouched, minlength=2))
         assert rc[0] < 0.0 and rc[1] == 0.0
         assert whole(state)[0] == 0.0
 

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import gzip
 import io
@@ -360,11 +361,10 @@ def test_compare_checks_inputs_before_any_pass(tmp_path, monkeypatch, flag, valu
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command,flag", [("approx", "--threads"), ("exact", "--seed")])
+@pytest.mark.parametrize("command,flag", [("exact", "--seed")])
 def test_commands_reject_flags_they_do_not_read(tmp_path, capsys, command, flag):
-    """``--threads`` sizes the exact pass's pool (``exact``, ``compare``) and
-    ``--seed`` the samples (``approx``, ``compare``); elsewhere either is a
-    usage error rather than a flag that changes nothing."""
+    """``--seed`` fixes the samples (``approx``, ``compare``); ``exact`` draws
+    none, so there it is a usage error rather than a flag that changes nothing."""
     graph = write_graph(tmp_path)
     with pytest.raises(SystemExit) as err:
         main([command, "--graph", graph, "--states", "random:1",
@@ -415,8 +415,9 @@ def test_exact_json_and_csv_formats(tmp_path):
 
 
 def test_threads_default_to_all_cores(tmp_path, monkeypatch):
-    """Without ``--threads`` the exact pass uses every core the machine
-    reports, and writes the bytes a serial run writes."""
+    """Without ``--threads`` every command's pool has one worker per CPU this
+    process may run on (its affinity, not the host's count), and writes the
+    bytes a serial run writes, timings apart."""
     graph = write_graph(tmp_path)
     seen = []
     real = cli.open_pool
@@ -426,19 +427,43 @@ def test_threads_default_to_all_cores(tmp_path, monkeypatch):
         return real(graph, model, threads)
 
     monkeypatch.setattr(cli, "open_pool", spy)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    outs = [str(tmp_path / "default.tsv"), str(tmp_path / "serial.tsv")]
-    for out, extra in zip(outs, ([], ["--threads", "1"])):
-        assert main(["exact", "--graph", graph, "--states", "random:1",
-                     "--output", out, *extra]) == 0
-    assert seen == [2, 1]
-    assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    commands = {"exact": [], "approx": ["--epsilon", "0.3"],
+                "compare": ["--epsilon-grid", "0.3", "--repetitions", "1"]}
+    for command, extra in commands.items():
+        seen.clear()
+        outs = [tmp_path / f"{command}.default", tmp_path / f"{command}.serial"]
+        for out, threads in zip(outs, ([], ["--threads", "1"])):
+            assert main([command, "--graph", graph, "--states", "random:1",
+                         "--output", str(out), *extra, *threads]) == 0
+        assert seen == [2, 1], command
+        default, serial = (without_timings(out) for out in outs)
+        assert default == serial, command
+
+
+def without_timings(path) -> list:
+    """The rows of a written file without its timing fields or columns."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    keep = [j for j, name in enumerate(rows[0]) if name != "seconds"]
+    return [[row[j] for j in keep] for row in rows if "elapsed" not in ",".join(row)]
+
+
+def test_threads_fall_back_to_the_cpu_count(monkeypatch):
+    """Where the platform has no affinity call, the default is the CPU count."""
+    monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert cli._threads(argparse.Namespace(threads=None)) == 3
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._threads(argparse.Namespace(threads=None)) == 1
 
 
 def test_compare_opens_one_pool_and_joins_it(tmp_path, monkeypatch):
-    """``compare --threads 2`` runs its exact pass and every sampler in one
-    pool, and ``exact`` runs its pass in one; one thread and ``approx`` open none.
-    Every worker is joined before ``main`` returns."""
+    """``--threads 2`` opens one pool of two: ``compare`` runs its exact pass
+    and every sampler in it, ``approx`` its samples, ``exact`` its pass.
+    ``--threads 1`` opens none. Every worker is joined before ``main``
+    returns, also after ``approx`` let them exit before its report write."""
     opened = []
 
     class Spy(workers.ProcessPoolExecutor):
@@ -452,7 +477,8 @@ def test_compare_opens_one_pool_and_joins_it(tmp_path, monkeypatch):
     out = str(tmp_path / "o")
     runs = [(["compare", "--epsilon-grid", "0.3", "--repetitions", "1", "--threads", "2"], [2]),
             (["compare", "--epsilon-grid", "0.3", "--repetitions", "1", "--threads", "1"], []),
-            (["approx", "--epsilon", "0.3"], []),
+            (["approx", "--epsilon", "0.3", "--threads", "2"], [2]),
+            (["approx", "--epsilon", "0.3", "--threads", "1"], []),
             (["exact", "--threads", "2"], [2])]
     for argv, pools in runs:
         opened.clear()

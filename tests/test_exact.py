@@ -198,9 +198,10 @@ def two_blocks():
 
 @pytest.mark.parametrize("threads", [None, 0, 1, 2])
 def test_every_entry_point_takes_any_thread_count(two_blocks, monkeypatch, threads):
-    """Every ``--threads`` value (None: all cores, here two; 0 and 1: one
-    process) opens the pool that gives the one-process bits."""
+    """Every ``--threads`` value (None: all usable CPUs, here two; 0 and 1:
+    one process) opens the pool that gives the one-process bits."""
     g, m, serial = two_blocks
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     with open_pool(g, m, cli._threads(argparse.Namespace(threads=threads))) as pool:
         res = exact_all(g, m, pool=pool)

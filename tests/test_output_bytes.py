@@ -59,15 +59,27 @@ def without_columns(csv_path: str, prefix: str) -> str:
     return "\n".join(",".join(row[j] for j in keep) for row in rows)
 
 
-@pytest.mark.parametrize("algorithm", sorted(APPROX_DIGESTS))
-def test_approx_report_bytes(tmp_path, hub_path, algorithm):
+def assert_approx_bytes(tmp_path, hub_path, algorithm, threads):
     out = tmp_path / "report.json"
     assert main(["approx", "--graph", hub_path, "--states", "random:9",
                  "--output", str(out), "--algorithm", algorithm, "--seed", "3",
-                 "--epsilon", "0.2", "--format", "tsv"]) == 0
+                 "--epsilon", "0.2", "--format", "tsv", "--threads", threads]) == 0
     report_digest, tsv_digest = APPROX_DIGESTS[algorithm]
     assert sha(without_timings(out.read_text())) == report_digest
     assert sha((tmp_path / "report.json.tsv").read_text()) == tsv_digest
+
+
+@pytest.mark.parametrize("algorithm", sorted(APPROX_DIGESTS))
+def test_approx_report_bytes(tmp_path, hub_path, algorithm):
+    assert_approx_bytes(tmp_path, hub_path, algorithm, "1")
+
+
+@pytest.mark.parametrize("algorithm", sorted(APPROX_DIGESTS))
+@pytest.mark.parametrize("threads", ["2", "3"])
+def test_approx_report_bytes_for_any_thread_count(tmp_path, hub_path, threads, algorithm):
+    """``approx`` draws its samples in a pool of ``--threads`` workers and
+    writes the one-process bytes, timings apart."""
+    assert_approx_bytes(tmp_path, hub_path, algorithm, threads)
 
 
 def test_compare_csv_bytes(tmp_path, hub_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from percolator import (BfsWorkspace, PercolationModel, ScheduleConfig, bounds,
                         brute_force_percolation, estimate, exact_all, progressive,
                         random_states, stopping_condition)
-from percolator.rng import ESTIMATE_STREAM, draw_samples
+from percolator.rng import ESTIMATE_STREAM, SampleStream
 
 from gen import build, chung_lu_edges, cycle_edges, erdos_renyi_edges, path_edges
 
@@ -153,9 +153,9 @@ def run_counting_mcera(monkeypatch, graph, model, config, seed, skip=True):
     -inf, so every iteration evaluates."""
     calls = []
 
-    def counted(state, class_of, t):
+    def counted(state, class_of, sizes):
         calls.append(state.r)
-        return bounds.mcera(state, class_of, t)
+        return bounds.mcera(state, class_of, sizes)
 
     with monkeypatch.context() as patch:
         patch.setattr(progressive, "mcera", counted)
@@ -290,12 +290,13 @@ DRAW = partial(progressive._draw_pair_sample, HUBS,
 @settings(max_examples=30, deadline=None)
 @given(a=st.integers(0, 30), more=st.integers(0, 30), seed=st.integers(0, 2 ** 32))
 def test_split_index_range_draws_the_same_samples(a, more, seed):
-    """The samples of [0, a) then [a, b) are those of [0, b), bit for bit:
-    sample i depends on its index alone, as sharding by index range needs."""
+    """The samples taken up to a and then up to b are those taken up to b at
+    once, bit for bit: sample i depends on its index alone, as sharding by
+    index range needs."""
     b = a + more
-    whole = list(draw_samples(DRAW, seed, ESTIMATE_STREAM, 0, b))
-    split = [*draw_samples(DRAW, seed, ESTIMATE_STREAM, 0, a),
-             *draw_samples(DRAW, seed, ESTIMATE_STREAM, a, b)]
+    whole = list(SampleStream(DRAW, seed, ESTIMATE_STREAM).take(b))
+    stream = SampleStream(DRAW, seed, ESTIMATE_STREAM)
+    split = [*stream.take(a), *stream.take(b)]
     assert len(split) == len(whole) == b
     for (c1, obs1, capped1), (c2, obs2, capped2) in zip(whole, split):
         assert c1.idx.tobytes() == c2.idx.tobytes()
