@@ -4,7 +4,9 @@
 samples. ``run_pab_naive`` grows a pair sample under a doubling schedule
 and stops on a plain Rademacher-average deviation bound; it stands in
 for the earlier progressive approach (whose internals are not
-reproduced here) and is labeled "naive" in its output accordingly.
+reproduced here) and is labeled "naive" in its output accordingly. It
+runs on the progressive estimator's loop, ``progressive._iterations``,
+and keeps only its schedule and its bound.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .bounds import McEraState, era_upper_bound, mcera, vd_baseline_sample_size
 from .exact import exact_rho_and_diameter
 from .graph import Graph
 from .percolation import PercolationModel
-from .progressive import ScheduleConfig
+from .progressive import ScheduleConfig, _iterations
 from .rng import BASELINE_STREAM, SampleStream
 from .sampling import pab_sample, prk_sample, sample_pair
 from .workers import bind
@@ -80,6 +82,8 @@ def run_pab_naive(graph: Graph, model: PercolationModel, config: ScheduleConfig,
     """
     if model.n != graph.n:
         raise ValueError("model and graph disagree on vertex count")
+    if max_samples < 1:
+        raise ValueError("max_samples must be >= 1")
     t0 = time.perf_counter()
     n = graph.n
     state = McEraState(n=n, c=config.mc_trials, seed=seed)
@@ -91,32 +95,24 @@ def run_pab_naive(graph: Graph, model: PercolationModel, config: ScheduleConfig,
         """xi at iteration i and r samples less its Rademacher term 2 * era >= 0."""
         return 3.0 * math.sqrt(math.log(8.0 / config.delta_iter(i)) / (2.0 * r))
 
-    def horizon(target: int, i: int) -> int:
-        """The first planned target, from iteration i's on, at which the run may stop."""
-        while floor(target, i) > config.epsilon and target < max_samples:
-            target, i = min(2 * target, max_samples), i + 1
-        return target
+    def could_stop(r: int, i: int) -> bool:
+        return floor(r, i) <= config.epsilon or r >= max_samples
 
-    target = min(config.first_target, max_samples)
-    iterations = 0
+    def step(target: int) -> int:
+        return min(2 * target, max_samples)
+
     xi = math.inf
-
     with SampleStream(bind(_pab_draw, graph, model, pool), seed, BASELINE_STREAM, pool) as stream:
-        while True:
-            iterations += 1
-            stream.reserve(horizon(target, iterations))
-            signs = state.signs_for_block(target - state.r)
-            for row, contrib in zip(signs, stream.take(target)):
-                sum_f[contrib.idx] += contrib.val
-                state.add_sample(contrib, row)
-            delta_i = config.delta_iter(iterations)
-            (rc,), (wimpy,) = mcera(state, one_class, sizes)
-            era = era_upper_bound(max(float(rc), 0.0), float(wimpy), config.mc_trials, state.r,
-                                  delta_i / 2.0)
-            xi = 2.0 * era + floor(state.r, iterations)
-            if xi <= config.epsilon or state.r >= max_samples:
-                break
-            target = min(2 * target, max_samples)
+        for iterations in _iterations(stream, state, sum_f, min(config.first_target, max_samples),
+                                      step, could_stop):
+            # below the cap, xi >= floor > epsilon: the bound is not evaluated
+            if could_stop(state.r, iterations):
+                (rc,), (wimpy,) = mcera(state, one_class, sizes)
+                era = era_upper_bound(max(float(rc), 0.0), float(wimpy), config.mc_trials,
+                                      state.r, config.delta_iter(iterations) / 2.0)
+                xi = 2.0 * era + floor(state.r, iterations)
+                if xi <= config.epsilon or state.r >= max_samples:
+                    break
 
     return {
         "algorithm": "p-ab-progressive-naive",

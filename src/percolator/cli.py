@@ -27,7 +27,7 @@ from .percolation import PercolationModel, load_states, random_states
 from .progressive import ScheduleConfig, estimate
 from .rng import DIAMETER_STREAM, combine, derive_rng
 from .sampling import DEFAULT_BAG_CAP
-from .workers import open_pool, winding_down
+from .workers import open_pool
 
 log = logging.getLogger("percolator")
 
@@ -182,12 +182,10 @@ def cmd_approx(args) -> int:
     with open_pool(graph, model, _threads(args)) as pool:
         head, estimates = _run_algorithm(args.algorithm, graph, model, config, args.seed,
                                          pool=pool)
-        # the workers exit while the report is written
-        with winding_down(pool):
-            with open(args.output, "w") as fh:
-                _json_with_estimates(fh, {**head, "n": graph.n, "m": graph.m}, graph, estimates)
-            if args.format == "tsv":
-                _write_estimates(args.output + ".tsv", graph, estimates, "tsv")
+    with open(args.output, "w") as fh:
+        _json_with_estimates(fh, {**head, "n": graph.n, "m": graph.m}, graph, estimates)
+    if args.format == "tsv":
+        _write_estimates(args.output + ".tsv", graph, estimates, "tsv")
     return EXIT_OK
 
 

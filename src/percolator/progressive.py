@@ -15,11 +15,15 @@ epsilon. So while the floor of the occupied class with the largest
 variance bound exceeds epsilon below the ceiling, the run cannot stop
 and the bounds are not evaluated; the iteration that stops always
 evaluates every occupied class, so reports are the same as with an
-evaluation on every iteration. The same test tells how far ahead the
-samples may be drawn: every sample up to the first planned target at
-which the run could stop is certain to be folded, so that whole range
-is reserved with the sample stream at once, and a pool draws it while
-the main process folds.
+evaluation on every iteration.
+
+``_iterations`` holds the loop's skeleton for this estimator and the
+naive baseline alike: each iteration folds its block of samples into the
+sums and the Monte-Carlo Rademacher state, in index order, and hands
+control back to the caller's evaluation. Every sample up to the first
+planned target at which the caller could stop is certain to be folded,
+so that whole range is reserved with the sample stream at once, and a
+pool draws it while the main process folds.
 """
 
 from __future__ import annotations
@@ -134,6 +138,32 @@ def _draw_pair_sample(graph: Graph, model: PercolationModel, rng,
     return bag_estimate(bag, model), obs, bag.capped
 
 
+def _iterations(stream: SampleStream, state: McEraState, sum_f: np.ndarray, target: int,
+                step, could_stop, contrib_of=lambda sample: sample):
+    """Iterations i = 1, 2, ... of a progressive run: fold ``stream``'s
+    samples up to ``target`` (``contrib_of`` picks a sample's
+    contribution) into ``sum_f`` and ``state`` in index order, yield i,
+    then go on to ``step(target)``. The caller stops only at an iteration
+    where ``could_stop(r, i)`` holds, so the samples up to the first
+    planned target at which it holds are reserved first: each of them is
+    folded, as long as the caller's conditions only move that target
+    later while it runs."""
+    i = 0
+    while True:
+        i += 1
+        ahead, j = target, i
+        while not could_stop(ahead, j):
+            ahead, j = step(ahead), j + 1
+        stream.reserve(ahead)
+        signs = state.signs_for_block(target - state.r)
+        for row, sample in zip(signs, stream.take(target)):
+            contrib = contrib_of(sample)
+            sum_f[contrib.idx] += contrib.val
+            state.add_sample(contrib, row)
+        yield i
+        target = step(target)
+
+
 def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
              seed: int, pool=None) -> RunReport:
     """Full progressive run; see the module docstring for the phases. The
@@ -152,10 +182,18 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
     sq_boot = np.zeros(n)
     internal_sum = 0.0
     cap_events = 0
+
+    def fold(sample):
+        """A pair sample's contribution; its internal length and cap flag
+        are counted on the way."""
+        nonlocal internal_sum, cap_events
+        contrib, obs, capped = sample
+        internal_sum += obs
+        cap_events += capped
+        return contrib
+
     with SampleStream(draw, seed, BOOTSTRAP_STREAM, pool) as boot:
-        for contrib, obs, capped in boot.take(r_boot):
-            internal_sum += obs
-            cap_events += capped
+        for contrib in map(fold, boot.take(r_boot)):
             sq_boot[contrib.idx] += contrib.val * contrib.val
 
     rho_substituted = False
@@ -182,33 +220,19 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
         return r >= ceiling or xi_floor(vhat_classes, partition.t, r,
                                         0.8 * config.delta_iter(i)) <= config.epsilon
 
-    def horizon(target: int, i: int) -> int:
-        """The first planned target, from iteration i's on, at which the
-        run may stop. The ceiling only grows, so the run folds every sample
-        below it."""
-        while not could_stop(target, i):
-            target, i = min(math.ceil(config.geom_ratio * target), ceiling), i + 1
-        return target
+    def step(target: int) -> int:
+        """The next target; a growing ceiling only moves later the first one that could stop."""
+        return min(math.ceil(config.geom_ratio * target), ceiling)
 
     t1 = time.perf_counter()
     state = McEraState(n=n, c=config.mc_trials, seed=seed)
     sum_f = np.zeros(n)
     # empty classes hold no functions: their deviation is trivially zero
     xi = occupied.astype(float)
-    target = min(config.first_target, ceiling)
-    iterations = 0
 
     with SampleStream(draw, seed, ESTIMATE_STREAM, pool) as stream:
-        while True:
-            iterations += 1
-            stream.reserve(horizon(target, iterations))
-            signs = state.signs_for_block(target - state.r)
-            for row, (contrib, obs, capped) in zip(signs, stream.take(target)):
-                internal_sum += obs
-                cap_events += capped
-                sum_f[contrib.idx] += contrib.val
-                state.add_sample(contrib, row)
-
+        for iterations in _iterations(stream, state, sum_f, min(config.first_target, ceiling),
+                                      step, could_stop, fold):
             # refresh rho and, one-sidedly, the ceiling
             rho = internal_sum / (r_boot + state.r)
             if rho == 0.0:
@@ -227,7 +251,6 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
                                       config.mc_trials, state.r, delta_b)
                 if stopping_condition(config.epsilon, xi, ceiling, state.r):
                     break
-            target = min(math.ceil(config.geom_ratio * target), ceiling)
 
     stop_reason = "eps-met" if bool(np.all(xi <= config.epsilon)) else "ceiling-hit"
     return RunReport(

@@ -26,8 +26,7 @@ _inputs: tuple = ()     # (graph, model, workspace) while a pool is open
 @contextmanager
 def open_pool(graph: Graph, model: PercolationModel, processes: int):
     """A fork pool of ``processes`` workers that hold ``graph`` and ``model``,
-    or None for one process. Leaving the block joins the workers; see
-    ``winding_down`` to let them exit earlier."""
+    or None for one process. Leaving the block joins the workers."""
     if processes <= 1:
         yield None
         return
@@ -39,24 +38,6 @@ def open_pool(graph: Graph, model: PercolationModel, processes: int):
             yield pool
     finally:
         _inputs = ()
-
-
-@contextmanager
-def winding_down(pool):
-    """Let ``pool``'s workers exit while the block runs, and join them when
-    it ends. No job can be sent in the block."""
-    if pool is None:
-        yield
-        return
-    # shutdown(wait=False) drops the executor's handle on the thread that
-    # joins the workers, so keep it to join that thread at the end
-    joiner = pool._executor_manager_thread
-    pool.shutdown(wait=False)
-    try:
-        yield
-    finally:
-        if joiner is not None:
-            joiner.join()
 
 
 def bind(fn, graph: Graph, model: PercolationModel, pool, **params):

@@ -463,7 +463,7 @@ def test_compare_opens_one_pool_and_joins_it(tmp_path, monkeypatch):
     """``--threads 2`` opens one pool of two: ``compare`` runs its exact pass
     and every sampler in it, ``approx`` its samples, ``exact`` its pass.
     ``--threads 1`` opens none. Every worker is joined before ``main``
-    returns, also after ``approx`` let them exit before its report write."""
+    returns."""
     opened = []
 
     class Spy(workers.ProcessPoolExecutor):

@@ -212,6 +212,32 @@ def test_samples_draw_through_the_driver():
     assert found == allowed
 
 
+def test_the_progressive_loop_exists_once():
+    """Outside ``rng.py``, the sample stream's ``reserve`` and the
+    Monte-Carlo Rademacher state's ``signs_for_block`` and ``add_sample``
+    are called from one function only, the driver
+    ``progressive._iterations``: a second copy of the progressive loop
+    would have to call them too. A call belongs to its innermost function."""
+    methods = {"reserve", "signs_for_block", "add_sample"}
+    found = {}
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{owner.split('.')[0]}.{child.name}")
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in methods):
+                found.setdefault(owner, []).append(child.func.attr)
+            visit(child, owner)
+
+    for path in sorted(Path(percolator.__file__).parent.glob("*.py")):
+        if path.name != "rng.py":
+            visit(ast.parse(path.read_text()), path.stem)
+    assert {k: sorted(v) for k, v in found.items()} == {
+        "progressive._iterations": ["add_sample", "reserve", "signs_for_block"]}
+
+
 def test_only_the_cli_opens_pools():
     """The command layer owns a run's resources: ``workers.open_pool`` is
     called only in ``cli.py``, and no package function takes a worker
