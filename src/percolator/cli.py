@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+import zlib
 
 import numpy as np
 
@@ -39,7 +40,10 @@ EXIT_BUDGET = 4
 
 def _load_graph(args) -> Graph:
     with (gzip.open if args.graph.endswith(".gz") else open)(args.graph, "rb") as fh:
-        return load_edge_list(fh, directed=args.directed)
+        try:
+            return load_edge_list(fh, directed=args.directed)
+        except (EOFError, zlib.error) as exc:     # a truncated or damaged .gz stream
+            raise ValueError(f"{args.graph}: corrupt gzip data ({exc})") from None
 
 
 def _resolve_states(source: str, graph: Graph) -> np.ndarray:
@@ -203,6 +207,11 @@ def cmd_compare(args) -> int:
     for name in algorithms:
         if name not in ALGORITHMS:
             print(f"unknown algorithm {name!r}", file=sys.stderr)
+            return 2
+    # a repeat would run twice and write duplicate rows under one key
+    for flag, values in (("--algorithms", algorithms), ("--epsilon-grid", args.epsilon_grid)):
+        if len(set(values)) < len(values):
+            print(f"{flag} repeats a value", file=sys.stderr)
             return 2
     configs = [_config(args, eps) for eps in args.epsilon_grid]
     graph = _load_graph(args)

@@ -5,8 +5,9 @@ builds the shortest-path DAG with path counts and keeps its arcs; its
 level sizes give the internal-vertex sum and the depth, and walking its
 arcs back from the deepest level accumulates the dependencies, weighted
 by the ramp difference of the endpoint states for percolation and by one
-for betweenness. Everything here is O(n*m) and is the oracle side of the
-approximation tests.
+for betweenness. Everything here is O(n*m): the ground truth that
+``compare`` scores the estimators against. The tests check it in turn
+against an oracle that enumerates every shortest path.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ import numpy as np
 from .graph import Graph, shortest_path_dag
 from .percolation import PercolationModel
 from .workers import bind
-
-
-class PathExplosionError(RuntimeError):
-    """The brute-force oracle hit its shortest-path enumeration cap."""
 
 
 @dataclass
@@ -133,57 +130,3 @@ def exact_rho_and_diameter(graph: Graph) -> tuple[float, int]:
         internal += sum(i * level.size for i, level in enumerate(levels[1:]))
         max_d = max(max_d, len(levels) - 1)
     return internal / (graph.n * (graph.n - 1)), max_d
-
-
-def _all_shortest_paths(graph: Graph, dist: np.ndarray, preds: list[list[int]],
-                        z: int, cap: int) -> list[list[int]]:
-    """DFS over the predecessor DAG; every path from the source to z."""
-    paths: list[list[int]] = []
-    stack: list[int] = [z]
-
-    def walk(v: int):
-        if dist[v] == 0:
-            paths.append(list(reversed(stack)))
-            if len(paths) > cap:
-                raise PathExplosionError(f"more than {cap} shortest paths for one pair")
-            return
-        for u in preds[v]:
-            stack.append(u)
-            walk(u)
-            stack.pop()
-
-    walk(z)
-    return paths
-
-
-def brute_force_percolation(graph: Graph, model: PercolationModel,
-                            path_cap: int = 200_000) -> np.ndarray:
-    """Independent oracle: enumerate every shortest path explicitly.
-
-    Exponential in the worst case; intended for small graphs. Raises
-    :class:`PathExplosionError` past ``path_cap`` paths per pair.
-    """
-    n = graph.n
-    if model.n != n:
-        raise ValueError("model and graph disagree on vertex count")
-    acc = np.zeros(n)
-    for s in range(n):
-        _, dist, _, _ = shortest_path_dag(graph, s)
-        preds: list[list[int]] = [[] for _ in range(n)]
-        for v in range(n):
-            if dist[v] <= 0:
-                continue
-            preds[v] = [int(u) for u in graph.in_neighbors(v) if dist[u] == dist[v] - 1]
-        for z in range(n):
-            if z == s or dist[z] <= 0:
-                continue
-            weight = model.pair_weight(s, z)
-            if weight == 0.0:
-                continue
-            paths = _all_shortest_paths(graph, dist, preds, z, path_cap)
-            share = 1.0 / len(paths)
-            for path in paths:
-                for v in path[1:-1]:
-                    if model.minus_s[v] > 0.0:
-                        acc[v] += share * weight / model.minus_s[v]
-    return acc / (n * (n - 1))

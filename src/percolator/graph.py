@@ -46,11 +46,6 @@ class Graph:
         object.__setattr__(self, "in_degrees",
                            np.diff(self.bwd_offsets) if self.directed else degrees)
 
-    def in_neighbors(self, v: int) -> np.ndarray:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range [0, {self.n})")
-        return self.bwd_targets[self.bwd_offsets[v]:self.bwd_offsets[v + 1]]
-
     def expand_frontier(self, frontier: np.ndarray, backward: bool = False):
         """All arcs leaving ``frontier``: (repeated sources, targets).
 

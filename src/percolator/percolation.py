@@ -67,19 +67,6 @@ class PercolationModel:
         """R(x_s - x_z), the unnormalized weight of the ordered pair."""
         return ramp(float(self.x[s] - self.x[z]))
 
-    def kappa(self, s: int, z: int, v: int) -> float:
-        """Normalized pair weight seen by internal vertex v, in [0, 1].
-
-        Zero when no percolated pair avoiding v exists (minus_s[v] = 0);
-        in that degenerate case every admissible numerator is zero too.
-        """
-        if v == s or v == z:
-            raise ValueError(f"internal vertex {v} collides with endpoints ({s}, {z})")
-        denom = self.minus_s[v]
-        if denom == 0.0:
-            return 0.0
-        return self.pair_weight(s, z) / denom
-
 
 def random_states(n: int, seed: int) -> np.ndarray:
     """n i.i.d. uniform [0,1] states; identical bits for identical (n, seed)."""

@@ -1,15 +1,15 @@
 """Deterministic stream derivation for samplers and Rademacher signs.
 
 Every random quantity in a run is keyed by (master seed, stream tag,
-counter), so streams can be extended or sharded across workers without
-replaying earlier draws, and single-threaded runs are bit-reproducible.
+counter), so streams can be extended or split into blocks for workers
+without replaying earlier draws, and a run gives the same bits at any
+worker count.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from itertools import count
 
 import numpy as np
 
@@ -46,47 +46,49 @@ def derive_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(combine(seed, stream, index)))
 
 
-_BLOCK = 64         # most samples per pool job; no result depends on it
-_IN_FLIGHT = 2      # blocks queued per worker
+_BLOCK = 64         # most samples per block; no result depends on it
 
 
 class SampleStream:
     """The samples ``sampler(derive_rng(seed, stream, i))`` of one stream
     for i = 0, 1, ..., handed out in index order by ``take``.
     Sample i draws only from its own generator, so it is the same however
-    the index range is split.
+    the index range is split into blocks.
 
-    With a ``pool`` (``workers.open_pool``) the samples are drawn by
-    ``sampler``, made by ``workers.bind`` so that it pickles small and
-    runs in a worker or in this process alike. A caller that is certain to
-    take every index below some bound says so with ``reserve``; the
-    workers then draw those blocks while the caller folds earlier ones.
-    A reservation made while nothing is queued is split in one share per
-    worker plus one, which this process draws itself when it takes it,
-    rather than wait on a worker for it. Nothing past the reserved bound
-    is drawn, at most ``_IN_FLIGHT`` blocks per worker are queued, and
-    ``close`` (or leaving a ``with`` block) cancels the ones not started.
+    A caller that is certain to take every index below some bound says so
+    with ``reserve``, which cuts the new indices into blocks of at most
+    ``_BLOCK`` and queues them all. Without a ``pool`` each block is drawn
+    here when it is taken. With one (``workers.open_pool``) the blocks are
+    pool jobs, which the workers draw while the caller folds earlier ones;
+    ``sampler``, made by ``workers.bind``, pickles small and runs in a
+    worker or here alike. A reservation made while nothing is queued is
+    split in one share per worker plus one, the first, which this process
+    draws itself when it takes it rather than wait on a worker for it.
+    Nothing past the reserved bound is drawn, and ``close`` (or leaving a
+    ``with`` block) cancels the jobs not started.
     """
 
     def __init__(self, sampler, seed: int, stream: int, pool=None):
         self._job = partial(_draw_block, sampler, seed, stream)
         self._pool = pool
-        self._taken = self._sent = self._reserved = 0
+        self._processes = 0 if pool is None else pool.processes
+        self._taken = self._sent = 0
         self._jobs = deque()        # queued blocks (futures or _Here), in index order
-        if pool is None:
-            self._ready = _draw(sampler, seed, stream, count())
-        else:
-            self._ready = iter(())      # the rest of the block being handed out
-            self._workers = pool._max_workers   # the executor's size
+        self._ready = iter(())      # the rest of the block being handed out
 
     def reserve(self, stop: int) -> None:
         """Every index below ``stop`` will be taken: the pool may draw them."""
-        if stop > self._reserved:
-            self._reserved = stop
-            if self._pool is not None:
-                shares = self._workers + (not self._jobs)
-                self._size = min(_BLOCK, -(-(stop - self._sent) // shares))
-                self._send()
+        if stop <= self._sent:
+            return
+        shares = max(1, self._processes + (not self._jobs))
+        size = min(_BLOCK, -(-(stop - self._sent) // shares))
+        for start in range(self._sent, stop, size):
+            block = range(start, min(start + size, stop))
+            # with nothing queued, or no pool, the block is drawn here when taken
+            self._jobs.append(self._pool.submit(self._job, block)
+                              if self._jobs and self._pool is not None
+                              else _Here(self._job, block))
+        self._sent = stop
 
     def take(self, stop: int):
         """The samples of the indices from the first one not yet taken up to
@@ -96,18 +98,9 @@ class SampleStream:
             sample = next(self._ready, _DONE)
             if sample is _DONE:
                 self._ready = iter(self._jobs.popleft().result())
-                self._send()
                 continue
             self._taken += 1
             yield sample
-
-    def _send(self) -> None:
-        while self._sent < self._reserved and len(self._jobs) < _IN_FLIGHT * self._workers:
-            block = range(self._sent, min(self._sent + self._size, self._reserved))
-            # with nothing queued, the next block is drawn here when taken
-            self._jobs.append(self._pool.submit(self._job, block) if self._jobs
-                              else _Here(self._job, block))
-            self._sent = block.stop
 
     def close(self) -> None:
         for job in self._jobs:
@@ -134,12 +127,8 @@ class _Here:
 _DONE = object()
 
 
-def _draw(sampler, seed: int, stream: int, indices):
-    return (sampler(derive_rng(seed, stream, i)) for i in indices)
-
-
 def _draw_block(sampler, seed: int, stream: int, block: range) -> list:
-    return list(_draw(sampler, seed, stream, block))
+    return [sampler(derive_rng(seed, stream, i)) for i in block]
 
 
 def rademacher_signs(seed: int, start: int, count: int, c: int) -> np.ndarray:

@@ -26,7 +26,8 @@ _inputs: tuple = ()     # (graph, model, workspace) while a pool is open
 @contextmanager
 def open_pool(graph: Graph, model: PercolationModel, processes: int):
     """A fork pool of ``processes`` workers that hold ``graph`` and ``model``,
-    or None for one process. Leaving the block joins the workers."""
+    its size in ``pool.processes``, or None for one process. Leaving the
+    block joins the workers."""
     if processes <= 1:
         yield None
         return
@@ -35,6 +36,7 @@ def open_pool(graph: Graph, model: PercolationModel, processes: int):
     try:
         with ProcessPoolExecutor(max_workers=processes,
                                  mp_context=multiprocessing.get_context("fork")) as pool:
+            pool.processes = processes
             yield pool
     finally:
         _inputs = ()

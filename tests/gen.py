@@ -17,6 +17,12 @@ def out_neighbors(graph: Graph, v: int) -> np.ndarray:
     return graph.fwd_targets[graph.fwd_offsets[v]:graph.fwd_offsets[v + 1]]
 
 
+def in_neighbors(graph: Graph, v: int) -> np.ndarray:
+    if not 0 <= v < graph.n:
+        raise ValueError(f"vertex {v} out of range [0, {graph.n})")
+    return graph.bwd_targets[graph.bwd_offsets[v]:graph.bwd_offsets[v + 1]]
+
+
 def reversed_graph(graph: Graph) -> Graph:
     """Graph with every arc flipped (identity for undirected graphs)."""
     if not graph.directed:

@@ -3,7 +3,7 @@ array-backed ``Contribution`` replaced.
 
 Kept only as a test oracle. ``bag_estimate`` and ``prk_sample`` build
 ``dict[int, float]`` with Python loops (``prk_sample`` through
-``PercolationModel.kappa``), and ``add_sample`` is the old
+``oracle_exact.kappa``), and ``add_sample`` is the old
 ``McEraState.add_sample`` body, folding such a dict in one vertex at a
 time; ``self`` is the dense ``oracle_mcera.McEraState`` it updates.
 """
@@ -16,6 +16,7 @@ from percolator import (BfsWorkspace, Graph, PercolationModel,
                         balanced_bidirectional_bfs, sample_pair, sample_paths)
 from percolator.sampling import PathBag
 
+from oracle_exact import kappa
 from oracle_mcera import McEraState
 
 
@@ -63,7 +64,7 @@ def prk_sample(graph: Graph, model: PercolationModel, rng,
         return {}
     bag = sample_paths(meet, alpha=1.0, rng=rng, count=1)
     path = bag.paths[0]
-    return {v: model.kappa(s, z, v) for v in path[1:-1]}
+    return {v: kappa(model, s, z, v) for v in path[1:-1]}
 
 
 def add_sample(self: McEraState, contrib: dict[int, float], signs: np.ndarray) -> None:

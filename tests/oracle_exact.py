@@ -1,12 +1,15 @@
 """Reference shortest-path DAG code: the BFS, source sweep and pair sample
-that the one-pass DAG replaced.
+that the one-pass DAG replaced, and the shortest-path enumeration oracle.
 
-Kept only as a test oracle. ``bfs_level_counts``, ``_source_sweep`` and
+Kept only as test oracles. ``bfs_level_counts``, ``_source_sweep`` and
 ``pab_sample`` must give the same bits as their counterparts in
 ``percolator`` (``shortest_path_dag`` without its arcs, and the sweep
 with both outputs on): the BFS deduplicates frontiers with ``np.unique``, the
 sweep re-expands every level over in-arcs and filters by distance, and
 the pair sample sums path counts in per-neighbour dict loops.
+``brute_force_percolation`` lists every shortest path explicitly and
+weights each internal vertex by ``kappa``, the definition the exact sweep
+and the estimators sum in closed form.
 """
 
 from __future__ import annotations
@@ -14,6 +17,27 @@ from __future__ import annotations
 import numpy as np
 
 from percolator import Graph, PercolationModel
+from percolator.graph import shortest_path_dag
+
+from gen import in_neighbors
+
+
+class PathExplosionError(RuntimeError):
+    """The brute-force oracle hit its shortest-path enumeration cap."""
+
+
+def kappa(model: PercolationModel, s: int, z: int, v: int) -> float:
+    """Normalized pair weight seen by internal vertex v, in [0, 1].
+
+    Zero when no percolated pair avoiding v exists (minus_s[v] = 0);
+    in that degenerate case every admissible numerator is zero too.
+    """
+    if v == s or v == z:
+        raise ValueError(f"internal vertex {v} collides with endpoints ({s}, {z})")
+    denom = model.minus_s[v]
+    if denom == 0.0:
+        return 0.0
+    return model.pair_weight(s, z) / denom
 
 
 def bfs_level_counts(graph: Graph, source: int, until: int | None = None):
@@ -98,7 +122,7 @@ def pab_sample(graph: Graph, model: PercolationModel, s: int, z: int) -> dict[in
         nxt: dict[int, float] = {}
         for w in level:
             share = omega[w]
-            for u in graph.in_neighbors(w):
+            for u in in_neighbors(graph, w):
                 u = int(u)
                 if dist[u] == depth - 1:
                     nxt[u] = nxt.get(u, 0.0) + share
@@ -109,3 +133,57 @@ def pab_sample(graph: Graph, model: PercolationModel, s: int, z: int) -> dict[in
         omega = nxt
         level = list(nxt)
     return out
+
+
+def _all_shortest_paths(graph: Graph, dist: np.ndarray, preds: list[list[int]],
+                        z: int, cap: int) -> list[list[int]]:
+    """DFS over the predecessor DAG; every path from the source to z."""
+    paths: list[list[int]] = []
+    stack: list[int] = [z]
+
+    def walk(v: int):
+        if dist[v] == 0:
+            paths.append(list(reversed(stack)))
+            if len(paths) > cap:
+                raise PathExplosionError(f"more than {cap} shortest paths for one pair")
+            return
+        for u in preds[v]:
+            stack.append(u)
+            walk(u)
+            stack.pop()
+
+    walk(z)
+    return paths
+
+
+def brute_force_percolation(graph: Graph, model: PercolationModel,
+                            path_cap: int = 200_000) -> np.ndarray:
+    """Independent oracle: enumerate every shortest path explicitly.
+
+    Exponential in the worst case; intended for small graphs. Raises
+    :class:`PathExplosionError` past ``path_cap`` paths per pair.
+    """
+    n = graph.n
+    if model.n != n:
+        raise ValueError("model and graph disagree on vertex count")
+    acc = np.zeros(n)
+    for s in range(n):
+        _, dist, _, _ = shortest_path_dag(graph, s)
+        preds: list[list[int]] = [[] for _ in range(n)]
+        for v in range(n):
+            if dist[v] <= 0:
+                continue
+            preds[v] = [int(u) for u in in_neighbors(graph, v) if dist[u] == dist[v] - 1]
+        for z in range(n):
+            if z == s or dist[z] <= 0:
+                continue
+            weight = model.pair_weight(s, z)
+            if weight == 0.0:
+                continue
+            paths = _all_shortest_paths(graph, dist, preds, z, path_cap)
+            share = 1.0 / len(paths)
+            for path in paths:
+                for v in path[1:-1]:
+                    if model.minus_s[v] > 0.0:
+                        acc[v] += share * weight / model.minus_s[v]
+    return acc / (n * (n - 1))

@@ -15,7 +15,7 @@ import numpy as np
 from percolator import Graph
 from percolator.sampling import DEFAULT_BAG_CAP, MeetResult, PathBag
 
-from gen import out_neighbors
+from gen import in_neighbors, out_neighbors
 
 
 def _walk_down(graph: Graph, v: int, dist: np.ndarray, sigma: np.ndarray,
@@ -25,7 +25,7 @@ def _walk_down(graph: Graph, v: int, dist: np.ndarray, sigma: np.ndarray,
     while dist[v] > 0:
         target_depth = dist[v] - 1
         pick = rng.random() * sigma[v]
-        nbrs = out_neighbors(graph, v) if toward_z else graph.in_neighbors(v)
+        nbrs = out_neighbors(graph, v) if toward_z else in_neighbors(graph, v)
         chosen = v
         for u in nbrs:
             u = int(u)

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from percolator import (PercolationModel, ScheduleConfig,
-                        balanced_bidirectional_bfs,
-                        brute_force_percolation, estimate, exact_all,
+                        balanced_bidirectional_bfs, estimate, exact_all,
                         exact_rho_and_diameter, eps_bound,
                         pab_sample, percolation_differences, random_states,
                         sample_paths, sufficient_sample_size,
@@ -22,9 +21,9 @@ from percolator import (PercolationModel, ScheduleConfig,
 from percolator.bounds import sufficient_sample_size_closed_form
 from percolator.progressive import _draw_pair_sample
 
-from gen import (build, chung_lu_edges, cycle_edges, erdos_renyi_edges, layered_edges,
-                 newman_watts_edges, path_edges)
-from oracle_exact import bfs_level_counts
+from gen import (build, chung_lu_edges, cycle_edges, erdos_renyi_edges, in_neighbors,
+                 layered_edges, newman_watts_edges, path_edges)
+from oracle_exact import bfs_level_counts, brute_force_percolation, kappa
 
 DATA = Path(__file__).parent / "data"
 
@@ -175,7 +174,7 @@ def enumerate_shortest_paths(graph, dist, z):
         if dist[v] == 0:
             paths.append(list(reversed(stack)))
             return
-        for u in graph.in_neighbors(v):
+        for u in in_neighbors(graph, v):
             u = int(u)
             if dist[u] == dist[v] - 1:
                 stack.append(u)
@@ -212,7 +211,7 @@ def test_criterion_6_variance_ordering():
                     paths = enumerate_shortest_paths(g, dist, z)
                     for path in paths:
                         for v in path[1:-1]:
-                            f = model.kappa(s, z, v)
+                            f = kappa(model, s, z, v)
                             rk_sq[v] += f * f / (pairs * len(paths))
             var_ab = ab_sq - mean ** 2
             var_rk = rk_sq - mean ** 2

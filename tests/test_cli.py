@@ -102,6 +102,25 @@ def test_gzip_graph_transparently_decoded(tmp_path):
                  "--output", out, "--threads", "1"]) == 0
 
 
+@pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+def test_damaged_gzip_graph_exit_code(tmp_path, capsys, damage):
+    """Half a gzip file ends the stream early (``EOFError``) and a damaged
+    body fails to inflate (``zlib.error``): both are input errors, with no
+    traceback and no output file."""
+    blob = gzip.compress("".join(f"{i} {i + 1}\n" for i in range(2000)).encode())
+    if damage == "truncated":
+        blob = blob[:len(blob) // 2]
+    else:
+        blob = blob[:30] + bytes(b ^ 0x55 for b in blob[30:60]) + blob[60:]
+    path = tmp_path / "g.txt.gz"
+    path.write_bytes(blob)
+    out = tmp_path / "exact.tsv"
+    assert main(["exact", "--graph", str(path), "--states", "random:1",
+                 "--output", str(out), "--threads", "1"]) == 3
+    assert "corrupt gzip data" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_error_exit_code(tmp_path):
     graph = write_graph(tmp_path, "0 x\n")
     assert main(["exact", "--graph", graph, "--states", "random:1",
@@ -338,6 +357,8 @@ def test_approx_prk_fixed_refuses_exact_pass_over_budget(tmp_path, monkeypatch, 
 
 
 @pytest.mark.parametrize("flag,value,code", [("--algorithms", "mcera,bogus", 2),
+                                             ("--algorithms", "mcera,mcera", 2),
+                                             ("--epsilon-grid", "0.3 0.3", 2),
                                              ("--epsilon-grid", "0.1 1.5", 3)])
 def test_compare_checks_inputs_before_any_pass(tmp_path, monkeypatch, flag, value, code):
     from percolator import cli

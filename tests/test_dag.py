@@ -195,13 +195,14 @@ def test_renumber_numbers_by_first_appearance(values):
 
 def test_samples_draw_through_the_driver():
     """Sample i of stream S draws from ``derive_rng(seed, S, i)``. Only the
-    driver ``rng.SampleStream`` makes those generators (in ``rng._draw``,
-    serially and in pool jobs alike), so every estimator loop keeps that
-    rule; the CLI's diameter probe has a stream of its own."""
+    driver ``rng.SampleStream`` makes those generators (in
+    ``rng._draw_block``, for blocks drawn here and in pool jobs alike), so
+    every estimator loop keeps that rule; the CLI's diameter probe has a
+    stream of its own."""
     def calls(node):
         return sum(isinstance(n, ast.Call) and "derive_rng" in ast.unparse(n.func)
                    for n in ast.walk(node))
-    allowed = {"rng._draw": 1, "cli._sampled_vertex_diameter": 1}
+    allowed = {"rng._draw_block": 1, "cli._sampled_vertex_diameter": 1}
     found = {}
     for path in sorted(Path(percolator.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -259,9 +260,8 @@ def test_every_definition_is_used_outside_the_tests():
     dunders is looked up as an attribute (an ``ast.Attribute``; a bare name
     such as the builtin ``reversed`` is not the method), by package code
     outside its own body or by the benchmark harness; re-exports in
-    ``__init__`` are imports, not uses. Surface that only tests call is
-    removed, apart from the two oracles listed here."""
-    oracles = {"exact.brute_force_percolation", "percolation.PercolationModel.kappa"}
+    ``__init__`` are imports, not uses. Surface that only tests call
+    belongs in the tests, as the oracles there do."""
     anywhere, attribute = (ast.Name, ast.Attribute), (ast.Attribute,)
 
     def names(node, kinds):
@@ -287,7 +287,22 @@ def test_every_definition_is_used_outside_the_tests():
                             and not (m.name.startswith("__") and m.name.endswith("__"))]
             unused.update(qual for qual, member, kinds in members
                           if not (used[kinds] - names(member, kinds))[member.name])
-    assert unused == oracles
+    assert unused == set()
+
+
+def test_no_private_attributes_of_other_objects():
+    """Package code reads or sets a ``_private`` attribute only on ``self``:
+    not on another module, another object of its own, or a library's
+    object, such as an executor's internal ``_max_workers``. Dunders are
+    public protocol."""
+    found = []
+    for path in sorted(Path(percolator.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and not (node.attr.startswith("__") and node.attr.endswith("__"))
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
 
 
 def test_mcera_state_sized_by_touched_vertices():

@@ -3,13 +3,12 @@ import argparse
 import numpy as np
 import pytest
 
-from percolator import (PathExplosionError, PercolationModel,
-                        brute_force_percolation, exact_all,
-                        exact_rho_and_diameter, random_states)
+from percolator import PercolationModel, exact_all, exact_rho_and_diameter, random_states
 from percolator import cli, exact
 from percolator.workers import open_pool
 
 import oracle_exact
+from oracle_exact import PathExplosionError, brute_force_percolation
 from gen import (build, complete_edges, cycle_edges, erdos_renyi_edges,
                  layered_edges, path_edges, reversed_graph, star_edges)
 

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from percolator import (BfsWorkspace, PercolationModel, ScheduleConfig, bounds,
-                        brute_force_percolation, estimate, exact_all, progressive,
-                        random_states, stopping_condition)
+from percolator import (BfsWorkspace, PercolationModel, ScheduleConfig, bounds, estimate,
+                        exact_all, progressive, random_states, stopping_condition)
 from percolator.rng import ESTIMATE_STREAM, SampleStream
 
 from gen import build, chung_lu_edges, cycle_edges, erdos_renyi_edges, path_edges
+from oracle_exact import brute_force_percolation
 
 
 def strip_timing(report_dict):

@@ -1,5 +1,5 @@
-"""The sample stream driver: index order, reservations and the pool's
-queue, and how far ahead the estimators reserve.
+"""The sample stream driver: index order, reservations and the blocks it
+queues, and how far ahead the estimators reserve.
 
 For the driver alone, a pool is a stand-in that runs a job when its
 result is asked for, so the tests see every block the driver sends and
@@ -23,13 +23,12 @@ def draw(generator):
 
 class LazyPool:
     def __init__(self, workers: int):
-        self._max_workers = workers
-        self.sent, self.pending, self.peak = [], 0, 0
+        self.processes = workers
+        self.sent, self.pending = [], 0
 
     def submit(self, fn, block):
         self.sent.append(block)
         self.pending += 1
-        self.peak = max(self.peak, self.pending)
         return LazyJob(self, fn, block)
 
 
@@ -47,19 +46,19 @@ class LazyJob:
 
 
 def serial(seed: int, stop: int, tag: int = rng.ESTIMATE_STREAM) -> list:
-    return list(SampleStream(draw, seed, tag).take(stop))
+    return [draw(rng.derive_rng(seed, tag, i)) for i in range(stop)]
 
 
 @settings(max_examples=60, deadline=None)
-@given(workers=st.integers(1, 3), seed=st.integers(0, 2 ** 32),
+@given(workers=st.sampled_from([None, 1, 2, 3]), seed=st.integers(0, 2 ** 32),
        calls=st.lists(st.tuples(st.booleans(), st.integers(0, 400)), max_size=8))
 def test_pooled_stream_hands_out_the_serial_samples(workers, seed, calls):
-    """Any mix of reservations and takes hands out the one-process samples
-    in index order. The blocks, drawn by the pool or here, are disjoint,
-    of at most ``_BLOCK`` indices and none past the highest reserved or
-    taken bound; at most ``_IN_FLIGHT`` per worker wait in the pool, and
-    closing cancels those."""
-    pool = LazyPool(workers)
+    """Any mix of reservations and takes, with no pool or with one, hands
+    out sample i drawn from its own generator, in index order. The
+    blocks, drawn by the pool or here, are disjoint, of at most ``_BLOCK``
+    indices and none past the highest reserved or taken bound, and
+    closing cancels the ones waiting in the pool."""
+    pool = None if workers is None else LazyPool(workers)
     drawn = []
 
     def recorded(sampler, seed, stream, block):
@@ -80,12 +79,12 @@ def test_pooled_stream_hands_out_the_serial_samples(workers, seed, calls):
         else:
             stream.reserve(stop)
     assert got == serial(seed, len(got))
-    blocks = sorted(set(drawn) | set(pool.sent), key=lambda block: block.start)
+    sent = [] if pool is None else pool.sent
+    blocks = sorted(set(drawn) | set(sent), key=lambda block: block.start)
     assert all(a.stop <= b.start for a, b in zip(blocks, blocks[1:]))
     assert all(0 < len(block) <= rng._BLOCK and block.stop <= bound for block in blocks)
-    assert pool.peak <= rng._IN_FLIGHT * workers
     stream.close()
-    assert pool.pending == 0
+    assert pool is None or pool.pending == 0
 
 
 @pytest.mark.parametrize("workers,sizes", [(1, [23]), (2, [16, 15]), (3, [12, 12, 11])])
