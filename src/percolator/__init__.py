@@ -3,7 +3,7 @@
 from .bounds import (McEraState, Partition, empirical_peeling, eps_bound,
                      era_upper_bound, mcera, sufficient_sample_size,
                      vd_baseline_sample_size, xi_floor)
-from .exact import ExactResult, exact_all, exact_rho_and_diameter
+from .exact import ExactResult, exact_all, exact_vertex_diameter
 from .graph import EdgeListParseError, Graph, load_edge_list
 from .percolation import (PercolationModel, load_states, percolation_differences,
                           random_states)

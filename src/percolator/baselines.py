@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from .bounds import McEraState, era_upper_bound, mcera, vd_baseline_sample_size
-from .exact import exact_rho_and_diameter
+from .exact import exact_vertex_diameter
 from .graph import Graph
 from .percolation import PercolationModel
 from .progressive import ScheduleConfig, _iterations
@@ -39,13 +39,13 @@ def run_prk_fixed(graph: Graph, model: PercolationModel, config: ScheduleConfig,
                   seed: int, vertex_diameter: int | None = None, pool=None) -> dict:
     """Fixed sample size from the vertex-diameter bound at ``config``'s
     epsilon and delta, single-path draws, in ``pool``'s workers when given
-    (``workers.open_pool``)."""
+    (``workers.open_pool``). Without ``vertex_diameter`` it runs
+    ``exact_vertex_diameter``, an O(n*m) pass."""
     if model.n != graph.n:
         raise ValueError("model and graph disagree on vertex count")
     t0 = time.perf_counter()
     if vertex_diameter is None:
-        _, diameter = exact_rho_and_diameter(graph)
-        vertex_diameter = diameter + 1
+        vertex_diameter = exact_vertex_diameter(graph)
     vd_elapsed = time.perf_counter() - t0
 
     samples = vd_baseline_sample_size(vertex_diameter, config.epsilon, config.delta)

@@ -22,11 +22,11 @@ import zlib
 import numpy as np
 
 from .baselines import run_pab_naive, run_prk_fixed
-from .exact import exact_all
-from .graph import EdgeListParseError, Graph, load_edge_list, shortest_path_dag
+from .exact import exact_all, exact_vertex_diameter
+from .graph import EdgeListParseError, Graph, load_edge_list
 from .percolation import PercolationModel, load_states, random_states
 from .progressive import ScheduleConfig, estimate
-from .rng import DIAMETER_STREAM, combine, derive_rng
+from .rng import combine
 from .sampling import DEFAULT_BAG_CAP
 from .workers import open_pool
 
@@ -158,23 +158,6 @@ def _run_algorithm(name: str, graph: Graph, model: PercolationModel,
     return out, out.pop("estimates")
 
 
-def _sampled_vertex_diameter(graph: Graph, seed: int, probes: int = 16) -> int:
-    """Vertex-diameter estimate from sampled eccentricities, for when the
-    exact pass is skipped: twice the largest probed one, plus one. It
-    bounds the diameter only on connected undirected graphs; a probe in
-    a small component misses a longer one (ROADMAP item 4).
-    """
-    rng = derive_rng(seed, DIAMETER_STREAM, 0)
-    # a vertex without out-arcs has eccentricity 0 and bounds nothing
-    sources = np.flatnonzero(graph.out_degrees)
-    ecc = 0
-    for _ in range(min(probes, sources.size)):
-        s = int(sources[rng.integers(sources.size)])
-        _, dist, _, _ = shortest_path_dag(graph, s)
-        ecc = max(ecc, int(dist.max()))
-    return 2 * ecc + 1
-
-
 def cmd_approx(args) -> int:
     config = _config(args, args.epsilon)
     graph = _load_graph(args)
@@ -218,7 +201,9 @@ def cmd_compare(args) -> int:
     states = _resolve_states(args.states, graph)
     model = PercolationModel(states)
 
-    if not args.no_exact and _over_budget(graph, args.budget, "--no-exact or --budget"):
+    # p-rk-fixed's vertex diameter needs an O(n*m) pass even without the exact one
+    if ((not args.no_exact or "p-rk-fixed" in algorithms)
+            and _over_budget(graph, args.budget, "--budget, or --no-exact without p-rk-fixed")):
         return EXIT_BUDGET
     rows = []
     # one pool for the exact pass and every sampler; closed before the writes
@@ -228,8 +213,8 @@ def cmd_compare(args) -> int:
             result = exact_all(graph, model, pool=pool)
             exact_p = result.p
             vertex_diameter = result.vertex_diameter
-        elif "p-rk-fixed" in algorithms:        # the probe's only reader
-            vertex_diameter = _sampled_vertex_diameter(graph, args.seed)
+        elif "p-rk-fixed" in algorithms:        # its only reader
+            vertex_diameter = exact_vertex_diameter(graph)
 
         for eps_idx, config in enumerate(configs):
             for rep in range(args.repetitions):
@@ -293,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha-cap", type=int, default=DEFAULT_BAG_CAP,
                        help="max paths drawn per sampled pair")
         p.add_argument("--budget", type=int, default=100_000_000,
-                       help="refuse an exact pass (compare's ground truth, "
+                       help="refuse an O(n*m) exact pass (compare's ground truth, "
                             "p-rk-fixed's vertex diameter) when n*m exceeds this")
 
     p_exact = sub.add_parser("exact", help="exact centralities and graph stats")
@@ -318,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--algorithms", default=None,
                        help="comma-separated subset of: " + ",".join(ALGORITHMS))
     p_cmp.add_argument("--no-exact", action="store_true",
-                       help="skip the exact pass (no sd/mad columns)")
+                       help="skip the exact pass (no sd/mad columns); p-rk-fixed "
+                            "still needs the exact vertex diameter, under --budget")
     p_cmp.set_defaults(func=cmd_compare)
     return parser
 

@@ -120,13 +120,8 @@ def exact_all(graph: Graph, model: PercolationModel, pool=None) -> ExactResult:
     )
 
 
-def exact_rho_and_diameter(graph: Graph) -> tuple[float, int]:
-    """rho (disconnected pairs contribute 0) and the max finite distance,
-    read off the sizes of the BFS levels from every source."""
-    internal = 0    # an int, so the sum is exact, as the sweep's is below 2^53
-    max_d = 0
-    for s in range(graph.n):
-        levels = shortest_path_dag(graph, s)[0]
-        internal += sum(i * level.size for i, level in enumerate(levels[1:]))
-        max_d = max(max_d, len(levels) - 1)
-    return internal / (graph.n * (graph.n - 1)), max_d
+def exact_vertex_diameter(graph: Graph) -> int:
+    """The most vertices on a shortest path: the largest finite distance
+    plus one, the most BFS levels from any source. Directed and
+    disconnected graphs alike; an O(n*m) pass that needs no states."""
+    return max(len(shortest_path_dag(graph, s)[0]) for s in range(graph.n))

@@ -23,7 +23,6 @@ BOOTSTRAP_STREAM = 1
 ESTIMATE_STREAM = 2
 LAMBDA_STREAM = 3
 BASELINE_STREAM = 4
-DIAMETER_STREAM = 97    # eccentricity probes of the vertex-diameter bound
 
 
 def mix64(value: int) -> int:

@@ -9,7 +9,9 @@ sweep re-expands every level over in-arcs and filters by distance, and
 the pair sample sums path counts in per-neighbour dict loops.
 ``brute_force_percolation`` lists every shortest path explicitly and
 weights each internal vertex by ``kappa``, the definition the exact sweep
-and the estimators sum in closed form.
+and the estimators sum in closed form. ``exact_rho_and_diameter`` reads
+rho and the diameter off BFS level sizes alone, for the sweep's and
+``exact_vertex_diameter``'s to match.
 """
 
 from __future__ import annotations
@@ -187,3 +189,15 @@ def brute_force_percolation(graph: Graph, model: PercolationModel,
                     if model.minus_s[v] > 0.0:
                         acc[v] += share * weight / model.minus_s[v]
     return acc / (n * (n - 1))
+
+
+def exact_rho_and_diameter(graph: Graph) -> tuple[float, int]:
+    """rho (disconnected pairs contribute 0) and the max finite distance,
+    read off the sizes of the BFS levels from every source."""
+    internal = 0    # an int, so the sum is exact, as the sweep's is below 2^53
+    max_d = 0
+    for s in range(graph.n):
+        levels = shortest_path_dag(graph, s)[0]
+        internal += sum(i * level.size for i, level in enumerate(levels[1:]))
+        max_d = max(max_d, len(levels) - 1)
+    return internal / (graph.n * (graph.n - 1)), max_d

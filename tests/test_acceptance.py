@@ -13,17 +13,17 @@ import numpy as np
 import pytest
 
 from percolator import (PercolationModel, ScheduleConfig,
-                        balanced_bidirectional_bfs, estimate, exact_all,
-                        exact_rho_and_diameter, eps_bound,
+                        balanced_bidirectional_bfs, estimate, exact_all, eps_bound,
                         pab_sample, percolation_differences, random_states,
                         sample_paths, sufficient_sample_size,
                         vd_baseline_sample_size)
+from percolator.baselines import run_pab_naive, run_prk_fixed
 from percolator.bounds import sufficient_sample_size_closed_form
 from percolator.progressive import _draw_pair_sample
 
 from gen import (build, chung_lu_edges, cycle_edges, erdos_renyi_edges, in_neighbors,
                  layered_edges, newman_watts_edges, path_edges)
-from oracle_exact import bfs_level_counts, brute_force_percolation, kappa
+from oracle_exact import bfs_level_counts, brute_force_percolation, exact_rho_and_diameter, kappa
 
 DATA = Path(__file__).parent / "data"
 
@@ -240,10 +240,15 @@ def test_accuracy_relative_to_the_scores():
     not: over seeds 0-19 the estimator gives 0.889-1.174 and 0.066-0.269,
     while doubled estimates (mass 1.78-2.35, error 0.46-1.30), zeros (0,
     1.0) and estimates with the top tenth of vertices by p zeroed (mass
-    0.22-0.37, error 1.0) fail on every seed."""
+    0.22-0.37, error 1.0) fail on every seed. The two baselines meet the
+    same thresholds and fail them under the same mutants: p-rk-fixed
+    (1,061 samples, seeds 0-19) gives 0.915-1.056 and 0.042-0.262, the
+    naive progressive one (24,064 samples, seeds 0-3) 0.996-1.000 and
+    0.012-0.019; their mutants give mass 1.83-2.11, 0 and 0.23-0.31."""
     graph = build(chung_lu_edges(400, 6, 2.3, seed=5))
     model = PercolationModel(random_states(graph.n, seed=9))
-    p = exact_all(graph, model).p
+    exact = exact_all(graph, model)
+    p = exact.p
     top = np.argsort(p)[-(graph.n // 10):]
     cfg = ScheduleConfig(epsilon=0.05, delta=0.1)
     assert p.max() <= cfg.epsilon       # zeros meet criterion 7's bound
@@ -252,13 +257,21 @@ def test_accuracy_relative_to_the_scores():
         mass = est.sum() / p.sum()
         return 0.8 <= mass <= 1.25 and np.abs(est - p).max() <= 0.4 * p.max()
 
-    for seed in range(20):
-        est = estimate(graph, model, cfg, seed=seed).estimates
-        assert accurate(est), seed
-        hubs_dropped = est.copy()
-        hubs_dropped[top] = 0.0
-        for mutant in (2.0 * est, np.zeros_like(est), hubs_dropped):
-            assert not accurate(mutant), seed
+    runs = [
+        ("mcera", range(20), lambda seed: estimate(graph, model, cfg, seed=seed).estimates),
+        ("p-rk-fixed", range(20), lambda seed: run_prk_fixed(
+            graph, model, cfg, seed, exact.vertex_diameter)["estimates"]),
+        ("p-ab-progressive-naive", range(4),
+         lambda seed: run_pab_naive(graph, model, cfg, seed)["estimates"]),
+    ]
+    for name, seeds, run in runs:
+        for seed in seeds:
+            est = run(seed)
+            assert accurate(est), (name, seed)
+            hubs_dropped = est.copy()
+            hubs_dropped[top] = 0.0
+            for mutant in (2.0 * est, np.zeros_like(est), hubs_dropped):
+                assert not accurate(mutant), (name, seed)
 
 
 def test_criterion_8_sample_size_improvement(er1000, er1000_exact, smallworld5k):

@@ -122,12 +122,12 @@ def test_prk_fixed_checks_arguments_before_the_exact_pass(monkeypatch, n, kwargs
     """Bad arguments, or a model of another size, fail before the O(n*m)
     vertex-diameter pass runs."""
     from percolator import baselines
-    real, calls = baselines.exact_rho_and_diameter, []
+    real, calls = baselines.exact_vertex_diameter, []
 
     def counted(graph):
         calls.append(graph.n)
         return real(graph)
-    monkeypatch.setattr(baselines, "exact_rho_and_diameter", counted)
+    monkeypatch.setattr(baselines, "exact_vertex_diameter", counted)
     g = build(cycle_edges(6))
     args = dict(epsilon=0.3, delta=0.2)
     run_prk_fixed(g, PercolationModel(random_states(6, seed=3)), ScheduleConfig(**args), seed=4)

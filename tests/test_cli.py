@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from percolator import cli, workers
+from percolator import cli, exact_vertex_diameter, vd_baseline_sample_size, workers
 from percolator.cli import main
 
 from gen import build, edge_text, layered_edges
@@ -251,23 +251,38 @@ def test_approx_beta_and_cap_echoed(tmp_path):
     assert report["config"]["mc_trials"] == 10
 
 
-def test_compare_budget_refusal(tmp_path):
-    graph = write_graph(tmp_path)
-    out = str(tmp_path / "cmp.csv")
-    code = main(["compare", "--graph", graph, "--states", "random:1",
-                 "--output", out, "--budget", "2", "--repetitions", "1"])
-    assert code == 4
-    assert main(["compare", "--graph", graph, "--states", "random:1",
-                 "--output", out, "--budget", "2", "--repetitions", "1",
-                 "--epsilon-grid", "0.3", "--no-exact", "--seed", "1",
-                 "--algorithms", "mcera"]) == 0
+def test_compare_budget_refusal(tmp_path, monkeypatch, capsys):
+    """An O(n*m) pass runs unless ``--no-exact`` is given and p-rk-fixed,
+    whose vertex diameter needs one, is not selected; above ``--budget``
+    the command exits 4 before any estimator runs or any file is written."""
+    real, runs = cli._run_algorithm, []
+
+    def counted(name, *args, **kwargs):
+        runs.append(name)
+        return real(name, *args, **kwargs)
+    monkeypatch.setattr(cli, "_run_algorithm", counted)
+    graph = write_graph(tmp_path)                       # n*m = 6
+    out = tmp_path / "cmp.csv"
+    args = ["compare", "--graph", graph, "--states", "random:1", "--output", str(out),
+            "--repetitions", "1", "--epsilon-grid", "0.3", "--seed", "1"]
+    for extra in (["--budget", "2"],
+                  ["--budget", "5", "--no-exact", "--algorithms", "mcera,p-rk-fixed"]):
+        assert main([*args, *extra]) == 4
+        assert ("rerun with --budget, or --no-exact without p-rk-fixed"
+                in capsys.readouterr().err)
+        assert runs == [] and list(tmp_path.glob("cmp*")) == []
+    assert main([*args, "--budget", "1", "--no-exact",
+                 "--algorithms", "mcera,p-ab-progressive-naive"]) == 0
+    assert runs == ["mcera", "p-ab-progressive-naive"]
     rows = list(csv.reader(open(out)))
     assert rows[1][5] == "nan"                  # sd not computable without exact
+    assert (tmp_path / "cmp.agg.csv").exists()
 
 
 
 def test_compare_no_exact_probes_only_vertices_with_out_arcs(tmp_path):
-    """Ids seen only on self-loop lines have no arcs; probing them bounds nothing."""
+    """Ids seen only on self-loop lines have no arcs: the vertex diameter
+    is the path's 3, which gives one sample at eps 0.3."""
     text = "1 2\n2 3\n" + "".join(f"{i} {i}\n" for i in range(100, 291))
     graph = write_graph(tmp_path, text)
     out = str(tmp_path / "cmp.csv")
@@ -276,7 +291,8 @@ def test_compare_no_exact_probes_only_vertices_with_out_arcs(tmp_path):
                  "--epsilon-grid", "0.3", "--seed", "1",
                  "--algorithms", "p-rk-fixed"]) == 0
     rows = list(csv.reader(open(out)))
-    assert [r[0] for r in rows[1:]] == ["p-rk-fixed"] and int(rows[1][3]) >= 1
+    assert [r[0] for r in rows[1:]] == ["p-rk-fixed"]
+    assert int(rows[1][3]) == vd_baseline_sample_size(3, 0.3, 0.1)
 
 
 @pytest.mark.parametrize("algorithms,probes", [("mcera", 0), ("p-ab-progressive-naive", 0),
@@ -284,13 +300,13 @@ def test_compare_no_exact_probes_only_vertices_with_out_arcs(tmp_path):
 def test_no_exact_probes_the_diameter_only_for_p_rk_fixed(tmp_path, monkeypatch,
                                                           algorithms, probes):
     """Without the exact pass only p-rk-fixed reads a vertex diameter, so
-    only a run that selects it pays for the 16 sampled searches."""
-    real, calls = cli._sampled_vertex_diameter, []
+    only a run that selects it pays for its O(n*m) pass, once."""
+    real, calls = cli.exact_vertex_diameter, []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
-    monkeypatch.setattr(cli, "_sampled_vertex_diameter", counted)
+    monkeypatch.setattr(cli, "exact_vertex_diameter", counted)
     graph = write_graph(tmp_path, "0 1\n1 2\n2 3\n3 0\n0 2\n")
     assert main(["compare", "--graph", graph, "--states", "random:1",
                  "--output", str(tmp_path / "cmp.csv"), "--no-exact", "--repetitions", "1",
@@ -298,14 +314,24 @@ def test_no_exact_probes_the_diameter_only_for_p_rk_fixed(tmp_path, monkeypatch,
     assert len(calls) == probes
 
 
-@pytest.mark.xfail(strict=True, reason="the sampled probe bounds only connected graphs; "
-                                        "ROADMAP item 4 replaces it")
-def test_no_exact_vertex_diameter_bounds_a_disconnected_graph():
-    """A 1,000-leaf star beside a 50-vertex path: vertex diameter 50. A
-    seed whose probes all land in the star sees eccentricity 2 (seed 2
-    returns 5)."""
-    graph = build([(0, i) for i in range(1, 1001)] + [(i, i + 1) for i in range(1001, 1050)])
-    assert all(cli._sampled_vertex_diameter(graph, seed) >= 50 for seed in range(5))
+def test_no_exact_vertex_diameter_bounds_a_disconnected_graph(tmp_path):
+    """A 1,000-leaf star beside a 50-vertex path: vertex diameter 50, which
+    a search from the star does not see. Without the exact pass p-rk-fixed
+    still draws the 416 samples it gives at eps 0.1 and delta 0.1, at
+    every seed, and below n*m = 1,102,499 it refuses with no output."""
+    edges = [(0, i) for i in range(1, 1001)] + [(i, i + 1) for i in range(1001, 1050)]
+    assert exact_vertex_diameter(build(edges)) == 50
+    graph = write_graph(tmp_path, "".join(f"{u} {v}\n" for u, v in edges))
+    out = tmp_path / "cmp.csv"
+    args = ["compare", "--graph", graph, "--states", "random:1", "--output", str(out),
+            "--no-exact", "--repetitions", "1", "--epsilon-grid", "0.1", "--delta", "0.1",
+            "--threads", "1", "--algorithms", "p-rk-fixed"]
+    assert main([*args, "--budget", "1102498"]) == 4
+    assert list(tmp_path.glob("cmp*")) == []
+    for seed in range(5):
+        assert main([*args, "--seed", str(seed)]) == 0
+        rows = list(csv.reader(open(out)))
+        assert [(r[0], int(r[3])) for r in rows[1:]] == [("p-rk-fixed", 416)], seed
 
 
 @pytest.mark.parametrize("command", ["exact", "approx"])
@@ -323,12 +349,12 @@ def test_approx_prk_fixed_refuses_exact_pass_over_budget(tmp_path, monkeypatch, 
     from percolator import (PercolationModel, ScheduleConfig, baselines, load_edge_list,
                             random_states)
     import oracle_writer
-    real, calls = baselines.exact_rho_and_diameter, []
+    real, calls = baselines.exact_vertex_diameter, []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
-    monkeypatch.setattr(baselines, "exact_rho_and_diameter", counted)
+    monkeypatch.setattr(baselines, "exact_vertex_diameter", counted)
     graph = write_graph(tmp_path, "0 1\n1 2\n2 3\n3 0\n")       # n*m = 16
     out = tmp_path / "r.json"
     args = ["approx", "--graph", graph, "--states", "random:4", "--output", str(out),

@@ -197,12 +197,11 @@ def test_samples_draw_through_the_driver():
     """Sample i of stream S draws from ``derive_rng(seed, S, i)``. Only the
     driver ``rng.SampleStream`` makes those generators (in
     ``rng._draw_block``, for blocks drawn here and in pool jobs alike), so
-    every estimator loop keeps that rule; the CLI's diameter probe has a
-    stream of its own."""
+    every estimator loop keeps that rule."""
     def calls(node):
         return sum(isinstance(n, ast.Call) and "derive_rng" in ast.unparse(n.func)
                    for n in ast.walk(node))
-    allowed = {"rng._draw_block": 1, "cli._sampled_vertex_diameter": 1}
+    allowed = {"rng._draw_block": 1}
     found = {}
     for path in sorted(Path(percolator.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())

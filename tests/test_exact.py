@@ -3,14 +3,14 @@ import argparse
 import numpy as np
 import pytest
 
-from percolator import PercolationModel, exact_all, exact_rho_and_diameter, random_states
+from percolator import PercolationModel, exact_all, exact_vertex_diameter, random_states
 from percolator import cli, exact
 from percolator.workers import open_pool
 
 import oracle_exact
-from oracle_exact import PathExplosionError, brute_force_percolation
-from gen import (build, complete_edges, cycle_edges, erdos_renyi_edges,
-                 layered_edges, path_edges, reversed_graph, star_edges)
+from oracle_exact import PathExplosionError, brute_force_percolation, exact_rho_and_diameter
+from gen import (build, chung_lu_edges, complete_edges, cycle_edges, erdos_renyi_edges,
+                 layered_edges, newman_watts_edges, path_edges, reversed_graph, star_edges)
 
 
 def test_path_graph_hand_case():
@@ -63,10 +63,19 @@ def test_complete_graph_rho_zero():
     build(erdos_renyi_edges(40, 0.08, seed=15, directed=True), directed=True),
     build(erdos_renyi_edges(30, 0.12, seed=8)
           + [(u + 100, v + 100) for u, v in erdos_renyi_edges(25, 0.15, seed=9)]),
-], ids=["directed", "two-components"])
+    build(chung_lu_edges(200, 4, 2.3, seed=22)),
+    build(newman_watts_edges(120, 4, 0.05, seed=23)),
+    build(layered_edges([1, 3, 2, 4, 1, 2, 1])),
+    # a 1,000-leaf star beside a 50-vertex path: the small component decides
+    build([(0, i) for i in range(1, 1001)] + [(i, i + 1) for i in range(1001, 1050)]),
+    # only the last vertex reaches every other one
+    reversed_graph(build(path_edges(6), directed=True)),
+], ids=["directed", "two-components", "chung-lu", "newman-watts", "layered", "star-and-path",
+        "reversed-path"])
 def test_rho_and_diameter_pass_matches_sweep(graph):
     res = exact_all(graph, PercolationModel(random_states(graph.n, seed=16)))
     assert exact_rho_and_diameter(graph) == (res.rho, res.diameter)
+    assert exact_vertex_diameter(graph) == res.vertex_diameter
 
 
 def test_single_edge_no_internal():
