@@ -40,12 +40,12 @@ def run_prk_fixed(graph: Graph, model: PercolationModel, config: ScheduleConfig,
     """Fixed sample size from the vertex-diameter bound at ``config``'s
     epsilon and delta, single-path draws, in ``pool``'s workers when given
     (``workers.open_pool``). Without ``vertex_diameter`` it runs
-    ``exact_vertex_diameter``, an O(n*m) pass."""
+    ``exact_vertex_diameter``, an O(n*m) pass, in the same pool."""
     if model.n != graph.n:
         raise ValueError("model and graph disagree on vertex count")
     t0 = time.perf_counter()
     if vertex_diameter is None:
-        vertex_diameter = exact_vertex_diameter(graph)
+        vertex_diameter = exact_vertex_diameter(graph, pool=pool)
     vd_elapsed = time.perf_counter() - t0
 
     samples = vd_baseline_sample_size(vertex_diameter, config.epsilon, config.delta)

@@ -62,7 +62,7 @@ def _threads(args) -> int:
     return os.cpu_count() or 1
 
 
-_WRITE_BLOCK = 1 << 16      # vertices formatted per write
+_WRITE_BLOCK = 1 << 13      # vertices formatted per write
 
 
 def _estimate_blocks(graph: Graph, values: np.ndarray, fmt: str):
@@ -214,7 +214,7 @@ def cmd_compare(args) -> int:
             exact_p = result.p
             vertex_diameter = result.vertex_diameter
         elif "p-rk-fixed" in algorithms:        # its only reader
-            vertex_diameter = exact_vertex_diameter(graph)
+            vertex_diameter = exact_vertex_diameter(graph, pool=pool)
 
         for eps_idx, config in enumerate(configs):
             for rep in range(args.repetitions):

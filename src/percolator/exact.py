@@ -13,6 +13,7 @@ against an oracle that enumerates every shortest path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -96,19 +97,25 @@ def _sweep_block_in_worker(graph: Graph, model: PercolationModel, sources: range
     return _sweep_block(graph, model.x, sources)
 
 
+def _per_block(graph: Graph, model: PercolationModel | None, pool, block, in_worker):
+    """``block(sources)`` of each ``_BLOCK`` sources in order, run as
+    ``in_worker`` in ``pool``'s workers (``workers.open_pool``) when given.
+    A job carries only its source range; the workers hold the graph."""
+    jobs = [range(i, min(i + _BLOCK, graph.n)) for i in range(0, graph.n, _BLOCK)]
+    if pool is None or len(jobs) == 1:      # one block would only wait on a fork
+        return map(block, jobs)
+    # map yields in block order, so a fold over it is deterministic
+    return pool.map(bind(in_worker, graph, model, pool), jobs)
+
+
 def exact_all(graph: Graph, model: PercolationModel, pool=None) -> ExactResult:
     """Exact percolation centrality, betweenness, rho, and diameter. The
     sweeps run in ``pool``'s workers (``workers.open_pool``) when given."""
     if model.n != graph.n:
         raise ValueError("model and graph disagree on vertex count")
     n = graph.n
-    # jobs carry only their source range; pool workers get the graph once
-    jobs = [range(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK)]
-    if pool is None or len(jobs) == 1:      # one block would only wait on a fork
-        parts = (_sweep_block(graph, model.x, job) for job in jobs)
-    else:
-        # map yields in block order, so the fold is deterministic
-        parts = pool.map(bind(_sweep_block_in_worker, graph, model, pool), jobs)
+    parts = _per_block(graph, model, pool, partial(_sweep_block, graph, model.x),
+                       _sweep_block_in_worker)
     acc_p, acc_b, internal, max_d = _fold(parts, n)
     pairs = n * (n - 1)
     safe = np.where(model.minus_s > 0.0, model.minus_s, 1.0)
@@ -120,8 +127,19 @@ def exact_all(graph: Graph, model: PercolationModel, pool=None) -> ExactResult:
     )
 
 
-def exact_vertex_diameter(graph: Graph) -> int:
+def _most_levels(graph: Graph, sources: range) -> int:
+    return max(len(shortest_path_dag(graph, s)[0]) for s in sources)
+
+
+def _most_levels_in_worker(graph: Graph, model, sources: range, ws) -> int:
+    return _most_levels(graph, sources)
+
+
+def exact_vertex_diameter(graph: Graph, pool=None) -> int:
     """The most vertices on a shortest path: the largest finite distance
     plus one, the most BFS levels from any source. Directed and
-    disconnected graphs alike; an O(n*m) pass that needs no states."""
-    return max(len(shortest_path_dag(graph, s)[0]) for s in range(graph.n))
+    disconnected graphs alike; an O(n*m) pass that needs no states. The
+    searches run in ``pool``'s workers (``workers.open_pool``) when given;
+    a max does not depend on their order."""
+    return max(_per_block(graph, None, pool, partial(_most_levels, graph),
+                          _most_levels_in_worker))

@@ -147,8 +147,10 @@ def _parse_ids(data: bytes) -> tuple[np.ndarray, int] | None:
 
 def _read_ids(stream) -> np.ndarray:
     """Id tokens of a text or binary stream, parsed in line-aligned blocks
-    of about ``_CHUNK`` bytes, so only the ids outlive a block."""
-    parts, rest, lines = [], b"", 0
+    of about ``_CHUNK`` bytes, so only the ids outlive a block. Each
+    block's ids are appended to one array grown in place (no view of it
+    exists meanwhile), where a final concatenate would double the ids."""
+    ids, rest, lines = np.empty(0, dtype=np.int64), b"", 0
     while True:
         block = stream.read(_CHUNK)
         block = block.encode() if isinstance(block, str) else block
@@ -161,38 +163,51 @@ def _read_ids(stream) -> np.ndarray:
         parsed = _parse_ids(framed)
         if parsed is None:
             raise _line_error(framed[1:-1], lines)
-        parts.append(parsed[0])
+        size = len(ids)
+        ids.resize(size + len(parsed[0]), refcheck=False)
+        ids[size:] = parsed[0]
         if not block:
-            return np.concatenate(parts)
+            return ids
         lines += parsed[1] - 2
+
+
+_SLICE = 1 << 16      # elements per temporary in the loader's in-place steps
 
 
 def _renumber(ids: np.ndarray):
     """Dense ids numbered by first appearance, and the distinct ids in that
-    order. Ids in a range no longer than ``ids`` are shifted in place."""
+    order. ``ids`` is overwritten: ids in a range no longer than ``ids``
+    become the dense ids in place, wider ones are sorted in place."""
     low = int(ids.min())
     span = int(ids.max()) - low + 1
     if span > len(ids):       # sparse ids: sort them
         order = np.argsort(ids)
-        ordered = ids[order]
-        fresh = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+        ids.sort()
+        fresh = _run_starts(ids)
         heads = np.flatnonzero(fresh)
         by_first = np.argsort(np.minimum.reduceat(order, heads))
+        distinct = ids[heads[by_first]]
         rank = np.empty_like(by_first)
         rank[by_first] = np.arange(len(heads))
+        # each sorted id's group, then its dense id, over the sorted ids
+        np.cumsum(fresh, out=ids)
+        ids -= 1
+        del fresh, heads
+        np.take(rank, ids, out=ids, mode="clip")
         dense = np.empty_like(ids)
-        dense[order] = rank[np.cumsum(fresh) - 1]
-        return dense, ordered[heads[by_first]]
+        dense[order] = ids
+        return dense, distinct
     # ids within [low, low + span): a table of each one's first position
     ids -= low
     first = np.full(span, len(ids), dtype=np.int64)
-    np.minimum.at(first, ids, np.arange(len(ids)))
+    for start in range(0, len(ids), _SLICE):
+        part = ids[start:start + _SLICE]
+        np.minimum.at(first, part, np.arange(start, start + len(part)))
     seen = np.flatnonzero(first < len(ids))
     by_first = np.argsort(first[seen])
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(len(seen))
-    first[seen] = rank
-    return first[ids], seen[by_first] + low
+    first[seen[by_first]] = np.arange(len(seen))
+    # "clip" gathers in place; "raise" would buffer a copy (every index is in range)
+    return np.take(first, ids, out=ids, mode="clip"), seen[by_first] + low
 
 
 def _csr(n: int, keys: np.ndarray, counts: np.ndarray):
@@ -201,6 +216,19 @@ def _csr(n: int, keys: np.ndarray, counts: np.ndarray):
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return offsets, np.remainder(keys, n, out=keys)
+
+
+def _line_keys(dense: np.ndarray, n: int, directed: bool) -> np.ndarray:
+    """Each line's key ``tail * n + head``, written over its tail in
+    ``dense`` (the lines' dense id pairs) a slice at a time, the pair
+    ordered first when undirected; a view of ``dense``."""
+    tails, heads = dense[0::2], dense[1::2]
+    for start in range(0, len(tails), _SLICE):
+        tail, head = tails[start:start + _SLICE], heads[start:start + _SLICE]
+        if not directed:
+            tail, head = np.minimum(tail, head), np.maximum(tail, head)
+        tails[start:start + _SLICE] = tail * n + head
+    return tails
 
 
 def load_edge_list(source, directed: bool = False) -> Graph:
@@ -212,7 +240,8 @@ def load_edge_list(source, directed: bool = False) -> Graph:
     ``[+-]?[0-9]+`` within int64. Self-loops and duplicate edges are
     dropped (duplicates orientation-insensitively for undirected graphs);
     counters of both are kept on the graph. The input is parsed in blocks,
-    so only its ids are held at once.
+    so only its ids are held at once, and the graph's arrays are built
+    over them in place where they can be.
     """
     ids = _read_ids(source)
     keep = ids[0::2] != ids[1::2]
@@ -222,29 +251,25 @@ def load_edge_list(source, directed: bool = False) -> Graph:
     dense, orig_ids = _renumber(ids)
     del ids
     n = len(orig_ids)
-    u, v = dense[0::2], dense[1::2]
-    if not directed:      # the max is written over v, inside dense
-        u, v = np.minimum(u, v), np.maximum(u, v, out=v)
-    keys = u[keep]
-    keys *= n
-    keys += v[keep]
-    del dense, u, v
-    keys = sorted_unique(keys)
+    keys = _line_keys(dense, n, directed)[keep]
+    del dense
+    keys.sort()       # sorted_unique, sorting in place
+    keys = keys[_run_starts(keys)]
     m = len(keys)
-    u, v = np.divmod(keys, n)
-    out_counts, in_counts = np.bincount(u, minlength=n), np.bincount(v, minlength=n)
+    out_counts = np.bincount(keys // n, minlength=n)
+    in_counts = np.bincount(keys % n, minlength=n)
+    # the keys u * n + v, then the reversed keys v * n + u built from them
+    # in place (the keys end up as the u)
+    arcs = np.empty(2 * m, dtype=np.int64)
+    arcs[:m] = keys
+    back = np.remainder(keys, n, out=arcs[m:])
+    back *= n
+    back += np.floor_divide(keys, n, out=keys)
+    del keys
     if directed:
-        back = v * n
-        back += u
-        del u, v
         back.sort()
-        fwd, bwd = _csr(n, keys, out_counts), _csr(n, back, in_counts)
+        fwd, bwd = _csr(n, arcs[:m], out_counts), _csr(n, back, in_counts)
     else:      # every edge in both orientations, in one CSR
-        arcs = np.empty(2 * m, dtype=np.int64)
-        arcs[:m] = keys
-        np.multiply(v, n, out=arcs[m:])
-        arcs[m:] += u
-        del keys, u, v
         arcs.sort()
         fwd = bwd = _csr(n, arcs, out_counts + in_counts)
     return Graph(
@@ -261,10 +286,15 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     integers through a hash table, several times slower on frontier-sized
     arrays."""
     ordered = np.sort(values)
-    keep = np.empty(ordered.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    return ordered[keep]
+    return ordered[_run_starts(ordered)]
+
+
+def _run_starts(ordered: np.ndarray) -> np.ndarray:
+    """A mask of the entries of ``ordered`` that differ from the one before."""
+    fresh = np.empty(ordered.size, dtype=bool)
+    fresh[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=fresh[1:])
+    return fresh
 
 
 def _next_level(tails: np.ndarray, heads: np.ndarray, depth: int,

@@ -456,7 +456,7 @@ def _pab_sample_dag(graph: Graph, model: PercolationModel, s: int, z: int,
         _, tails = graph.expand_frontier(level, backward=True)
         shares = omega.repeat(graph.in_degrees[level])
         on_path = (dist[tails] == depth).nonzero()[0]
-        # fresh (``_renumber`` may shift it) and never empty: each vertex has a predecessor
+        # fresh (``_renumber`` overwrites it) and never empty: each vertex has a predecessor
         rank, level = _renumber(tails.take(on_path))
         omega = np.bincount(rank, weights=shares.take(on_path), minlength=level.size)
         denom = model.minus_s[level]

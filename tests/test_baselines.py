@@ -124,9 +124,9 @@ def test_prk_fixed_checks_arguments_before_the_exact_pass(monkeypatch, n, kwargs
     from percolator import baselines
     real, calls = baselines.exact_vertex_diameter, []
 
-    def counted(graph):
+    def counted(graph, pool=None):
         calls.append(graph.n)
-        return real(graph)
+        return real(graph, pool=pool)
     monkeypatch.setattr(baselines, "exact_vertex_diameter", counted)
     g = build(cycle_edges(6))
     args = dict(epsilon=0.3, delta=0.2)

@@ -213,6 +213,8 @@ def test_every_entry_point_takes_any_thread_count(two_blocks, monkeypatch, threa
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     with open_pool(g, m, cli._threads(argparse.Namespace(threads=threads))) as pool:
         res = exact_all(g, m, pool=pool)
+        vertex_diameter = exact_vertex_diameter(g, pool=pool)
     assert np.array_equal(res.p, serial.p) and np.array_equal(res.b, serial.b)
     assert (res.rho, res.diameter) == (serial.rho, serial.diameter)
     assert exact_rho_and_diameter(g) == (serial.rho, serial.diameter)
+    assert vertex_diameter == serial.vertex_diameter
