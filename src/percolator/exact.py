@@ -13,7 +13,6 @@ against an oracle that enumerates every shortest path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -85,27 +84,24 @@ def _fold(parts, n: int):
     return acc_p, acc_b, internal, max_d
 
 
-def _sweep_block(graph: Graph, x: np.ndarray, sources: range):
-    return _fold((_source_sweep(graph, x, s) for s in sources), graph.n)
+def _sweep_block(graph: Graph, model: PercolationModel, sources: range, ws):
+    return _fold((_source_sweep(graph, model.x, s) for s in sources), graph.n)
 
 
 _BLOCK = 256    # fixed block size keeps the reduction tree, and hence the
                 # float result, independent of the worker count
 
 
-def _sweep_block_in_worker(graph: Graph, model: PercolationModel, sources: range, ws):
-    return _sweep_block(graph, model.x, sources)
-
-
-def _per_block(graph: Graph, model: PercolationModel | None, pool, block, in_worker):
-    """``block(sources)`` of each ``_BLOCK`` sources in order, run as
-    ``in_worker`` in ``pool``'s workers (``workers.open_pool``) when given.
-    A job carries only its source range; the workers hold the graph."""
+def _per_block(job, graph: Graph, model: PercolationModel | None, pool):
+    """``job(graph, model, sources, ws)`` of each ``_BLOCK`` sources in
+    order, bound by ``workers.bind``: in ``pool``'s workers
+    (``workers.open_pool``) when given, and in this process without one or
+    for a single block, which would only wait on a fork. A job carries
+    only its source range; the workers hold the graph."""
     jobs = [range(i, min(i + _BLOCK, graph.n)) for i in range(0, graph.n, _BLOCK)]
-    if pool is None or len(jobs) == 1:      # one block would only wait on a fork
-        return map(block, jobs)
+    run = bind(job, graph, model, pool)
     # map yields in block order, so a fold over it is deterministic
-    return pool.map(bind(in_worker, graph, model, pool), jobs)
+    return (map if pool is None or len(jobs) == 1 else pool.map)(run, jobs)
 
 
 def exact_all(graph: Graph, model: PercolationModel, pool=None) -> ExactResult:
@@ -114,9 +110,7 @@ def exact_all(graph: Graph, model: PercolationModel, pool=None) -> ExactResult:
     if model.n != graph.n:
         raise ValueError("model and graph disagree on vertex count")
     n = graph.n
-    parts = _per_block(graph, model, pool, partial(_sweep_block, graph, model.x),
-                       _sweep_block_in_worker)
-    acc_p, acc_b, internal, max_d = _fold(parts, n)
+    acc_p, acc_b, internal, max_d = _fold(_per_block(_sweep_block, graph, model, pool), n)
     pairs = n * (n - 1)
     safe = np.where(model.minus_s > 0.0, model.minus_s, 1.0)
     p = np.where(model.minus_s > 0.0, acc_p / (pairs * safe), 0.0)
@@ -127,12 +121,8 @@ def exact_all(graph: Graph, model: PercolationModel, pool=None) -> ExactResult:
     )
 
 
-def _most_levels(graph: Graph, sources: range) -> int:
+def _most_levels(graph: Graph, model, sources: range, ws) -> int:
     return max(len(shortest_path_dag(graph, s)[0]) for s in sources)
-
-
-def _most_levels_in_worker(graph: Graph, model, sources: range, ws) -> int:
-    return _most_levels(graph, sources)
 
 
 def exact_vertex_diameter(graph: Graph, pool=None) -> int:
@@ -141,5 +131,4 @@ def exact_vertex_diameter(graph: Graph, pool=None) -> int:
     disconnected graphs alike; an O(n*m) pass that needs no states. The
     searches run in ``pool``'s workers (``workers.open_pool``) when given;
     a max does not depend on their order."""
-    return max(_per_block(graph, None, pool, partial(_most_levels, graph),
-                          _most_levels_in_worker))
+    return max(_per_block(_most_levels, graph, None, pool))

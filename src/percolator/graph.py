@@ -69,10 +69,9 @@ class Graph:
         return srcs, targets[pos]
 
 
-_WS, _DIGIT, _COMMENT = (np.isin(np.arange(256), list(chars))
-                         for chars in (b" \t\r\n", b"0123456789", b"#%"))
 _INT64 = np.iinfo(np.int64)
 _LINE = re.compile(rb"[ \t\r]*(?:[#%].*|([+-]?[0-9]+)[ \t\r]+([+-]?[0-9]+)[ \t\r]*)?")
+_COMMENT_LINE = re.compile(rb"\n[ \t\r]*[#%][^\n]*")   # on its newline: "^" is 2x slower
 _CHUNK = 1 << 22       # bytes read per block; parsing one peaks at about 5x that
 
 
@@ -88,68 +87,45 @@ def _line_error(data: bytes, lines_before: int = 0) -> EdgeListParseError:
     return EdgeListParseError("empty graph: no edges found")
 
 
-def _mark(buf: np.ndarray, chars: bytes, mask: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """``mask``, also set where ``buf`` holds a byte of ``chars``: one
-    compare each, written to ``scratch``, then or-ed in place."""
-    for char in chars:
-        mask |= np.equal(buf, char, out=scratch)
-    return mask
-
-
-def _parse_ids(data: bytes) -> tuple[np.ndarray, int] | None:
-    """Id tokens of ``data`` (framed by newlines) outside comments, in order,
-    and the number of newlines in ``data``; None if a line breaks the
-    grammar. It is all checked on byte masks first: ``np.fromstring`` stops
-    silently at a bad token and saturates. The byte masks are compares
-    (a 256-entry table lookup per byte costs as much as 40), and each
-    block-sized array is dropped as soon as it is read, to keep the peak."""
+def _parse_ids(data: bytes) -> np.ndarray | None:
+    """Id tokens of ``data`` (framed by newlines) outside comments, in order;
+    None if a line breaks the grammar. Whole lines and bytes are checked on
+    ``data`` itself: one regex empties the comment lines, and one
+    ``bytes.translate`` finds any byte outside whitespace, signs and
+    digits. Byte masks then find the tokens, check each sign opens one
+    and is followed by a digit, and check two tokens per line, all before
+    ``np.fromstring``, which stops silently at a bad token and saturates."""
+    if b"#" in data or b"%" in data:
+        data = _COMMENT_LINE.sub(b"\n", data)
+    if data.translate(None, b" \t\r\n+-0123456789"):
+        return None
     buf = np.frombuffer(data, dtype=np.uint8)
-    newline = buf == ord("\n")
-    edge = np.empty_like(newline)
-    ws = _mark(buf, b" \t\r", newline.copy(), edge)
+    ws = buf <= ord(" ")       # of the bytes left, only whitespace lies at or below a space
+    if b"+" in data or b"-" in data:
+        signs = ((buf == ord("+")) | (buf == ord("-"))).nonzero()[0]
+        if not (ws[signs - 1].all() and (buf[signs + 1] - ord("0") < 10).all()):
+            return None
     # tokens start and end where whitespace stops and starts
-    edge[0] = False
-    np.not_equal(ws[1:], ws[:-1], out=edge[1:])
+    bounds = np.not_equal(ws[1:], ws[:-1]).nonzero()[0]
     del ws
-    bounds = edge.nonzero()[0]
-    del edge
+    bounds += 1
     starts, ends = bounds[0::2], bounds[1::2]
     # last[i]: a newline lies between token i and the next (always after the last token)
-    last = np.logical_or.reduceat(newline, ends)
-    lines = int(np.count_nonzero(newline))
-    del newline
-    heads = np.flatnonzero(np.concatenate(([True], last)))[:-1]     # first token of each line
-    comment = np.repeat(_COMMENT[buf[starts[heads]]], np.diff(heads, append=len(starts)))
-    del heads
-    if comment.any():     # whole lines, so ``last`` of the other tokens holds
-        marks = np.zeros(len(buf) + 1, dtype=np.int8)
-        marks[starts[comment]], marks[ends[comment]] = 1, -1
-        buf = np.where(np.cumsum(marks[:-1], dtype=np.int8), ord(" "), buf)
-        starts, ends, last = starts[~comment], ends[~comment], last[~comment]
-    if not len(last):     # blank and comment lines only
-        return np.empty(0, dtype=np.int64), lines
-    scratch = np.empty(buf.size, dtype=bool)
-    mask = _mark(buf, b"-", buf == ord("+"), scratch)
-    signs = mask.nonzero()[0]
-    # every byte whitespace, a sign or a digit: minus "0", only digits are under 10
-    digit = np.subtract(buf, ord("0"), out=scratch.view(np.uint8))
-    mask |= np.less(digit, 10, out=scratch)
-    allowed = bool(_mark(buf, b" \t\r\n", mask, scratch).all())
-    del mask, scratch, digit
+    last = np.logical_or.reduceat(buf == ord("\n"), ends)
     long = ends - starts >= 19
-    if (len(last) % 2 or last[0::2].any() or not last[1::2].all() or not allowed
-            or not (_WS[buf[signs - 1]].all() and _DIGIT[buf[signs + 1]].all())
+    if (len(last) % 2 or last[0::2].any() or not last[1::2].all()
             or not all(_INT64.min <= int(data[s:e]) <= _INT64.max
                        for s, e in zip(starts[long].tolist(), ends[long].tolist()))):
         return None
-    return np.fromstring(buf, dtype=np.int64, count=len(starts), sep=" "), lines
+    return np.fromstring(data, dtype=np.int64, count=len(starts), sep=" ")
 
 
 def _read_ids(stream) -> np.ndarray:
     """Id tokens of a text or binary stream, parsed in line-aligned blocks
     of about ``_CHUNK`` bytes, so only the ids outlive a block. Each
     block's ids are appended to one array grown in place (no view of it
-    exists meanwhile), where a final concatenate would double the ids."""
+    exists meanwhile), where a final concatenate would double the ids. A
+    block's lines are counted on its bytes, for the next block's errors."""
     ids, rest, lines = np.empty(0, dtype=np.int64), b"", 0
     while True:
         block = stream.read(_CHUNK)
@@ -164,11 +140,11 @@ def _read_ids(stream) -> np.ndarray:
         if parsed is None:
             raise _line_error(framed[1:-1], lines)
         size = len(ids)
-        ids.resize(size + len(parsed[0]), refcheck=False)
-        ids[size:] = parsed[0]
+        ids.resize(size + len(parsed), refcheck=False)
+        ids[size:] = parsed
         if not block:
             return ids
-        lines += parsed[1] - 2
+        lines += framed.count(b"\n") - 2
 
 
 _SLICE = 1 << 16      # elements per temporary in the loader's in-place steps

@@ -47,9 +47,12 @@ def bind(fn, graph: Graph, model: PercolationModel, pool, **params):
     **params)``, such as a sampler of ``rng`` for ``rng.SampleStream``.
     Without a pool it runs on a fresh workspace; with one, on the inputs
     ``open_pool`` installed in the process that runs it, so a job pickles
-    ``fn`` (private, module-level) and ``params`` only."""
+    ``fn`` (private, module-level) and ``params`` only; those must be
+    ``graph`` and, unless ``model`` is None, ``model``."""
     if pool is None:
         return partial(fn, graph, model, ws=BfsWorkspace(graph.n), **params)
+    if _inputs[0] is not graph or model is not None and _inputs[1] is not model:
+        raise ValueError("the pool was opened for another graph or model")
     return partial(_on_pool_inputs, fn, **params)
 
 

@@ -3,8 +3,9 @@ import argparse
 import numpy as np
 import pytest
 
-from percolator import PercolationModel, exact_all, exact_vertex_diameter, random_states
-from percolator import cli, exact
+from percolator import (PercolationModel, ScheduleConfig, estimate, exact_all,
+                        exact_vertex_diameter, random_states)
+from percolator import baselines, cli, exact
 from percolator.workers import open_pool
 
 import oracle_exact
@@ -218,3 +219,36 @@ def test_every_entry_point_takes_any_thread_count(two_blocks, monkeypatch, threa
     assert (res.rho, res.diameter) == (serial.rho, serial.diameter)
     assert exact_rho_and_diameter(g) == (serial.rho, serial.diameter)
     assert vertex_diameter == serial.vertex_diameter
+
+
+CONFIG = ScheduleConfig(epsilon=0.1, delta=0.1)
+SOLVERS = {
+    "estimate": lambda g, m, pool: estimate(g, m, CONFIG, seed=0, pool=pool),
+    "exact_all": lambda g, m, pool: exact_all(g, m, pool=pool),
+    "exact_vertex_diameter": lambda g, m, pool: exact_vertex_diameter(g, pool=pool),
+    "run_prk_fixed": lambda g, m, pool: baselines.run_prk_fixed(g, m, CONFIG, seed=0,
+                                                                vertex_diameter=3, pool=pool),
+    "run_pab_naive": lambda g, m, pool: baselines.run_pab_naive(g, m, CONFIG, seed=0, pool=pool),
+}
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_a_pool_serves_only_the_graph_it_was_opened_for(solver, monkeypatch):
+    """Workers hold the graph and model their pool was opened for, so a
+    solver handed a pool opened for another graph of the same size, or
+    for the same graph with other states, refuses before any job is sent
+    rather than answer for the other graph (a 600-cycle has vertex
+    diameter 301, the chords i -> 7i + 3 mod 600 give 3)."""
+    cycle = build(cycle_edges(600))
+    chords = build([(i, (7 * i + 3) % 600) for i in range(600)])
+    assert chords.n == 600 and exact_vertex_diameter(chords) == 3
+    states = PercolationModel(random_states(600, seed=1))
+    other_states = PercolationModel(random_states(600, seed=2))
+    opened_for = [(cycle, states)] + [(chords, other_states)] * (solver != "exact_vertex_diameter")
+    for graph, model in opened_for:
+        with open_pool(graph, model, 2) as pool:
+            submitted = []
+            monkeypatch.setattr(pool, "submit", lambda *args: submitted.append(args))
+            with pytest.raises(ValueError, match="another graph or model"):
+                SOLVERS[solver](chords, states, pool)
+            assert submitted == []
