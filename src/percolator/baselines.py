@@ -56,7 +56,7 @@ def run_prk_fixed(graph: Graph, model: PercolationModel, config: ScheduleConfig,
             sum_f[contrib.idx] += contrib.val
     return {
         "algorithm": "p-rk-fixed",
-        "estimates": sum_f / samples,
+        "estimates": np.divide(sum_f, samples, out=sum_f),
         "r_final": samples,
         "iterations": 1,
         "stop_reason": "fixed-size",
@@ -89,7 +89,7 @@ def run_pab_naive(graph: Graph, model: PercolationModel, config: ScheduleConfig,
     state = McEraState(n=n, c=config.mc_trials, seed=seed)
     sum_f = np.zeros(n)
     # the whole family as one class
-    one_class, sizes = np.zeros(n, dtype=np.int64), np.array([n])
+    one_class, sizes = np.zeros(n, dtype=np.int8), np.array([n])
 
     def floor(r: int, i: int) -> float:
         """xi at iteration i and r samples less its Rademacher term 2 * era >= 0."""
@@ -116,7 +116,7 @@ def run_pab_naive(graph: Graph, model: PercolationModel, config: ScheduleConfig,
 
     return {
         "algorithm": "p-ab-progressive-naive",
-        "estimates": sum_f / state.r,
+        "estimates": np.divide(sum_f, state.r, out=sum_f),
         "r_final": state.r,
         "iterations": iterations,
         "stop_reason": "eps-met" if xi <= config.epsilon else "ceiling-hit",

@@ -28,7 +28,7 @@ class Partition:
     """
 
     t: int
-    class_of: np.ndarray           # per-vertex class index in [0, t)
+    class_of: np.ndarray           # per-vertex class index in [0, t), int8 (t <= 34)
     var_bound: np.ndarray          # per-class bound, in (0, 1/4]
 
 
@@ -43,7 +43,8 @@ class McEraState:
     untouched vertex's sums are exactly zero. Signs come from the
     counter-based stream keyed by (seed, sample index, trial). Only the
     first ``rows`` rows are in use, ``vertex_of[:rows]`` names their
-    vertices; the arrays grow by doubling.
+    vertices; the arrays grow by doubling. ``row_of`` is int32 below
+    2^31 vertices, since rows number at most n: half an int64 array.
     """
 
     n: int
@@ -57,7 +58,8 @@ class McEraState:
     sq_sums: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.row_of = np.full(self.n, -1, dtype=np.int64)
+        self.row_of = np.full(self.n, -1,
+                              dtype=np.int32 if self.n < 2 ** 31 else np.int64)
         self.vertex_of = np.zeros(0, dtype=np.int64)
         self.signed_sums = np.zeros((0, self.c))
         self.sq_sums = np.zeros(0)
@@ -249,19 +251,24 @@ def empirical_peeling(sq_sums: np.ndarray, r: int, delta: float) -> Partition:
     (4^-(j+2), 4^-(j+1)]; the last bucket catches everything smaller
     (zeros included). Each class's variance bound is its bucket edge
     plus a one-sided empirical-Bernstein slack at confidence
-    delta / (2t), clamped to 1/4.
+    delta / (2t), clamped to 1/4. Only the vertices with a nonzero sum
+    are classified; every other one lands in the last bucket, whose
+    largest member zeros cannot raise.
     """
     if r < 1:
         raise ValueError("peeling needs at least one bootstrap sample")
-    what = sq_sums / r
-    t = int(math.ceil(math.log(r) / math.log(4.0))) + 2
+    nz = np.flatnonzero(sq_sums)
+    what = sq_sums[nz] / r
+    t = int(math.ceil(math.log(r) / math.log(4.0))) + 2     # at most 34 for r < 2^63
     edges = 0.25 ** np.arange(1, t + 1)          # bucket upper edges, descending
     # how many of the inner edges edges[1:] lie strictly below each value
-    class_of = (t - 1) - np.searchsorted(edges[:0:-1], what, side="left")
+    cls = (t - 1) - np.searchsorted(edges[:0:-1], what, side="left")
+    class_of = np.full(sq_sums.size, t - 1, dtype=np.int8)
+    class_of[nz] = cls
 
     ell = math.log(2.0 * t / delta)
     # the catch-all bucket's edge is its largest member (0 when empty)
-    top = np.append(edges[:-1], what[class_of == t - 1].max(initial=0.0))
+    top = np.append(edges[:-1], what[cls == t - 1].max(initial=0.0))
     slack = np.sqrt(2.0 * top * ell / r) + ell / (3.0 * r)
     var_bound = np.minimum(0.25, top + slack)
     return Partition(t=t, class_of=class_of, var_bound=var_bound)

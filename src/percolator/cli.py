@@ -3,7 +3,8 @@
 Subcommands: ``exact`` (ground truth), ``approx`` (one estimator run),
 ``compare`` (estimator benchmark over an epsilon grid). Exit codes:
 0 success, 2 usage, 3 input (bad format or values, or shortest-path
-counts past float64), 4 budget refusal.
+counts past float64), 4 budget refusal, 5 out of memory (one line names
+the phase: load, model, exact pass, estimation or write).
 """
 
 from __future__ import annotations
@@ -36,6 +37,15 @@ ALGORITHMS = ("mcera", "p-rk-fixed", "p-ab-progressive-naive")
 EXIT_OK = 0
 EXIT_INPUT = 3
 EXIT_BUDGET = 4
+EXIT_MEMORY = 5
+
+
+def _enter(args, phase: str, graph: Graph | None = None) -> None:
+    """Note on ``args`` that the command enters ``phase``, and the size of
+    ``graph`` once it is loaded, for an out-of-memory message."""
+    args.phase = phase
+    if graph is not None:
+        args.size = f" (n = {graph.n}, m = {graph.m})"
 
 
 def _load_graph(args) -> Graph:
@@ -113,12 +123,14 @@ def _over_budget(graph: Graph, budget: int, advice: str) -> bool:
 
 def cmd_exact(args) -> int:
     graph = _load_graph(args)
-    states = _resolve_states(args.states, graph)
-    model = PercolationModel(states)
+    _enter(args, "model", graph)
+    model = PercolationModel(_resolve_states(args.states, graph))
+    _enter(args, "exact pass")
     t0 = time.perf_counter()
     with open_pool(graph, model, _threads(args)) as pool:
         result = exact_all(graph, model, pool=pool)
     elapsed = time.perf_counter() - t0
+    _enter(args, "write")
     _write_estimates(args.output, graph, result.p, args.format)
     sidecar = {
         "n": graph.n,
@@ -164,11 +176,13 @@ def cmd_approx(args) -> int:
     # p-rk-fixed needs the vertex diameter, which only an exact pass gives here
     if args.algorithm == "p-rk-fixed" and _over_budget(graph, args.budget, "--budget"):
         return EXIT_BUDGET
-    states = _resolve_states(args.states, graph)
-    model = PercolationModel(states)
+    _enter(args, "model", graph)
+    model = PercolationModel(_resolve_states(args.states, graph))
+    _enter(args, "estimation")
     with open_pool(graph, model, _threads(args)) as pool:
         head, estimates = _run_algorithm(args.algorithm, graph, model, config, args.seed,
                                          pool=pool)
+    _enter(args, "write")
     with open(args.output, "w") as fh:
         _json_with_estimates(fh, {**head, "n": graph.n, "m": graph.m}, graph, estimates)
     if args.format == "tsv":
@@ -198,14 +212,16 @@ def cmd_compare(args) -> int:
             return 2
     configs = [_config(args, eps) for eps in args.epsilon_grid]
     graph = _load_graph(args)
-    states = _resolve_states(args.states, graph)
-    model = PercolationModel(states)
+    _enter(args, "model", graph)
+    model = PercolationModel(_resolve_states(args.states, graph))
 
     # p-rk-fixed's vertex diameter needs an O(n*m) pass even without the exact one
-    if ((not args.no_exact or "p-rk-fixed" in algorithms)
-            and _over_budget(graph, args.budget, "--budget, or --no-exact without p-rk-fixed")):
+    exact_pass = not args.no_exact or "p-rk-fixed" in algorithms
+    if exact_pass and _over_budget(graph, args.budget,
+                                   "--budget, or --no-exact without p-rk-fixed"):
         return EXIT_BUDGET
     rows = []
+    _enter(args, "exact pass" if exact_pass else "estimation")
     # one pool for the exact pass and every sampler; closed before the writes
     with open_pool(graph, model, _threads(args)) as pool:
         exact_p = vertex_diameter = None
@@ -216,6 +232,7 @@ def cmd_compare(args) -> int:
         elif "p-rk-fixed" in algorithms:        # its only reader
             vertex_diameter = exact_vertex_diameter(graph, pool=pool)
 
+        _enter(args, "estimation")
         for eps_idx, config in enumerate(configs):
             for rep in range(args.repetitions):
                 for algo_idx, name in enumerate(algorithms):
@@ -233,6 +250,7 @@ def cmd_compare(args) -> int:
                         sd = mad = math.nan
                     rows.append([name, config.epsilon, rep, head["r_final"], seconds, sd, mad])
 
+    _enter(args, "write")
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RAW_COLUMNS)
@@ -312,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     args = build_parser().parse_args(argv)
+    args.phase, args.size = "load", ""
     try:
         return args.func(args)
     except EdgeListParseError as exc:
@@ -320,6 +339,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:      # numpy's allocation failures included
+        print(f"error: out of memory during the {args.phase}{args.size}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

@@ -73,6 +73,7 @@ _INT64 = np.iinfo(np.int64)
 _LINE = re.compile(rb"[ \t\r]*(?:[#%].*|([+-]?[0-9]+)[ \t\r]+([+-]?[0-9]+)[ \t\r]*)?")
 _COMMENT_LINE = re.compile(rb"\n[ \t\r]*[#%][^\n]*")   # on its newline: "^" is 2x slower
 _CHUNK = 1 << 22       # bytes read per block; parsing one peaks at about 5x that
+_ROOM = 1 << 22        # ids the loader first makes room for: 32 MiB, a mapping of its own
 
 
 def _line_error(data: bytes, lines_before: int = 0) -> EdgeListParseError:
@@ -123,10 +124,15 @@ def _parse_ids(data: bytes) -> np.ndarray | None:
 def _read_ids(stream) -> np.ndarray:
     """Id tokens of a text or binary stream, parsed in line-aligned blocks
     of about ``_CHUNK`` bytes, so only the ids outlive a block. Each
-    block's ids are appended to one array grown in place (no view of it
-    exists meanwhile), where a final concatenate would double the ids. A
-    block's lines are counted on its bytes, for the next block's errors."""
-    ids, rest, lines = np.empty(0, dtype=np.int64), b"", 0
+    block's ids are appended to one array with room for ``_ROOM`` ids to
+    start, its capacity doubled when a block overflows it and shrunk to
+    the ids once at the end, where a final concatenate would double the
+    ids. glibc serves a request of 32 MiB or more with a mapping of its
+    own, and grows or shrinks such a mapping by remapping its pages, not
+    by copying them (no view of the array exists meanwhile); pages never
+    written cost no memory. A block's lines are counted on its bytes,
+    for the next block's errors."""
+    ids, size, rest, lines = np.empty(_ROOM, dtype=np.int64), 0, b"", 0
     while True:
         block = stream.read(_CHUNK)
         block = block.encode() if isinstance(block, str) else block
@@ -139,10 +145,12 @@ def _read_ids(stream) -> np.ndarray:
         parsed = _parse_ids(framed)
         if parsed is None:
             raise _line_error(framed[1:-1], lines)
-        size = len(ids)
-        ids.resize(size + len(parsed), refcheck=False)
-        ids[size:] = parsed
+        if size + len(parsed) > len(ids):
+            ids.resize(max(2 * len(ids), size + len(parsed)), refcheck=False)
+        ids[size:size + len(parsed)] = parsed
+        size += len(parsed)
         if not block:
+            ids.resize(size, refcheck=False)
             return ids
         lines += framed.count(b"\n") - 2
 

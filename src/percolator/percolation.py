@@ -22,7 +22,10 @@ def percolation_differences(states) -> tuple[float, np.ndarray]:
     Returns ``(total, minus_s)`` where ``total`` is the sum of
     R(x_j - x_i) over all ordered pairs and ``minus_s[v]`` the same sum
     restricted to pairs not involving v. Works on a sorted copy; the
-    result is indexed by the original vertex order.
+    result is indexed by the original vertex order. Each step writes
+    over an array a finished step no longer reads, so besides ``states``
+    and the sort order at most four n-sized float arrays are held; the
+    values are those of the plain expressions in the comments.
     """
     x = np.asarray(states, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
@@ -32,16 +35,25 @@ def percolation_differences(states) -> tuple[float, np.ndarray]:
     n = x.size
     order = np.argsort(x, kind="stable")
     a = x[order]
-    pref = np.concatenate(([0.0], np.cumsum(a)))
+    pref = np.empty(n + 1)                       # concatenate(([0.0], cumsum(a)))
+    pref[0] = 0.0
+    np.cumsum(a, out=pref[1:])
     idx = np.arange(n, dtype=np.float64)
     # for sorted a: pairs below i and pairs above i; ties contribute zero
-    below = idx * a - pref[:n]
-    above = (pref[n] - pref[1:]) - (n - 1 - idx) * a
+    below = idx * a
+    below -= pref[:n]                            # idx * a - pref[:n]
+    above = np.subtract(pref[n], pref[1:], out=pref[1:])
+    np.subtract(n - 1, idx, out=idx)
+    idx *= a
+    above -= idx                                 # (pref[n] - pref[1:]) - (n - 1 - idx) * a
+    del idx
     total = float(below.sum())
-    sorted_minus = total - below - above
+    sorted_minus = np.subtract(total, below, out=below)
+    sorted_minus -= above                        # total - below - above
+    del above
     # guard the tiny negatives left by cancellation; exact zero for equal states
     np.maximum(sorted_minus, 0.0, out=sorted_minus)
-    minus_s = np.empty(n, dtype=np.float64)
+    minus_s = a                                  # a is read no more
     minus_s[order] = sorted_minus
     return total, minus_s
 

@@ -203,6 +203,7 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
         rho_substituted = True
 
     partition = empirical_peeling(sq_boot, r_boot, config.delta)
+    del sq_boot
     sizes = np.bincount(partition.class_of, minlength=partition.t)
     occupied = sizes > 0
     # every vertex lives in some occupied class, so their largest bound
@@ -254,7 +255,7 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
 
     stop_reason = "eps-met" if bool(np.all(xi <= config.epsilon)) else "ceiling-hit"
     return RunReport(
-        estimates=sum_f / state.r,
+        estimates=np.divide(sum_f, state.r, out=sum_f),
         r_final=state.r,
         iterations=iterations,
         xi_per_class=xi.copy(),

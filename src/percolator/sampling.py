@@ -50,13 +50,16 @@ class BfsWorkspace:
     """Distance and path-count buffers reused by every search of one run.
 
     Each side remembers the vertices it labelled (its frontiers), so a
-    reset costs what the previous search touched, not n.
+    reset costs what the previous search touched, not n. Distances are
+    below n, so below 2^31 vertices they are int32; ``place`` stays
+    int64, since numpy gathers through an int32 index about 3x slower.
     """
 
     def __init__(self, n: int):
         self.n = n
-        self.dist_s = np.full(n, -1, dtype=np.int64)
-        self.dist_z = np.full(n, -1, dtype=np.int64)
+        labels = np.int32 if n < 2 ** 31 else np.int64
+        self.dist_s = np.full(n, -1, dtype=labels)
+        self.dist_z = np.full(n, -1, dtype=labels)
         self.sigma_s = np.zeros(n)
         self.sigma_z = np.zeros(n)
         # index of a vertex in the frontier just built; read only there
