@@ -3,8 +3,9 @@
 Subcommands: ``exact`` (ground truth), ``approx`` (one estimator run),
 ``compare`` (estimator benchmark over an epsilon grid). Exit codes:
 0 success, 2 usage, 3 input (bad format or values, or shortest-path
-counts past float64), 4 budget refusal, 5 out of memory (one line names
-the phase: load, model, exact pass, estimation or write).
+counts past float64), 4 budget refusal, 5 out of memory or a worker
+process died (one line names the phase: load, model, exact pass,
+estimation or write).
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ import os
 import sys
 import time
 import zlib
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -102,8 +105,24 @@ def _json_with_estimates(fh, head: dict, graph: Graph, values: np.ndarray) -> No
     fh.write("\n }\n}\n")
 
 
+@contextmanager
+def _replacing(path: str, newline: str | None = None):
+    """A text file that replaces ``path`` when the block ends: it is written
+    as ``path + ".partial"`` and renamed over ``path``, or removed if the
+    block raises, so a failed write leaves ``path`` as it was."""
+    partial = path + ".partial"
+    fh = open(partial, "w", newline=newline)
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        os.remove(partial)
+        raise
+    os.replace(partial, path)
+
+
 def _write_estimates(path: str, graph: Graph, values: np.ndarray, fmt: str) -> None:
-    with open(path, "w", newline="") as fh:
+    with _replacing(path, newline="") as fh:
         if fmt == "json":
             _json_with_estimates(fh, {}, graph, values)
             return
@@ -143,7 +162,7 @@ def cmd_exact(args) -> int:
         "elapsed": elapsed,
         "all_states_equal": result.all_states_equal,
     }
-    with open(args.output + ".json", "w") as fh:
+    with _replacing(args.output + ".json") as fh:
         json.dump(sidecar, fh, indent=1)
         fh.write("\n")
     return EXIT_OK
@@ -183,7 +202,7 @@ def cmd_approx(args) -> int:
         head, estimates = _run_algorithm(args.algorithm, graph, model, config, args.seed,
                                          pool=pool)
     _enter(args, "write")
-    with open(args.output, "w") as fh:
+    with _replacing(args.output) as fh:
         _json_with_estimates(fh, {**head, "n": graph.n, "m": graph.m}, graph, estimates)
     if args.format == "tsv":
         _write_estimates(args.output + ".tsv", graph, estimates, "tsv")
@@ -200,7 +219,8 @@ def cmd_compare(args) -> int:
     if args.repetitions < 1:
         print("repetitions must be at least 1", file=sys.stderr)
         return 2
-    algorithms = args.algorithms.split(",") if args.algorithms else list(ALGORITHMS)
+    algorithms = (list(ALGORITHMS) if args.algorithms is None
+                  else args.algorithms.split(","))
     for name in algorithms:
         if name not in ALGORITHMS:
             print(f"unknown algorithm {name!r}", file=sys.stderr)
@@ -251,14 +271,14 @@ def cmd_compare(args) -> int:
                     rows.append([name, config.epsilon, rep, head["r_final"], seconds, sd, mad])
 
     _enter(args, "write")
-    with open(args.output, "w", newline="") as fh:
+    with _replacing(args.output, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RAW_COLUMNS)
         writer.writerows(rows)
 
     base, ext = os.path.splitext(args.output)
     agg_path = base + ".agg" + (ext or ".csv")
-    with open(agg_path, "w", newline="") as fh:
+    with _replacing(agg_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(AGG_COLUMNS)
         for eps in args.epsilon_grid:
@@ -341,6 +361,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except MemoryError:      # numpy's allocation failures included
         print(f"error: out of memory during the {args.phase}{args.size}", file=sys.stderr)
+        return EXIT_MEMORY
+    except BrokenProcessPool:    # a worker killed, by the kernel's OOM killer say
+        print(f"error: a worker process died during the {args.phase}{args.size}",
+              file=sys.stderr)
         return EXIT_MEMORY
 
 

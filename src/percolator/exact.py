@@ -1,13 +1,13 @@
 """Ground-truth computations: exact centralities, rho, and diameter.
 
 One sweep computes everything. Per source vertex, a level-synchronous BFS
-builds the shortest-path DAG with path counts and keeps its arcs; its
-level sizes give the internal-vertex sum and the depth, and walking its
-arcs back from the deepest level accumulates the dependencies, weighted
-by the ramp difference of the endpoint states for percolation and by one
-for betweenness. Everything here is O(n*m): the ground truth that
-``compare`` scores the estimators against. The tests check it in turn
-against an oracle that enumerates every shortest path.
+on the job's search workspace yields each level with the shortest-path
+DAG arcs into it; the level sizes give the internal-vertex sum and the
+depth, and walking the arcs back from the deepest level accumulates the
+dependencies, weighted by the ramp difference of the endpoint states for
+percolation and by one for betweenness. Everything here is O(n*m): the
+ground truth that ``compare`` scores the estimators against. The tests
+check it in turn against an oracle that enumerates every shortest path.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, shortest_path_dag
+from .graph import BfsWorkspace, Graph, shortest_path_dag
 from .percolation import PercolationModel
 from .workers import bind
 
@@ -31,8 +31,8 @@ class ExactResult:
     all_states_equal: bool = False
 
 
-def _source_sweep(graph: Graph, x: np.ndarray, s: int):
-    """Brandes-style pass from one source.
+def _source_sweep(graph: Graph, x: np.ndarray, s: int, ws: BfsWorkspace):
+    """Brandes-style pass from one source, its BFS labelled on ``ws``.
 
     Returns (delta_p, delta_b, internal_sum, max_dist); the deltas are
     raw dependency vectors (still to be normalized), zero at the source.
@@ -41,8 +41,8 @@ def _source_sweep(graph: Graph, x: np.ndarray, s: int):
     list them.
     """
     n = graph.n
-    place = np.empty(n, dtype=np.int64)     # each vertex's index in its level
-    levels, _, sigma, arcs = shortest_path_dag(graph, s, place=place)
+    steps = list(shortest_path_dag(graph, s, ws))     # (level, arcs into it) per depth >= 1
+    sigma, place = ws.sigma_s, ws.place
     if not np.isfinite(sigma.max()):    # inf counts would turn the ratios into NaN
         raise OverflowError("shortest-path count overflowed float64")
     delta_p = np.zeros(n)
@@ -54,10 +54,9 @@ def _source_sweep(graph: Graph, x: np.ndarray, s: int):
     gain = np.maximum(x[s] - x, 0.0)
     carry_p = gain.copy()
     carry_b = np.ones(n)
-    # depth 0 would only write the source's entry, whose dependency is zero
-    for depth in range(len(arcs) - 1, 0, -1):
-        level = levels[depth]
-        v, w = arcs[depth]
+    # depth 0 would only write the source's entry, whose dependency is zero;
+    # each level from the deepest but one up to depth 1, with the arcs out of it
+    for (level, _, _), (_, v, w) in zip(steps[-2::-1], steps[:0:-1]):
         slots = place[v]
         ratio = sigma[v] / sigma[w]
         dep_p = np.bincount(slots, weights=ratio * carry_p[w], minlength=level.size)
@@ -65,9 +64,9 @@ def _source_sweep(graph: Graph, x: np.ndarray, s: int):
         delta_p[level], delta_b[level] = dep_p, dep_b
         carry_p[level] = gain[level] + dep_p
         carry_b[level] = 1.0 + dep_b
-    # levels[1:][i] lies at distance i + 1: i internal vertices per path
-    internal_sum = float(sum(i * level.size for i, level in enumerate(levels[1:])))
-    return delta_p, delta_b, internal_sum, len(levels) - 1
+    # steps[i] lies at distance i + 1: i internal vertices per path
+    internal_sum = float(sum(i * level.size for i, (level, _, _) in enumerate(steps)))
+    return delta_p, delta_b, internal_sum, len(steps)
 
 
 def _fold(parts, n: int):
@@ -85,7 +84,7 @@ def _fold(parts, n: int):
 
 
 def _sweep_block(graph: Graph, model: PercolationModel, sources: range, ws):
-    return _fold((_source_sweep(graph, model.x, s) for s in sources), graph.n)
+    return _fold((_source_sweep(graph, model.x, s, ws) for s in sources), graph.n)
 
 
 _BLOCK = 256    # fixed block size keeps the reduction tree, and hence the
@@ -122,7 +121,7 @@ def exact_all(graph: Graph, model: PercolationModel, pool=None) -> ExactResult:
 
 
 def _most_levels(graph: Graph, model, sources: range, ws) -> int:
-    return max(len(shortest_path_dag(graph, s)[0]) for s in sources)
+    return max(1 + sum(1 for _ in shortest_path_dag(graph, s, ws)) for s in sources)
 
 
 def exact_vertex_diameter(graph: Graph, pool=None) -> int:

@@ -281,11 +281,45 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
     return fresh
 
 
+class BfsWorkspace:
+    """Distance and path-count buffers reused by every search of one run:
+    the s and z sides of a pair search, or the s side of a single-source
+    one (:func:`shortest_path_dag`). Each side remembers the vertices it
+    labelled (its frontiers), so a reset costs what the previous search
+    touched, not n. Distances are below n, so below 2^31 vertices they
+    are int32; ``place`` stays int64, since numpy gathers through an
+    int32 index about 3x slower.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        labels = np.int32 if n < 2 ** 31 else np.int64
+        self.dist_s = np.full(n, -1, dtype=labels)
+        self.dist_z = np.full(n, -1, dtype=labels)
+        self.sigma_s = np.zeros(n)
+        self.sigma_z = np.zeros(n)
+        # each vertex's index in its level, written as the level is built
+        self.place = np.empty(n, dtype=np.int64)
+        self.touched_s: list[np.ndarray] = []
+        self.touched_z: list[np.ndarray] = []
+
+    def reset(self) -> None:
+        """Return every entry written since the last reset to -1 / 0."""
+        for dist, sigma, touched in ((self.dist_s, self.sigma_s, self.touched_s),
+                                     (self.dist_z, self.sigma_z, self.touched_z)):
+            if touched:
+                idx = np.concatenate(touched)
+                dist[idx] = -1
+                sigma[idx] = 0.0
+                touched.clear()
+
+
 def _next_level(tails: np.ndarray, heads: np.ndarray, depth: int,
                 dist: np.ndarray, sigma: np.ndarray, place: np.ndarray):
     """One BFS level step: label every unseen head of the arcs ``tails ->
     heads`` at depth+1 and count its paths. Returns the new level, ascending,
-    and the arcs into it in their given order; ``place`` is scratch.
+    and the arcs into it in their given order; each new vertex's index in
+    the level is left in ``place``.
 
     A level with at least n/8 arcs into it is read off a scan of ``dist``
     (n compares beat sorting that many heads); a smaller one is sorted, so
@@ -308,36 +342,29 @@ def _next_level(tails: np.ndarray, heads: np.ndarray, depth: int,
     return level, tails, heads
 
 
-def shortest_path_dag(graph: Graph, source: int, until: int | None = None,
-                      place: np.ndarray | None = None):
-    """Level-synchronous BFS with shortest-path counting that keeps its DAG.
+def shortest_path_dag(graph: Graph, source: int, ws: BfsWorkspace):
+    """Level-synchronous BFS from ``source`` with shortest-path counting,
+    labelled on the s side of ``ws``, which it resets first.
 
-    Returns (levels, dist, sigma, arcs): ``levels[d]`` holds the vertices
-    at distance d, ascending; ``dist`` is -1 for unreached vertices;
-    ``sigma[v]`` counts shortest source->v paths (float64; counts can
-    exceed integer range); ``arcs[d]`` is the pair (tails at d, heads at
-    d+1) of the DAG arcs between those levels, grouped by tail ascending
-    and ascending within a tail, as the CSR rows list them. With ``until``
-    set, stops as soon as the level containing it is complete, leaving
-    deeper vertices unexplored. The search writes each vertex's index in
-    its level into ``place`` (n-long int64; fresh when none is given):
-    after it, every reached vertex but the source has its entry there.
+    Yields (level, tails, heads) per level past the source, nearest first:
+    the level's vertices, ascending, and the DAG arcs into it from the
+    level before, grouped by tail ascending and ascending within a tail,
+    as the CSR rows list them. Once a level is yielded, ``ws.dist_s``
+    holds the distance of every vertex up to it (-1 past it),
+    ``ws.sigma_s`` its count of shortest source->v paths (float64; counts
+    can exceed integer range) and ``ws.place`` its index in its level. A
+    caller that stops asking leaves the deeper vertices unexplored.
     """
-    dist = np.full(graph.n, -1, dtype=np.int64)
-    sigma = np.zeros(graph.n, dtype=np.float64)
-    if place is None:
-        place = np.empty(graph.n, dtype=np.int64)
-    dist[source] = 0
-    sigma[source] = 1.0
+    ws.reset()
     frontier = np.array([source], dtype=np.int64)
-    levels, arcs = [frontier], []
+    ws.touched_s.append(frontier)
+    ws.dist_s[source], ws.sigma_s[source] = 0, 1.0
+    depth = 0
     while True:
-        frontier, tails, heads = _next_level(*graph.expand_frontier(frontier),
-                                             len(levels) - 1, dist, sigma, place)
+        frontier, tails, heads = _next_level(*graph.expand_frontier(frontier), depth,
+                                             ws.dist_s, ws.sigma_s, ws.place)
         if not frontier.size:
-            break
-        levels.append(frontier)
-        arcs.append((tails, heads))
-        if until is not None and dist[until] >= 0:
-            break
-    return levels, dist, sigma, arcs
+            return
+        ws.touched_s.append(frontier)
+        depth += 1
+        yield frontier, tails, heads

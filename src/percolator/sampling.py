@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _next_level, _renumber, shortest_path_dag, sorted_unique
+from .graph import BfsWorkspace, Graph, _next_level, _renumber, shortest_path_dag, sorted_unique
 from .percolation import PercolationModel
 
 DEFAULT_BAG_CAP = 1 << 16
@@ -44,38 +44,6 @@ class MeetResult:
     cand_z: np.ndarray             # candidate arcs, z-side endpoints
     sigma_sz: float = 0.0          # total shortest s-z path count
     cand_weights: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-
-class BfsWorkspace:
-    """Distance and path-count buffers reused by every search of one run.
-
-    Each side remembers the vertices it labelled (its frontiers), so a
-    reset costs what the previous search touched, not n. Distances are
-    below n, so below 2^31 vertices they are int32; ``place`` stays
-    int64, since numpy gathers through an int32 index about 3x slower.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        labels = np.int32 if n < 2 ** 31 else np.int64
-        self.dist_s = np.full(n, -1, dtype=labels)
-        self.dist_z = np.full(n, -1, dtype=labels)
-        self.sigma_s = np.zeros(n)
-        self.sigma_z = np.zeros(n)
-        # index of a vertex in the frontier just built; read only there
-        self.place = np.empty(n, dtype=np.int64)
-        self.touched_s: list[np.ndarray] = []
-        self.touched_z: list[np.ndarray] = []
-
-    def reset(self) -> None:
-        """Return every entry written since the last reset to -1 / 0."""
-        for dist, sigma, touched in ((self.dist_s, self.sigma_s, self.touched_s),
-                                     (self.dist_z, self.sigma_z, self.touched_z)):
-            if touched:
-                idx = np.concatenate(touched)
-                dist[idx] = -1
-                sigma[idx] = 0.0
-                touched.clear()
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,7 +384,7 @@ def pab_sample(graph: Graph, model: PercolationModel, s: int, z: int,
     if not meet.connected:
         return NO_CONTRIBUTION
     if meet.sigma_sz >= 2.0 ** 53:
-        return _pab_sample_dag(graph, model, s, z, weight)
+        return _pab_sample_dag(graph, model, s, z, weight, ws)
     found, values = [NO_CONTRIBUTION.idx], [NO_CONTRIBUTION.val]    # z next to s: none
     for ends, shares, dist, sigma, backward in (
             (meet.cand_s, meet.sigma_z[meet.cand_z], meet.dist_s, meet.sigma_s, True),
@@ -438,10 +406,10 @@ def pab_sample(graph: Graph, model: PercolationModel, s: int, z: int,
 
 
 def _pab_sample_dag(graph: Graph, model: PercolationModel, s: int, z: int,
-                    weight: float) -> Contribution:
+                    weight: float, ws: BfsWorkspace) -> Contribution:
     """:func:`pab_sample` of a percolated pair (``weight`` its pair weight)
-    from the labels of one BFS from s, truncated at z's level; z must be
-    reachable from s.
+    from the labels of one BFS from s on ``ws``, stopped at z's level; z
+    must be reachable from s.
 
     The reference's own loop, one level per step from z toward s: the
     in-arcs of a level, head by head in its order and then in CSR order,
@@ -449,7 +417,10 @@ def _pab_sample_dag(graph: Graph, model: PercolationModel, s: int, z: int,
     level lists those tails by first appearance, and each omega adds its
     shares in arc order, since past 2^53 the order changes the rounding.
     """
-    _, dist, sigma, _ = shortest_path_dag(graph, s, until=z)
+    for _ in shortest_path_dag(graph, s, ws):
+        if ws.dist_s[z] >= 0:
+            break
+    dist, sigma = ws.dist_s, ws.sigma_s
     if not math.isfinite(sigma[z]):     # no count on an s-z path exceeds sigma[z]
         raise OverflowError("shortest-path count overflowed float64")
     level = np.array([z], dtype=np.int64)

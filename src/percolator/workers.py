@@ -4,9 +4,11 @@ The command's process installs the graph, the percolation model and a
 BFS workspace once, and the pool forks its workers from it, so each
 inherits them without a copy being sent. A job then carries only a
 module-level function, its small scalar arguments and an index range,
-and runs in a worker or in the command's process alike. Every function
-handed to the pool is private: a tracer that rebinds public names at
-their module bindings must not change what a job unpickles to.
+and runs in a worker or in the command's process alike. Every search
+of a job, an exact source sweep's or a sampler's, runs on the inherited
+workspace. Every function handed to the pool is private: a tracer that
+rebinds public names at their module bindings must not change what a
+job unpickles to.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from functools import partial
 
-from .graph import Graph
+from .graph import BfsWorkspace, Graph
 from .percolation import PercolationModel
-from .sampling import BfsWorkspace
 
 _inputs: tuple = ()     # (graph, model, workspace) while a pool is open
 

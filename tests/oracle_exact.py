@@ -11,14 +11,15 @@ the pair sample sums path counts in per-neighbour dict loops.
 weights each internal vertex by ``kappa``, the definition the exact sweep
 and the estimators sum in closed form. ``exact_rho_and_diameter`` reads
 rho and the diameter off BFS level sizes alone, for the sweep's and
-``exact_vertex_diameter``'s to match.
+``exact_vertex_diameter``'s to match. ``whole_dag`` gathers what
+``shortest_path_dag`` yields into lists, for the tests that read it whole.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from percolator import Graph, PercolationModel
+from percolator import BfsWorkspace, Graph, PercolationModel
 from percolator.graph import shortest_path_dag
 
 from gen import in_neighbors
@@ -40,6 +41,23 @@ def kappa(model: PercolationModel, s: int, z: int, v: int) -> float:
     if denom == 0.0:
         return 0.0
     return model.pair_weight(s, z) / denom
+
+
+def whole_dag(graph: Graph, source: int, until: int | None = None,
+              ws: BfsWorkspace | None = None):
+    """``shortest_path_dag`` run on ``ws`` (a fresh workspace when none is
+    given) and gathered: (levels, dist, sigma, arcs), ``levels`` from the
+    source's on, ``arcs[d]`` the (tails, heads) into ``levels[d + 1]``,
+    ``dist`` and ``sigma`` the workspace's s side. With ``until`` set, the
+    levels stop at the one holding it, as ``_pab_sample_dag`` stops."""
+    ws = BfsWorkspace(graph.n) if ws is None else ws
+    levels, arcs = [np.array([source])], []
+    for level, tails, heads in shortest_path_dag(graph, source, ws):
+        levels.append(level)
+        arcs.append((tails, heads))
+        if until is not None and ws.dist_s[until] >= 0:
+            break
+    return levels, ws.dist_s, ws.sigma_s, arcs
 
 
 def bfs_level_counts(graph: Graph, source: int, until: int | None = None):
@@ -170,7 +188,7 @@ def brute_force_percolation(graph: Graph, model: PercolationModel,
         raise ValueError("model and graph disagree on vertex count")
     acc = np.zeros(n)
     for s in range(n):
-        _, dist, _, _ = shortest_path_dag(graph, s)
+        _, dist, _, _ = whole_dag(graph, s)
         preds: list[list[int]] = [[] for _ in range(n)]
         for v in range(n):
             if dist[v] <= 0:
@@ -197,7 +215,7 @@ def exact_rho_and_diameter(graph: Graph) -> tuple[float, int]:
     internal = 0    # an int, so the sum is exact, as the sweep's is below 2^53
     max_d = 0
     for s in range(graph.n):
-        levels = shortest_path_dag(graph, s)[0]
+        levels = whole_dag(graph, s)[0]
         internal += sum(i * level.size for i, level in enumerate(levels[1:]))
         max_d = max(max_d, len(levels) - 1)
     return internal / (graph.n * (graph.n - 1)), max_d

@@ -388,6 +388,7 @@ def test_approx_prk_fixed_refuses_exact_pass_over_budget(tmp_path, monkeypatch, 
 
 @pytest.mark.parametrize("flag,value,code", [("--algorithms", "mcera,bogus", 2),
                                              ("--algorithms", "mcera,mcera", 2),
+                                             ("--algorithms", "", 2),
                                              ("--epsilon-grid", "0.3 0.3", 2),
                                              ("--epsilon-grid", "0.1 1.5", 3)])
 def test_compare_checks_inputs_before_any_pass(tmp_path, monkeypatch, flag, value, code):
@@ -407,7 +408,8 @@ def test_compare_checks_inputs_before_any_pass(tmp_path, monkeypatch, flag, valu
     graph = write_graph(tmp_path)
     out = tmp_path / "cmp.csv"
     assert main(["compare", "--graph", graph, "--states", "random:1",
-                 "--output", str(out), "--repetitions", "1", flag, *value.split()]) == code
+                 "--output", str(out), "--repetitions", "1", flag,
+                 *(value.split() or [value])]) == code
     assert calls == []
     assert not out.exists()
 
@@ -737,3 +739,54 @@ def test_streamed_writers_match_one_shot_writers(tmp_path, monkeypatch, n, fmt):
     text = io.StringIO()
     cli._json_with_estimates(text, head, graph, values)
     assert text.getvalue() == oracle_writer.json_with_estimates(head, graph, values)
+
+
+def test_a_dead_worker_exits_5_naming_the_phase(tmp_path, monkeypatch, capsys):
+    """A pool worker that dies mid-run ends the command with one line naming
+    the phase and exit 5, not a traceback: here every source sweep run in a
+    worker, not in the command's process, ends its process."""
+    from percolator import exact
+    main_pid, sweep = os.getpid(), exact._source_sweep
+
+    def dying(*args):
+        if os.getpid() != main_pid:
+            os._exit(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(exact, "_source_sweep", dying)      # before the pool forks
+    graph = write_graph(tmp_path, "".join(f"{i} {i + 1}\n" for i in range(599)))
+    out = tmp_path / "exact.tsv"
+    assert main(["exact", "--graph", graph, "--states", "random:1",
+                 "--output", str(out), "--threads", "2"]) == 5
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1] == \
+        "error: a worker process died during the exact pass (n = 600, m = 599)"
+    assert not out.exists() and not Path(str(out) + ".json").exists()
+
+
+@pytest.mark.parametrize("command,fmt", [("exact", "tsv"), ("exact", "json"), ("exact", "csv"),
+                                         ("approx", "json"), ("approx", "tsv")])
+def test_a_failed_write_leaves_no_partial_output(tmp_path, monkeypatch, capsys, command, fmt):
+    """Every output is written beside its target and renamed over it once
+    complete: a write that runs out of memory after its first block exits 5
+    and leaves neither a partial file nor its ``.partial`` copy, and a
+    target already there untouched."""
+    blocks = cli._estimate_blocks
+
+    def failing(*args):
+        gen = blocks(*args)
+        yield next(gen)
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_WRITE_BLOCK", 4)
+    monkeypatch.setattr(cli, "_estimate_blocks", failing)
+    graph = write_graph(tmp_path, "".join(f"{i} {i + 1}\n" for i in range(11)))
+    out = tmp_path / "out"
+    out.write_text("old\n")
+    assert main([command, "--graph", graph, "--states", "random:1", "--output", str(out),
+                 "--format", fmt, "--threads", "1"]) == 5
+    assert capsys.readouterr().err.strip().splitlines()[-1] == \
+        "error: out of memory during the write (n = 12, m = 11)"
+    assert out.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "out"]

@@ -15,7 +15,7 @@ from percolator import (BfsWorkspace, Contribution, McEraState, PercolationModel
                         pab_sample, random_states)
 from percolator import graph as graph_module
 from percolator.exact import _source_sweep
-from percolator.graph import shortest_path_dag, sorted_unique
+from percolator.graph import sorted_unique
 
 import oracle_exact
 from oracle_contrib import as_dict
@@ -48,14 +48,15 @@ def case(request):
 def test_layer_graphs_count_past_2_53():
     for name in ("layers-2^53", "layers-2^53-directed"):
         graph = GRAPHS[name]
-        assert shortest_path_dag(graph, 0)[2].max() > 2.0 ** 60
+        assert oracle_exact.whole_dag(graph, 0)[2].max() > 2.0 ** 60
 
 
 def test_dag_matches_reference_bfs(case):
     graph, _ = case
+    ws = BfsWorkspace(graph.n)
     for s in range(graph.n):
         for until in (None, graph.n - 1 - s):
-            levels, dist, sigma, arcs = shortest_path_dag(graph, s, until)
+            levels, dist, sigma, arcs = oracle_exact.whole_dag(graph, s, until, ws)
             want_levels, want_dist, want_sigma = oracle_exact.bfs_level_counts(graph, s, until)
             assert len(levels) == len(want_levels) == len(arcs) + 1
             assert all(np.array_equal(a, b) for a, b in zip(levels, want_levels))
@@ -91,7 +92,7 @@ def test_level_step_scans_dense_levels_and_sorts_sparse_ones(sorted_sizes):
         sorts = steps = 0
         for s in range(graph.n):
             del sorted_sizes[:]
-            arcs = shortest_path_dag(graph, s)[3]
+            arcs = oracle_exact.whole_dag(graph, s)[3]
             small = [heads.size for _, heads in arcs if 8 * heads.size < graph.n]
             assert sorted_sizes == small + [0]
             sorts += len(small)
@@ -107,7 +108,7 @@ def test_deep_narrow_graph_sorts_every_level(sorted_sizes):
     graph = build(layered_edges([1] + [2] * 1100 + [1]))
     for s in (0, 1, graph.n // 2, graph.n - 1):
         del sorted_sizes[:]
-        levels = shortest_path_dag(graph, s)[0]
+        levels = oracle_exact.whole_dag(graph, s)[0]
         assert len(levels) > 550
         assert len(sorted_sizes) == len(levels)
         assert max(sorted_sizes) <= 12
@@ -115,8 +116,9 @@ def test_deep_narrow_graph_sorts_every_level(sorted_sizes):
 
 def test_source_sweep_matches_reference(case):
     graph, model = case
+    ws = BfsWorkspace(graph.n)
     for s in range(graph.n):
-        got = _source_sweep(graph, model.x, s)
+        got = _source_sweep(graph, model.x, s, ws)
         want = oracle_exact._source_sweep(graph, model.x, s, True, True)
         for g, w in zip(got[:2], want[:2]):
             assert np.array_equal(g, w)

@@ -3,7 +3,7 @@ import argparse
 import numpy as np
 import pytest
 
-from percolator import (PercolationModel, ScheduleConfig, estimate, exact_all,
+from percolator import (BfsWorkspace, PercolationModel, ScheduleConfig, estimate, exact_all,
                         exact_vertex_diameter, random_states)
 from percolator import baselines, cli, exact
 from percolator.workers import open_pool
@@ -152,7 +152,7 @@ def test_source_sweep_overflow_detected():
     """Past 2^1024 paths sigma is inf and every dependency ratio NaN."""
     g = build(layered_edges([1] + [2] * 1100 + [1]))
     with pytest.raises(OverflowError, match="overflowed float64"):
-        exact._source_sweep(g, random_states(g.n, seed=1), 0)
+        exact._source_sweep(g, random_states(g.n, seed=1), 0, BfsWorkspace(g.n))
 
 
 def test_path_explosion_guard():

