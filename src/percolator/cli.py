@@ -109,16 +109,17 @@ def _json_with_estimates(fh, head: dict, graph: Graph, values: np.ndarray) -> No
 def _replacing(path: str, newline: str | None = None):
     """A text file that replaces ``path`` when the block ends: it is written
     as ``path + ".partial"`` and renamed over ``path``, or removed if the
-    block raises, so a failed write leaves ``path`` as it was."""
+    block or the rename raises, so a failed write leaves ``path`` as it
+    was."""
     partial = path + ".partial"
     fh = open(partial, "w", newline=newline)
     try:
         with fh:
             yield fh
+        os.replace(partial, path)
     except BaseException:
         os.remove(partial)
         raise
-    os.replace(partial, path)
 
 
 def _write_estimates(path: str, graph: Graph, values: np.ndarray, fmt: str) -> None:

@@ -42,7 +42,7 @@ def _source_sweep(graph: Graph, x: np.ndarray, s: int, ws: BfsWorkspace):
     """
     n = graph.n
     steps = list(shortest_path_dag(graph, s, ws))     # (level, arcs into it) per depth >= 1
-    sigma, place = ws.sigma_s, ws.place
+    sigma, place = ws.sigma[0], ws.place
     if not np.isfinite(sigma.max()):    # inf counts would turn the ratios into NaN
         raise OverflowError("shortest-path count overflowed float64")
     delta_p = np.zeros(n)

@@ -74,17 +74,21 @@ _LINE = re.compile(rb"[ \t\r]*(?:[#%].*|([+-]?[0-9]+)[ \t\r]+([+-]?[0-9]+)[ \t\r
 _COMMENT_LINE = re.compile(rb"\n[ \t\r]*[#%][^\n]*")   # on its newline: "^" is 2x slower
 _CHUNK = 1 << 22       # bytes read per block; parsing one peaks at about 5x that
 _ROOM = 1 << 22        # ids the loader first makes room for: 32 MiB, a mapping of its own
+_QUOTED = 80           # characters of a bad line an error quotes
 
 
 def _line_error(data: bytes, lines_before: int = 0) -> EdgeListParseError:
     """The error naming the first line of ``data`` that breaks the grammar;
-    ``lines_before`` lines of the input precede ``data``."""
+    ``lines_before`` lines of the input precede ``data``. It quotes the
+    line, or a longer line's first ``_QUOTED`` characters and its length."""
     for lineno, line in enumerate(data.split(b"\n"), start=lines_before + 1):
         match = _LINE.fullmatch(line)
         if not match or match[1] and not all(
                 _INT64.min <= int(token) <= _INT64.max for token in match.groups()):
             text = line.strip().decode("ascii", "backslashreplace")
-            return EdgeListParseError(f"line {lineno}: expected two int64 ids, got '{text}'")
+            quote = (f"'{text}'" if len(text) <= _QUOTED
+                     else f"'{text[:_QUOTED]}...' ({len(line)} bytes)")
+            return EdgeListParseError(f"line {lineno}: expected two int64 ids, got {quote}")
     return EdgeListParseError("empty graph: no edges found")
 
 
@@ -130,18 +134,19 @@ def _read_ids(stream) -> np.ndarray:
     ids. glibc serves a request of 32 MiB or more with a mapping of its
     own, and grows or shrinks such a mapping by remapping its pages, not
     by copying them (no view of the array exists meanwhile); pages never
-    written cost no memory. A block's lines are counted on its bytes,
-    for the next block's errors."""
-    ids, size, rest, lines = np.empty(_ROOM, dtype=np.int64), 0, b"", 0
+    written cost no memory. A line longer than a block is kept as its
+    blocks and joined once it ends. A block's lines are counted on its
+    bytes, for the next block's errors."""
+    ids, size, rest, lines = np.empty(_ROOM, dtype=np.int64), 0, [], 0
     while True:
         block = stream.read(_CHUNK)
         block = block.encode() if isinstance(block, str) else block
         cut = block.rfind(b"\n") + 1
-        if block and not cut:          # no line ends in this block yet
-            rest += block
+        if block and not cut:          # no line ends in this block yet: joined once one does
+            rest.append(block)
             continue
-        framed = b"".join((b"\n", rest, memoryview(block)[:cut], b"\n"))
-        rest = block[cut:]
+        framed = b"".join((b"\n", *rest, memoryview(block)[:cut], b"\n"))
+        rest = [block[cut:]]
         parsed = _parse_ids(framed)
         if parsed is None:
             raise _line_error(framed[1:-1], lines)
@@ -282,36 +287,38 @@ def _run_starts(ordered: np.ndarray) -> np.ndarray:
 
 
 class BfsWorkspace:
-    """Distance and path-count buffers reused by every search of one run:
-    the s and z sides of a pair search, or the s side of a single-source
-    one (:func:`shortest_path_dag`). Each side remembers the vertices it
-    labelled (its frontiers), so a reset costs what the previous search
-    touched, not n. Distances are below n, so below 2^31 vertices they
-    are int32; ``place`` stays int64, since numpy gathers through an
-    int32 index about 3x slower.
+    """Distance and path-count labels reused by every search of one run.
+    ``dist`` and ``sigma`` are (2, n): row 0 is the s side, row 1 the z
+    side of a pair search, and a single-source search
+    (:func:`shortest_path_dag`) labels row 0, so flat index
+    ``side * n + v`` names v on a side. ``touched[side]`` lists the levels
+    that side labelled since the last reset. Distances are below n, so
+    below 2^31 vertices they are int32; ``place`` stays int64, since
+    numpy gathers through an int32 index about 3x slower.
     """
 
     def __init__(self, n: int):
         self.n = n
-        labels = np.int32 if n < 2 ** 31 else np.int64
-        self.dist_s = np.full(n, -1, dtype=labels)
-        self.dist_z = np.full(n, -1, dtype=labels)
-        self.sigma_s = np.zeros(n)
-        self.sigma_z = np.zeros(n)
+        self.dist = np.full((2, n), -1, dtype=np.int32 if n < 2 ** 31 else np.int64)
+        self.sigma = np.zeros((2, n))
         # each vertex's index in its level, written as the level is built
         self.place = np.empty(n, dtype=np.int64)
-        self.touched_s: list[np.ndarray] = []
-        self.touched_z: list[np.ndarray] = []
+        self.touched: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])
 
     def reset(self) -> None:
-        """Return every entry written since the last reset to -1 / 0."""
-        for dist, sigma, touched in ((self.dist_s, self.sigma_s, self.touched_s),
-                                     (self.dist_z, self.sigma_z, self.touched_z)):
-            if touched:
+        """Return every label written since the last reset to -1 / 0: a side
+        that touched n/8 vertices or more is refilled (as ``_next_level``
+        scans a large level), any other scattered over what it touched, so
+        a reset costs at most 8x what the last search touched."""
+        for dist, sigma, touched in zip(self.dist, self.sigma, self.touched):
+            if 8 * sum(level.size for level in touched) >= self.n:
+                dist.fill(-1)
+                sigma.fill(0.0)
+            elif touched:
                 idx = np.concatenate(touched)
                 dist[idx] = -1
                 sigma[idx] = 0.0
-                touched.clear()
+            touched.clear()
 
 
 def _next_level(tails: np.ndarray, heads: np.ndarray, depth: int,
@@ -344,27 +351,26 @@ def _next_level(tails: np.ndarray, heads: np.ndarray, depth: int,
 
 def shortest_path_dag(graph: Graph, source: int, ws: BfsWorkspace):
     """Level-synchronous BFS from ``source`` with shortest-path counting,
-    labelled on the s side of ``ws``, which it resets first.
+    labelled on row 0 (the s side) of ``ws``, which it resets first.
 
     Yields (level, tails, heads) per level past the source, nearest first:
     the level's vertices, ascending, and the DAG arcs into it from the
     level before, grouped by tail ascending and ascending within a tail,
-    as the CSR rows list them. Once a level is yielded, ``ws.dist_s``
+    as the CSR rows list them. Once a level is yielded, ``ws.dist[0]``
     holds the distance of every vertex up to it (-1 past it),
-    ``ws.sigma_s`` its count of shortest source->v paths (float64; counts
+    ``ws.sigma[0]`` its count of shortest source->v paths (float64; counts
     can exceed integer range) and ``ws.place`` its index in its level. A
     caller that stops asking leaves the deeper vertices unexplored.
     """
     ws.reset()
+    dist, sigma, levels = ws.dist[0], ws.sigma[0], ws.touched[0]
     frontier = np.array([source], dtype=np.int64)
-    ws.touched_s.append(frontier)
-    ws.dist_s[source], ws.sigma_s[source] = 0, 1.0
-    depth = 0
+    levels.append(frontier)
+    dist[source], sigma[source] = 0, 1.0
     while True:
-        frontier, tails, heads = _next_level(*graph.expand_frontier(frontier), depth,
-                                             ws.dist_s, ws.sigma_s, ws.place)
+        frontier, tails, heads = _next_level(*graph.expand_frontier(frontier), len(levels) - 1,
+                                             dist, sigma, ws.place)
         if not frontier.size:
             return
-        ws.touched_s.append(frontier)
-        depth += 1
+        levels.append(frontier)
         yield frontier, tails, heads

@@ -26,9 +26,10 @@ _NO_VERTICES = np.empty(0, dtype=np.int64)
 class MeetResult:
     """Outcome of one balanced bidirectional BFS between s and z.
 
-    ``dist_*`` and ``sigma_*`` are views of the :class:`BfsWorkspace` the
-    search ran on: they stay valid only until the next search on that
-    workspace, which resets the entries this one wrote.
+    ``ws`` is the :class:`BfsWorkspace` the search ran on, its labels from
+    s in row 0 and to z in row 1 (distance -1 where unreached): they stay
+    valid only until the next search on that workspace, which resets the
+    entries this one wrote.
     """
 
     graph: Graph
@@ -36,10 +37,7 @@ class MeetResult:
     z: int
     connected: bool
     dist: int                      # d(s, z); -1 when disconnected
-    dist_s: np.ndarray             # distances from s (-1 unreached)
-    dist_z: np.ndarray             # distances to z
-    sigma_s: np.ndarray            # shortest-path counts from s
-    sigma_z: np.ndarray            # shortest-path counts to z
+    ws: BfsWorkspace
     cand_s: np.ndarray             # candidate arcs, s-side endpoints
     cand_z: np.ndarray             # candidate arcs, z-side endpoints
     sigma_sz: float = 0.0          # total shortest s-z path count
@@ -77,10 +75,9 @@ class PathBag:
         return self.requested > len(self.paths)
 
 
-def _expand_side(graph: Graph, frontier: np.ndarray, depth: int,
-                 dist_own: np.ndarray, sigma_own: np.ndarray,
-                 dist_other: np.ndarray, place: np.ndarray, backward: bool):
-    """One full level of one side; returns (next_frontier, cand_own, cand_other).
+def _expand_side(graph: Graph, ws: BfsWorkspace, side: int, frontier: np.ndarray, depth: int):
+    """One full level of ``side`` of ``ws`` (0: out-arcs from s, 1: in-arcs
+    toward z); returns (next_frontier, cand_s, cand_z).
 
     Arcs to vertices the other side has seen are the candidate arcs; the
     search ends at the first level with any, so that level builds no next
@@ -91,24 +88,28 @@ def _expand_side(graph: Graph, frontier: np.ndarray, depth: int,
     next level, in order, each with v's count (the float a one-weight
     bincount gives), so no arc list, sort or bincount is built.
     """
+    dist, sigma, other = ws.dist[side], ws.sigma[side], ws.dist[1 - side]
     if frontier.size == 1:
         v = frontier[0]
-        offsets, targets = ((graph.bwd_offsets, graph.bwd_targets) if backward
+        offsets, targets = ((graph.bwd_offsets, graph.bwd_targets) if side
                             else (graph.fwd_offsets, graph.fwd_targets))
-        row = targets[offsets[v]:offsets[v + 1]]
-        met = (dist_other[row] >= 0).nonzero()[0]
-        if met.size:
-            return _NO_VERTICES, frontier.repeat(met.size), row.take(met)
-        new = row.take((dist_own[row] < 0).nonzero()[0])
-        dist_own[new] = depth + 1
-        sigma_own[new] = sigma_own[v]
-        return new, _NO_VERTICES, _NO_VERTICES
-    srcs, nbrs = graph.expand_frontier(frontier, backward=backward)
-    met = dist_other[nbrs] >= 0
-    if met.any():
-        return _NO_VERTICES, srcs[met], nbrs[met]
-    new, _, _ = _next_level(srcs, nbrs, depth, dist_own, sigma_own, place)
-    return new, _NO_VERTICES, _NO_VERTICES
+        nbrs = targets[offsets[v]:offsets[v + 1]]
+        met = (other[nbrs] >= 0).nonzero()[0]
+        if not met.size:
+            new = nbrs.take((dist[nbrs] < 0).nonzero()[0])
+            dist[new] = depth + 1
+            sigma[new] = sigma[v]
+            return new, _NO_VERTICES, _NO_VERTICES
+        srcs = frontier.repeat(met.size)
+    else:
+        srcs, nbrs = graph.expand_frontier(frontier, backward=bool(side))
+        met = other[nbrs] >= 0
+        if not met.any():
+            new, _, _ = _next_level(srcs, nbrs, depth, dist, sigma, ws.place)
+            return new, _NO_VERTICES, _NO_VERTICES
+        srcs = srcs[met]
+    # the arcs run from this side into the other: the s side's ends are their tails on side 0
+    return (_NO_VERTICES, nbrs[met], srcs) if side else (_NO_VERTICES, srcs, nbrs[met])
 
 
 def balanced_bidirectional_bfs(graph: Graph, s: int, z: int,
@@ -117,7 +118,9 @@ def balanced_bidirectional_bfs(graph: Graph, s: int, z: int,
 
     ``ws`` holds the distance and path-count arrays; a fresh one is made
     when none is given. Passing the same workspace to every search of a
-    run makes each search cost what it explores instead of O(n).
+    run makes each search cost what it explores instead of O(n). Each
+    iteration expands the side whose frontier has fewer arcs, the s side
+    on a tie.
     """
     if s == z:
         raise ValueError("endpoints must be distinct")
@@ -126,32 +129,19 @@ def balanced_bidirectional_bfs(graph: Graph, s: int, z: int,
     elif ws.n != graph.n:
         raise ValueError("workspace and graph disagree on vertex count")
     ws.reset()
-    dist_s, dist_z, sigma_s, sigma_z = ws.dist_s, ws.dist_z, ws.sigma_s, ws.sigma_z
-    frontier_s = np.array([s], dtype=np.int64)
-    frontier_z = np.array([z], dtype=np.int64)
-    ws.touched_s.append(frontier_s)
-    ws.touched_z.append(frontier_z)
-    dist_s[s] = 0
-    sigma_s[s] = 1.0
-    dist_z[z] = 0
-    sigma_z[z] = 1.0
-    depth_s = depth_z = 0
-    # each frontier's arc count, taken once when the frontier is built
-    arcs_s, arcs_z = graph.out_degrees[s], graph.in_degrees[z]
-
-    while frontier_s.size and frontier_z.size:
-        if arcs_s <= arcs_z:
-            frontier_s, cand_s, cand_z = _expand_side(
-                graph, frontier_s, depth_s, dist_s, sigma_s, dist_z, ws.place, backward=False)
-            ws.touched_s.append(frontier_s)
-            arcs_s = graph.out_degrees[frontier_s].sum()
-            depth_s += 1
-        else:
-            frontier_z, cand_z, cand_s = _expand_side(
-                graph, frontier_z, depth_z, dist_z, sigma_z, dist_s, ws.place, backward=True)
-            ws.touched_z.append(frontier_z)
-            arcs_z = graph.in_degrees[frontier_z].sum()
-            depth_z += 1
+    degrees = (graph.out_degrees, graph.in_degrees)
+    arcs = []                 # each frontier's arc count, taken once when the frontier is built
+    for side, root in enumerate((s, z)):
+        ws.touched[side].append(np.array([root], dtype=np.int64))
+        ws.dist[side, root], ws.sigma[side, root] = 0, 1.0
+        arcs.append(degrees[side][root])
+    (dist_s, dist_z), (sigma_s, sigma_z) = ws.dist, ws.sigma
+    while ws.touched[0][-1].size and ws.touched[1][-1].size:
+        side = int(arcs[0] > arcs[1])
+        levels = ws.touched[side]
+        frontier, cand_s, cand_z = _expand_side(graph, ws, side, levels[-1], len(levels) - 1)
+        levels.append(frontier)
+        arcs[side] = degrees[side][frontier].sum()
         if cand_s.size:
             totals = dist_s[cand_s] + 1 + dist_z[cand_z]
             d = int(totals.min())
@@ -161,63 +151,57 @@ def balanced_bidirectional_bfs(graph: Graph, s: int, z: int,
             sigma_sz = float(weights.sum())
             if not math.isfinite(sigma_sz):
                 raise OverflowError("shortest-path count overflowed float64")
-            return MeetResult(graph=graph, s=s, z=z, connected=True, dist=d,
-                              dist_s=dist_s, dist_z=dist_z,
-                              sigma_s=sigma_s, sigma_z=sigma_z,
+            return MeetResult(graph=graph, s=s, z=z, connected=True, dist=d, ws=ws,
                               cand_s=cand_s, cand_z=cand_z,
                               sigma_sz=sigma_sz, cand_weights=weights)
-
-    return MeetResult(graph=graph, s=s, z=z, connected=False, dist=-1,
-                      dist_s=dist_s, dist_z=dist_z,
-                      sigma_s=sigma_s, sigma_z=sigma_z,
+    return MeetResult(graph=graph, s=s, z=z, connected=False, dist=-1, ws=ws,
                       cand_s=_NO_VERTICES, cand_z=_NO_VERTICES)
 
 
-def _walk_down(graph: Graph, v: np.ndarray, z_side: np.ndarray, dist, sigma,
+def _walk_down(graph: Graph, key: np.ndarray, dist, sigma,
                uniforms: np.ndarray, first: np.ndarray, roots) -> np.ndarray:
-    """Random descents to depth 0 from every ``v[i]`` at once, weighting each
-    step by its path count.
+    """Random descents to depth 0 from every ``key[i] = side * n + v`` at
+    once, weighting each step by its path count.
 
-    Walker i descends the s side (``z_side[i]`` False: in-arcs, ``dist[0]``,
-    ``sigma[0]``) or the z side (out-arcs, ``dist[1]``, ``sigma[1]``),
-    whose only vertex at depth 0 is ``roots[0]`` or ``roots[1]``. Its
-    step t reads the uniform ``uniforms[first[i] + t]`` and sets
+    ``dist`` and ``sigma`` are (2, n) labels, gathered flat at the keys.
+    Walker i descends from v on the s side (side 0: in-arcs) or the z side
+    (side 1: out-arcs), whose only vertex at depth 0 is ``roots[side]``.
+    Its step t reads the uniform ``uniforms[first[i] + t]`` and sets
     ``rem = draw * sigma[v]``; subtracting the predecessors' counts from
     ``rem`` one at a time, in CSR order, it goes to the first predecessor at
     which ``rem`` drops to <= 0, or to the last one when rounding keeps it
     positive. That is bit for bit an in-order ``subtract.accumulate``,
     never a cumsum. Every walker takes one step per iteration, and each
-    distinct (side, vertex) of a step has its neighbour list read once,
-    since a vertex's predecessors depend only on the vertex. A walker one
-    step above its root has the root as its one predecessor: it takes it
+    distinct key of a step has its neighbour list read once, since a
+    vertex's predecessors depend only on the vertex. A walker one step
+    above its root has the root as its one predecessor: it takes it
     without reading a list, and its uniform stays unread.
 
-    Returns ``trail`` of shape (len(v), deepest + 1): ``trail[i, t]`` is
+    Returns ``trail`` of shape (len(key), deepest + 1): ``trail[i, t]`` is
     walker i's vertex after t steps, for t up to its depth; later entries
     are unspecified.
     """
     n = graph.n
-    (dist_s, dist_z), (sigma_s, sigma_z) = dist, sigma
-    left = np.where(z_side, dist_z[v], dist_s[v])     # steps still to take
+    dist, sigma = dist.ravel(), sigma.ravel()
+    roots = np.array(roots)
+    left = dist[key]                                  # steps still to take
     done_at = set(left.tolist())
     steps = max(done_at, default=0)
-    trail = np.empty((steps + 1, v.size), dtype=np.int64)
-    trail[0] = v
+    trail = np.empty((steps + 1, key.size), dtype=np.int64)
+    trail[0] = key
     rows = (left > 0).nonzero()[0]                  # walkers not at depth 0
-    cur, zs, at, left = v[rows], z_side[rows], first[rows], left[rows]
-    root_s, root_z = roots
+    key, at, left = key[rows], first[rows], left[rows]
     # numpy's ndarray methods and ufuncs below skip the wrappers of the
     # np.* functions, a large share of the cost at a bag's array sizes
     for t in range(steps):
         if t + 1 in done_at:                          # the walkers one step above a root
             top = left == t + 1
-            trail[t + 1, rows[top]] = np.where(zs[top], root_z, root_s)
+            trail[t + 1, rows[top]] = roots[key[top] // n]
             go = ~top
-            rows, cur, zs, at, left = rows[go], cur[go], zs[go], at[go], left[go]
+            rows, key, at, left = rows[go], key[go], at[go], left[go]
             if not rows.size:
                 break
-        # the step's distinct (side, vertex) keys, and each walker's slot among them
-        key = cur + n * zs
+        # the step's distinct keys, and each walker's slot among them
         ukey = sorted_unique(key)
         slot = ukey.searchsorted(key)
         uz = ukey >= n
@@ -233,8 +217,8 @@ def _walk_down(graph: Graph, v: np.ndarray, z_side: np.ndarray, dist, sigma,
         nz = uz.repeat(size)
         nbrs = (np.where(nz, graph.fwd_targets[arcs], graph.bwd_targets[arcs])
                 if graph.directed else graph.fwd_targets[arcs])
-        below = (np.where(uz, dist_z[uv], dist_s[uv]) - 1).repeat(size)
-        at_pred = (np.where(nz, dist_z[nbrs], dist_s[nbrs]) == below).nonzero()[0]
+        nbrs += n * nz                                # keyed on the walker's side
+        at_pred = (dist[nbrs] == (dist[ukey] - 1).repeat(size)).nonzero()[0]
         preds = nbrs[at_pred]
         # each walker's predecessors are preds[first_pred:last_pred + 1]
         first_pred = at_pred.searchsorted(ends - size)[slot]
@@ -242,9 +226,8 @@ def _walk_down(graph: Graph, v: np.ndarray, z_side: np.ndarray, dist, sigma,
         nxt = preds[first_pred]                       # the one predecessor, the usual case
         multi = (last_pred > first_pred).nonzero()[0]
         if multi.size:
-            psigma = np.where(nz[at_pred], sigma_z[preds], sigma_s[preds])
-            here = cur[multi]
-            rem = uniforms[at[multi] + t] * np.where(zs[multi], sigma_z[here], sigma_s[here])
+            psigma = sigma[preds]
+            rem = uniforms[at[multi] + t] * sigma[key[multi]]
             pos, last = first_pred[multi], last_pred[multi]
             while multi.size:                         # rank r of every undecided walker
                 rem = rem - psigma[pos]
@@ -253,7 +236,8 @@ def _walk_down(graph: Graph, v: np.ndarray, z_side: np.ndarray, dist, sigma,
                 go = ~stop
                 multi, rem, pos, last = multi[go], rem[go], pos[go] + 1, last[go]
         trail[t + 1, rows] = nxt
-        cur = nxt
+        key = nxt
+    trail %= n
     return trail.T
 
 
@@ -270,8 +254,8 @@ def sample_paths(meet: MeetResult, alpha: float, rng,
     A path of length d takes d uniforms, all k paths' from one
     ``rng.random(k * d)`` call, the same values k * d scalar calls give.
     Path i reads ``[i * d, (i + 1) * d)``: the arc pick, then one per step
-    of the s side (``dist_s[u]`` steps), then one per step of the z side
-    (``dist_z[w]``). The paths come as a (k, d + 1) int64 array, s first.
+    of the s side (``dist[0, u]`` steps), then one per step of the z side
+    (``dist[1, w]``). The paths come as a (k, d + 1) int64 array, s first.
     """
     if not meet.connected:
         raise ValueError("cannot sample paths for a disconnected pair")
@@ -291,11 +275,11 @@ def sample_paths(meet: MeetResult, alpha: float, rng,
     arc = np.minimum(cum.searchsorted(uniforms[::d] * cum[-1], side="right"), cum.size - 1)
     u, w = meet.cand_s[arc], meet.cand_z[arc]
     # every candidate arc joins the same two BFS levels: one head length per bag
-    head = int(meet.dist_s[u[0]])
+    head = int(meet.ws.dist[0, u[0]])
     first = np.arange(k) * d + 1
-    trail = _walk_down(meet.graph, np.concatenate((u, w)), np.arange(2 * k) >= k,
-                       (meet.dist_s, meet.dist_z), (meet.sigma_s, meet.sigma_z),
-                       uniforms, np.concatenate((first, first + head)), (meet.s, meet.z))
+    trail = _walk_down(meet.graph, np.concatenate((u, w + meet.graph.n)), meet.ws.dist,
+                       meet.ws.sigma, uniforms, np.concatenate((first, first + head)),
+                       (meet.s, meet.z))
     paths = np.empty((k, d + 1), dtype=np.int64)
     paths[:, :head + 1] = trail[:k, head::-1]     # an s-side trail runs u -> s
     paths[:, head + 1:] = trail[k:, :d - head]
@@ -386,9 +370,9 @@ def pab_sample(graph: Graph, model: PercolationModel, s: int, z: int,
     if meet.sigma_sz >= 2.0 ** 53:
         return _pab_sample_dag(graph, model, s, z, weight, ws)
     found, values = [NO_CONTRIBUTION.idx], [NO_CONTRIBUTION.val]    # z next to s: none
-    for ends, shares, dist, sigma, backward in (
-            (meet.cand_s, meet.sigma_z[meet.cand_z], meet.dist_s, meet.sigma_s, True),
-            (meet.cand_z, meet.sigma_s[meet.cand_s], meet.dist_z, meet.sigma_z, False)):
+    cands = (meet.cand_s, meet.cand_z)
+    for side, (dist, sigma) in enumerate(zip(ws.dist, ws.sigma)):
+        ends, shares = cands[side], ws.sigma[1 - side, cands[1 - side]]
         # arcs into the level at ``depth``: their ends there and the counts they carry
         for depth in range(int(dist[ends[0]]), 0, -1):
             level = sorted_unique(ends)
@@ -399,7 +383,7 @@ def pab_sample(graph: Graph, model: PercolationModel, s: int, z: int,
             found.append(level[kept])
             values.append(sigma[level[kept]] * walked[kept] / meet.sigma_sz * weight / denom[kept])
             if depth > 1:
-                srcs, ends = graph.expand_frontier(level, backward=backward)
+                srcs, ends = graph.expand_frontier(level, backward=not side)
                 below = (dist[ends] == depth - 1).nonzero()[0]
                 ends, shares = ends.take(below), walked[ws.place[srcs.take(below)]]
     return Contribution(np.concatenate(found), np.concatenate(values))
@@ -417,10 +401,10 @@ def _pab_sample_dag(graph: Graph, model: PercolationModel, s: int, z: int,
     level lists those tails by first appearance, and each omega adds its
     shares in arc order, since past 2^53 the order changes the rounding.
     """
+    dist, sigma = ws.dist[0], ws.sigma[0]
     for _ in shortest_path_dag(graph, s, ws):
-        if ws.dist_s[z] >= 0:
+        if dist[z] >= 0:
             break
-    dist, sigma = ws.dist_s, ws.sigma_s
     if not math.isfinite(sigma[z]):     # no count on an s-z path exceeds sigma[z]
         raise OverflowError("shortest-path count overflowed float64")
     level = np.array([z], dtype=np.int64)

@@ -55,9 +55,9 @@ def whole_dag(graph: Graph, source: int, until: int | None = None,
     for level, tails, heads in shortest_path_dag(graph, source, ws):
         levels.append(level)
         arcs.append((tails, heads))
-        if until is not None and ws.dist_s[until] >= 0:
+        if until is not None and ws.dist[0, until] >= 0:
             break
-    return levels, ws.dist_s, ws.sigma_s, arcs
+    return levels, ws.dist[0], ws.sigma[0], arcs
 
 
 def bfs_level_counts(graph: Graph, source: int, until: int | None = None):

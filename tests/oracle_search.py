@@ -52,11 +52,11 @@ def balanced_bidirectional_bfs(graph: Graph, s: int, z: int,
     elif ws.n != graph.n:
         raise ValueError("workspace and graph disagree on vertex count")
     ws.reset()
-    dist_s, dist_z, sigma_s, sigma_z = ws.dist_s, ws.dist_z, ws.sigma_s, ws.sigma_z
+    (dist_s, dist_z), (sigma_s, sigma_z) = ws.dist, ws.sigma
     frontier_s = np.array([s], dtype=np.int64)
     frontier_z = np.array([z], dtype=np.int64)
-    ws.touched_s.append(frontier_s)
-    ws.touched_z.append(frontier_z)
+    ws.touched[0].append(frontier_s)
+    ws.touched[1].append(frontier_z)
     dist_s[s] = 0
     sigma_s[s] = 1.0
     dist_z[z] = 0
@@ -67,12 +67,12 @@ def balanced_bidirectional_bfs(graph: Graph, s: int, z: int,
         if graph.out_degrees[frontier_s].sum() <= graph.in_degrees[frontier_z].sum():
             frontier_s, cand_s, cand_z = _expand_side(
                 graph, frontier_s, depth_s, dist_s, sigma_s, dist_z, ws.place, backward=False)
-            ws.touched_s.append(frontier_s)
+            ws.touched[0].append(frontier_s)
             depth_s += 1
         else:
             frontier_z, cand_z, cand_s = _expand_side(
                 graph, frontier_z, depth_z, dist_z, sigma_z, dist_s, ws.place, backward=True)
-            ws.touched_z.append(frontier_z)
+            ws.touched[1].append(frontier_z)
             depth_z += 1
         if cand_s.size:
             totals = dist_s[cand_s] + 1 + dist_z[cand_z]
@@ -84,12 +84,8 @@ def balanced_bidirectional_bfs(graph: Graph, s: int, z: int,
             if not math.isfinite(sigma_sz):
                 raise OverflowError("shortest-path count overflowed float64")
             return MeetResult(graph=graph, s=s, z=z, connected=True, dist=d,
-                              dist_s=dist_s, dist_z=dist_z,
-                              sigma_s=sigma_s, sigma_z=sigma_z,
-                              cand_s=cand_s, cand_z=cand_z,
+                              ws=ws, cand_s=cand_s, cand_z=cand_z,
                               sigma_sz=sigma_sz, cand_weights=weights)
 
     return MeetResult(graph=graph, s=s, z=z, connected=False, dist=-1,
-                      dist_s=dist_s, dist_z=dist_z,
-                      sigma_s=sigma_s, sigma_z=sigma_z,
-                      cand_s=_NO_VERTICES, cand_z=_NO_VERTICES)
+                      ws=ws, cand_s=_NO_VERTICES, cand_z=_NO_VERTICES)

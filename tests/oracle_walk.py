@@ -71,8 +71,8 @@ def sample_paths(meet: MeetResult, alpha: float, rng,
         j = min(int(np.searchsorted(cum, rng.random() * total, side="right")), last)
         u = int(meet.cand_s[j])
         w = int(meet.cand_z[j])
-        head = _walk_down(graph, u, meet.dist_s, meet.sigma_s, rng, toward_z=False)
+        head = _walk_down(graph, u, meet.ws.dist[0], meet.ws.sigma[0], rng, toward_z=False)
         head.reverse()
-        tail = _walk_down(graph, w, meet.dist_z, meet.sigma_z, rng, toward_z=True)
+        tail = _walk_down(graph, w, meet.ws.dist[1], meet.ws.sigma[1], rng, toward_z=True)
         paths.append(head + tail)
     return PathBag(s=meet.s, z=meet.z, paths=paths, requested=requested)

@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from percolator import (PercolationModel, ScheduleConfig,
+from percolator import (BfsWorkspace, PercolationModel, ScheduleConfig,
                         balanced_bidirectional_bfs, estimate, exact_all, eps_bound,
-                        pab_sample, percolation_differences, random_states,
-                        sample_paths, sufficient_sample_size,
+                        pab_sample, percolation_differences, prk_sample, random_states,
+                        sample_pair, sample_paths, sufficient_sample_size,
                         vd_baseline_sample_size)
 from percolator.baselines import run_pab_naive, run_prk_fixed
 from percolator.bounds import sufficient_sample_size_closed_form
@@ -164,6 +164,58 @@ def test_criterion_5_unbiasedness():
             se = np.sqrt(np.maximum(sqs / draws - mean ** 2, 0.0) / draws)
             gap = np.abs(mean - p)
             assert (gap <= 3 * se + 1e-12).all(), (gi, gap / np.maximum(se, 1e-300))
+
+
+def grid_edges(k):
+    """The k x k grid graph, vertex r * k + c in row r, column c."""
+    return ([(r * k + c, r * k + c + 1) for r in range(k) for c in range(k - 1)]
+            + [(r * k + c, (r + 1) * k + c) for r in range(k - 1) for c in range(k)])
+
+
+# graphs whose draws choose: unequal candidate arc weights, walkers with
+# several predecessors of unequal counts
+CHOICE_GRAPHS = {
+    "grid-4x4": build(grid_edges(4)),
+    "layers-1-3-2-3-1": build(layered_edges([1, 3, 2, 3, 1])),
+    "er-16-0.2-seed-3": build(erdos_renyi_edges(16, 0.2, seed=3)),
+}
+
+SAMPLERS = {
+    "_draw_pair_sample": lambda g, model, rng, ws: _draw_pair_sample(
+        g, model, rng, alpha=math.log(10), cap=1 << 16, ws=ws)[0],
+    "prk_sample": prk_sample,
+    "pab_sample": lambda g, model, rng, ws: pab_sample(g, model, *sample_pair(g.n, rng), ws),
+}
+
+
+@pytest.mark.parametrize("sampler", list(SAMPLERS))
+def test_sampler_means_where_draws_choose(sampler):
+    """Criterion 5's statistic on graphs where a draw has choices, which
+    criterion 5's graphs seldom give: each vertex's mean over 30,000
+    draws (states and draws from seed 0) lies within 4 standard errors of
+    ``exact_all``. Over seeds 0-5 the largest unmutated |gap| / SE of the
+    three samplers on the three graphs was 3.51 (pab on ER, seed 5); the
+    candidate arc picked uniformly instead of by weight reads 6.98-8.37
+    for the pair sample on the grid, and a walker that always takes its
+    first predecessor 4.1-96 on every graph for the pair and single-path
+    samples."""
+    draw = SAMPLERS[sampler]
+    draws = 30_000
+    for name, g in CHOICE_GRAPHS.items():
+        model = PercolationModel(random_states(g.n, seed=0))
+        p = exact_all(g, model).p
+        ws = BfsWorkspace(g.n)
+        rng = np.random.default_rng(0)
+        sums = np.zeros(g.n)
+        sqs = np.zeros(g.n)
+        for _ in range(draws):
+            contrib = draw(g, model, rng, ws)
+            sums[contrib.idx] += contrib.val
+            sqs[contrib.idx] += contrib.val * contrib.val
+        mean = sums / draws
+        se = np.sqrt(np.maximum(sqs / draws - mean ** 2, 0.0) / draws)
+        gap = np.abs(mean - p)
+        assert (gap <= 4 * se + 1e-12).all(), (name, (gap / np.maximum(se, 1e-300)).max())
 
 
 def enumerate_shortest_paths(graph, dist, z):

@@ -790,3 +790,17 @@ def test_a_failed_write_leaves_no_partial_output(tmp_path, monkeypatch, capsys, 
         "error: out of memory during the write (n = 12, m = 11)"
     assert out.read_text() == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "out"]
+
+
+def test_an_output_the_rename_cannot_place_leaves_no_partial_output(tmp_path, capsys):
+    """A complete output whose final rename fails, here over a directory of
+    the output's name, exits 3 naming the error, and its ``.partial`` copy
+    is removed too."""
+    graph = write_graph(tmp_path, "".join(f"{i} {i + 1}\n" for i in range(11)))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["exact", "--graph", graph, "--states", "random:1", "--output", str(out),
+                 "--threads", "1"]) == 3
+    assert "Is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "out"]
+    assert not any(out.iterdir())

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import tracemalloc
 
@@ -86,7 +87,7 @@ def test_candidate_edges_lie_on_shortest_paths():
             meet = balanced_bidirectional_bfs(g, int(s), int(z))
             if not meet.connected:
                 continue
-            totals = meet.dist_s[meet.cand_s] + 1 + meet.dist_z[meet.cand_z]
+            totals = meet.ws.dist[0, meet.cand_s] + 1 + meet.ws.dist[1, meet.cand_z]
             assert (totals == meet.dist).all()
 
 
@@ -102,7 +103,7 @@ def test_search_labels_no_level_past_the_meeting():
             s, z = sample_pair(g.n, rng)
             meet = balanced_bidirectional_bfs(g, s, z, ws)
             if meet.connected:
-                assert meet.dist_s.max() + 1 + meet.dist_z.max() == meet.dist
+                assert meet.ws.dist[0].max() + 1 + meet.ws.dist[1].max() == meet.dist
                 connected += 1
         assert connected > 100
 
@@ -414,8 +415,8 @@ def walk(graph, starts, toward_z, dist, sigma, rng, roots):
     toward_z = np.asarray(toward_z, dtype=bool)
     depth = np.where(toward_z, dist[1][starts], dist[0][starts])
     uniforms = rng.random(int(depth.sum()))
-    trail = _walk_down(graph, starts, toward_z, dist, sigma, uniforms, np.cumsum(depth) - depth,
-                       roots)
+    trail = _walk_down(graph, starts + graph.n * toward_z, np.array(dist), np.array(sigma),
+                       uniforms, np.cumsum(depth) - depth, roots)
     return [row[:d + 1].tolist() for row, d in zip(trail, depth.tolist())]
 
 
@@ -451,9 +452,8 @@ def test_walk_matches_per_neighbour_loop(name, graph):
             continue
         if name == "layered":
             assert meet.sigma_sz > 2.0 ** 53
-        dists = (meet.dist_s, meet.dist_z)
-        for sigmas in ((meet.sigma_s, meet.sigma_z),
-                       (meet.sigma_s * noise, meet.sigma_z * noise)):
+        dists = tuple(meet.ws.dist)
+        for sigmas in (tuple(meet.ws.sigma), tuple(meet.ws.sigma * noise)):
             starts, sides = [], []
             for toward_z in (False, True):
                 dist, counts = dists[toward_z], sigmas[toward_z]
@@ -507,7 +507,7 @@ def test_walkers_one_step_above_their_roots_read_no_list(name, graph):
         meet = balanced_bidirectional_bfs(graph, s, z)
         if not meet.connected:
             continue
-        dists, sigmas = (meet.dist_s, meet.dist_z), (meet.sigma_s, meet.sigma_z)
+        dists, sigmas = tuple(meet.ws.dist), tuple(meet.ws.sigma)
         for side, root in ((False, s), (True, z)):
             starts = np.flatnonzero(dists[side] == 1).tolist()
             got = walk(broken, starts, [side] * len(starts), dists, sigmas,
@@ -549,8 +549,9 @@ def test_sample_paths_matches_per_path_draws(graph, pairs):
             continue
         # past 2^53 the counts round; full bags would be 2^16 paths there
         full = DEFAULT_BAG_CAP if meet.sigma_sz < 2.0 ** 53 else 64
-        inflated = dataclasses.replace(meet, sigma_s=meet.sigma_s * noise,
-                                       sigma_z=meet.sigma_z * noise)
+        inflated_ws = copy.copy(meet.ws)
+        inflated_ws.sigma = meet.ws.sigma * noise
+        inflated = dataclasses.replace(meet, ws=inflated_ws)
         for m in (meet, inflated):
             for kwargs in (dict(alpha=1.3, cap=full), dict(alpha=2.0, cap=3),
                            dict(alpha=1.0, count=1)):
@@ -630,8 +631,9 @@ def test_path_counts_match_single_source_bfs_past_2_53():
         g = build(random_layers([1] + [7] * 50 + [1], 0.5, seed=4), directed=directed)
         meet = balanced_bidirectional_bfs(g, 0, g.n - 1)
         assert meet.sigma_sz > 2.0 ** 60
-        for dist, sigma, graph, root in ((meet.dist_s, meet.sigma_s, g, 0),
-                                         (meet.dist_z, meet.sigma_z, reversed_graph(g), g.n - 1)):
+        for dist, sigma, graph, root in ((meet.ws.dist[0], meet.ws.sigma[0], g, 0),
+                                         (meet.ws.dist[1], meet.ws.sigma[1], reversed_graph(g),
+                                          g.n - 1)):
             _, _, want = bfs_level_counts(graph, root)
             seen = dist >= 0
             assert np.array_equal(sigma[seen], want[seen])
@@ -658,13 +660,13 @@ def test_workspace_reuse_matches_fresh_searches(graph):
         outcomes.add(reused.connected)
         assert reused.connected == fresh.connected
         assert reused.dist == fresh.dist and reused.sigma_sz == fresh.sigma_sz
-        for key in ("cand_s", "cand_z", "cand_weights",
-                    "dist_s", "dist_z", "sigma_s", "sigma_z"):
+        for key in ("cand_s", "cand_z", "cand_weights"):
             assert np.array_equal(getattr(reused, key), getattr(fresh, key)), key
+        for key in ("dist", "sigma"):
+            assert np.array_equal(getattr(reused.ws, key), getattr(fresh.ws, key)), key
     assert outcomes == {True, False}
     ws.reset()
-    assert (ws.dist_s == -1).all() and (ws.dist_z == -1).all()
-    assert (ws.sigma_s == 0.0).all() and (ws.sigma_z == 0.0).all()
+    assert (ws.dist == -1).all() and (ws.sigma == 0.0).all()
 
 
 def search_cases():
@@ -704,7 +706,7 @@ def one_vertex_levels_past_the_root(ws):
     """How many one-vertex levels past a root, counting more than one path,
     the last search expanded into a further level."""
     return sum(level.size == 1 and sigma[level[0]] > 1.0 and following.size > 0
-               for touched, sigma in ((ws.touched_s, ws.sigma_s), (ws.touched_z, ws.sigma_z))
+               for touched, sigma in zip(ws.touched, ws.sigma)
                for level, following in zip(touched[1:], touched[2:]))
 
 
@@ -725,13 +727,16 @@ def test_search_matches_reference_bit_for_bit(name, graph, pairs):
             a, b = getattr(got, f.name), getattr(want, f.name)
             if f.name == "graph":
                 assert a is b
+            elif f.name == "ws":
+                assert a.dist.tobytes() == b.dist.tobytes(), ("dist", s, z)
+                assert a.sigma.tobytes() == b.sigma.tobytes(), ("sigma", s, z)
             else:
                 a, b = np.asarray(a), np.asarray(b)
                 assert a.dtype == b.dtype and a.shape == b.shape, f.name
                 assert a.tobytes() == b.tobytes(), (f.name, s, z)
-        for side in ("touched_s", "touched_z"):
-            assert [level.tolist() for level in getattr(ws, side)] == \
-                [level.tolist() for level in getattr(ref_ws, side)]
+        for side in (0, 1):
+            assert [level.tolist() for level in ws.touched[side]] == \
+                [level.tolist() for level in ref_ws.touched[side]]
         outcomes.add((got.connected, got.dist))
         deep_single += one_vertex_levels_past_the_root(ws)
     if name == "layered-2^53":
