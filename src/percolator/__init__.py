@@ -7,7 +7,7 @@ from .exact import ExactResult, exact_all, exact_vertex_diameter
 from .graph import BfsWorkspace, EdgeListParseError, Graph, load_edge_list
 from .percolation import (PercolationModel, load_states, percolation_differences,
                           random_states)
-from .progressive import RunReport, ScheduleConfig, estimate, stopping_condition
+from .progressive import RunReport, ScheduleConfig, estimate
 from .sampling import (Contribution, MeetResult, PathBag, bag_estimate,
                        balanced_bidirectional_bfs, pab_sample, prk_sample, sample_pair,
                        sample_paths)

@@ -50,13 +50,12 @@ def run_prk_fixed(graph: Graph, model: PercolationModel, config: ScheduleConfig,
 
     samples = vd_baseline_sample_size(vertex_diameter, config.epsilon, config.delta)
     t1 = time.perf_counter()
-    sum_f = np.zeros(graph.n)
+    state = McEraState(n=graph.n, c=0, seed=seed)
     with SampleStream(bind(_prk_draw, graph, model, pool), seed, BASELINE_STREAM, pool) as stream:
-        for contrib in stream.take(samples):
-            sum_f[contrib.idx] += contrib.val
+        next(_iterations(stream, state, samples))
     return {
         "algorithm": "p-rk-fixed",
-        "estimates": np.divide(sum_f, samples, out=sum_f),
+        "estimates": state.estimates(),
         "r_final": samples,
         "iterations": 1,
         "stop_reason": "fixed-size",
@@ -87,7 +86,6 @@ def run_pab_naive(graph: Graph, model: PercolationModel, config: ScheduleConfig,
     t0 = time.perf_counter()
     n = graph.n
     state = McEraState(n=n, c=config.mc_trials, seed=seed)
-    sum_f = np.zeros(n)
     # the whole family as one class
     one_class, sizes = np.zeros(n, dtype=np.int8), np.array([n])
 
@@ -103,7 +101,7 @@ def run_pab_naive(graph: Graph, model: PercolationModel, config: ScheduleConfig,
 
     xi = math.inf
     with SampleStream(bind(_pab_draw, graph, model, pool), seed, BASELINE_STREAM, pool) as stream:
-        for iterations in _iterations(stream, state, sum_f, min(config.first_target, max_samples),
+        for iterations in _iterations(stream, state, min(config.first_target, max_samples),
                                       step, could_stop):
             # below the cap, xi >= floor > epsilon: the bound is not evaluated
             if could_stop(state.r, iterations):
@@ -116,7 +114,7 @@ def run_pab_naive(graph: Graph, model: PercolationModel, config: ScheduleConfig,
 
     return {
         "algorithm": "p-ab-progressive-naive",
-        "estimates": np.divide(sum_f, state.r, out=sum_f),
+        "estimates": state.estimates(),
         "r_final": state.r,
         "iterations": iterations,
         "stop_reason": "eps-met" if xi <= config.epsilon else "ceiling-hit",

@@ -1,11 +1,12 @@
 """Statistical machinery for the progressive estimator.
 
-Holds the Monte-Carlo estimator state (signed sums for the Rademacher
-trials plus squared sums for variances, one row per vertex the run has
-touched), the supremum-deviation bounds computed from it together with
-their data-free floor, the variance-based empirical peeling of vertices
-into classes, and the two sufficient-sample-size formulas (the
-variance-aware one and the vertex-diameter baseline used for comparison).
+Holds the one accumulator of a run's samples (plain and squared sums,
+signed sums for the Rademacher trials, one row per vertex the run has
+touched, and the samples' tallies), the supremum-deviation bounds
+computed from it together with their data-free floor, the
+variance-based empirical peeling of vertices into classes, and the two
+sufficient-sample-size formulas (the variance-aware one and the
+vertex-diameter baseline used for comparison).
 """
 
 from __future__ import annotations
@@ -34,64 +35,86 @@ class Partition:
 
 @dataclass
 class McEraState:
-    """Accumulators for the c-trial Monte-Carlo Rademacher average.
+    """The one accumulator of a run's samples: sums for the c-trial
+    Monte-Carlo Rademacher average, plain and squared sums, and tallies.
 
     Rows are allocated in first-touch order: ``row_of[v]`` is vertex v's
     row, -1 until a sample first gives v a nonzero value. For a touched
     v, ``signed_sums[row_of[v], k]`` is the running sum of sign * f_v over
-    samples and ``sq_sums[row_of[v]]`` the running sum of f_v squared; an
-    untouched vertex's sums are exactly zero. Signs come from the
-    counter-based stream keyed by (seed, sample index, trial). Only the
-    first ``rows`` rows are in use, ``vertex_of[:rows]`` names their
-    vertices; the arrays grow by doubling. ``row_of`` is int32 below
-    2^31 vertices, since rows number at most n: half an int64 array.
+    samples, ``sums[row_of[v]]`` that of f_v and ``sq_sums[row_of[v]]``
+    that of f_v squared; an untouched vertex's sums are exactly zero.
+    Signs come from the counter-based stream keyed by (seed, sample index,
+    trial); ``c = 0`` keeps no signed sums, for runs that never evaluate
+    the Monte-Carlo Rademacher average. ``internal`` and ``capped`` total
+    the samples' fields of the same names, from the counts given (a main
+    loop's state starts from its bootstrap's). Only the first ``rows`` rows
+    are in use, ``vertex_of[:rows]`` names their vertices; the arrays grow
+    by doubling. ``row_of`` is int32 below 2^31 vertices, since rows
+    number at most n: half an int64 array. The one n-vector that
+    ``dense`` fills is made with the state, so that it takes the room a
+    finished state left rather than extend the heap at the run's end.
     """
 
     n: int
     c: int
     seed: int
     r: int = 0
+    internal: int = 0
+    capped: int = 0
     rows: int = field(default=0, init=False)
     row_of: np.ndarray = field(init=False)
     vertex_of: np.ndarray = field(init=False)
     signed_sums: np.ndarray = field(init=False)
+    sums: np.ndarray = field(init=False)
     sq_sums: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.row_of = np.full(self.n, -1,
                               dtype=np.int32 if self.n < 2 ** 31 else np.int64)
+        self._dense = np.zeros(self.n)
         self.vertex_of = np.zeros(0, dtype=np.int64)
         self.signed_sums = np.zeros((0, self.c))
-        self.sq_sums = np.zeros(0)
+        self.sums, self.sq_sums = np.zeros(0), np.zeros(0)
 
     def signs_for_block(self, count: int) -> np.ndarray:
         """Sign rows for the next ``count`` samples (row i -> sample r+i)."""
         return rademacher_signs(self.seed, self.r, count, self.c)
 
     def add_sample(self, contrib: Contribution, signs: np.ndarray) -> None:
-        """Fold one sample's sparse contributions in; advances r."""
+        """Fold one sample's record in; advances r."""
         rows = self.row_of[contrib.idx]
         fresh = (rows < 0).nonzero()[0]
         if fresh.size:
             rows[fresh] = self._allocate(contrib.idx[fresh])
         self.signed_sums[rows] += contrib.val[:, None] * signs
+        self.sums[rows] += contrib.val
         self.sq_sums[rows] += contrib.val * contrib.val
+        self.internal += contrib.internal
+        self.capped += contrib.capped
         self.r += 1
+
+    def dense(self, per_row: np.ndarray) -> np.ndarray:
+        """``per_row`` (``sums`` or ``sq_sums``) as an n-vector, 0 where
+        untouched: the state's one n-vector, which the next call overwrites."""
+        self._dense[self.vertex_of[:self.rows]] = per_row[:self.rows]
+        return self._dense
+
+    def estimates(self) -> np.ndarray:
+        """The sample means of f, in the state's one n-vector, divided in place."""
+        return np.divide(self.dense(self.sums), self.r, out=self._dense)
 
     def _allocate(self, vertices: np.ndarray) -> np.ndarray:
         """Zeroed rows for first-touched ``vertices``, in order."""
         new = np.arange(self.rows, self.rows + vertices.size, dtype=np.int64)
         self.rows += vertices.size
-        if self.rows > self.sq_sums.size:
+        if self.rows > self.sums.size:
             # a power of two, at least double the old capacity, up to n
             size = min(self.n, max(64, 1 << (self.rows - 1).bit_length()))
-            signed = np.zeros((size, self.c))
-            signed[:self.sq_sums.size] = self.signed_sums
-            sq = np.zeros(size)
-            sq[:self.sq_sums.size] = self.sq_sums
-            vertex_of = np.zeros(size, dtype=np.int64)
-            vertex_of[:self.sq_sums.size] = self.vertex_of
-            self.signed_sums, self.sq_sums, self.vertex_of = signed, sq, vertex_of
+            old = (self.signed_sums, self.sums, self.sq_sums, self.vertex_of)
+            grown = [np.zeros((size, *a.shape[1:]), a.dtype) for a in old]
+            for a, b in zip(grown, old):
+                a[:len(b)] = b
+            self.signed_sums, self.sums, self.sq_sums, self.vertex_of = grown
         self.row_of[vertices] = new
         self.vertex_of[new] = vertices
         return new

@@ -77,14 +77,21 @@ _ROOM = 1 << 22        # ids the loader first makes room for: 32 MiB, a mapping 
 _QUOTED = 80           # characters of a bad line an error quotes
 
 
+def _fits_int64(token: bytes) -> bool:
+    """Whether a ``[+-]?[0-9]+`` token is an int64. Only its digits past the
+    sign and leading zeros are converted, and only up to 19 of them, so no
+    token meets ``int()``'s digit limit."""
+    digits = token.lstrip(b"+-").lstrip(b"0")
+    return len(digits) <= 19 and int(digits or b"0") <= _INT64.max + (token[:1] == b"-")
+
+
 def _line_error(data: bytes, lines_before: int = 0) -> EdgeListParseError:
     """The error naming the first line of ``data`` that breaks the grammar;
     ``lines_before`` lines of the input precede ``data``. It quotes the
     line, or a longer line's first ``_QUOTED`` characters and its length."""
     for lineno, line in enumerate(data.split(b"\n"), start=lines_before + 1):
         match = _LINE.fullmatch(line)
-        if not match or match[1] and not all(
-                _INT64.min <= int(token) <= _INT64.max for token in match.groups()):
+        if not match or match[1] and not all(map(_fits_int64, match.groups())):
             text = line.strip().decode("ascii", "backslashreplace")
             quote = (f"'{text}'" if len(text) <= _QUOTED
                      else f"'{text[:_QUOTED]}...' ({len(line)} bytes)")
@@ -119,7 +126,7 @@ def _parse_ids(data: bytes) -> np.ndarray | None:
     last = np.logical_or.reduceat(buf == ord("\n"), ends)
     long = ends - starts >= 19
     if (len(last) % 2 or last[0::2].any() or not last[1::2].all()
-            or not all(_INT64.min <= int(data[s:e]) <= _INT64.max
+            or not all(_fits_int64(data[s:e])
                        for s, e in zip(starts[long].tolist(), ends[long].tolist()))):
         return None
     return np.fromstring(data, dtype=np.int64, count=len(starts), sep=" ")

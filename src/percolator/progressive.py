@@ -17,20 +17,23 @@ and the bounds are not evaluated; the iteration that stops always
 evaluates every occupied class, so reports are the same as with an
 evaluation on every iteration.
 
-``_iterations`` holds the loop's skeleton for this estimator and the
-naive baseline alike: each iteration folds its block of samples into the
-sums and the Monte-Carlo Rademacher state, in index order, and hands
+``_iterations`` is the one fold loop of every sample sequence: the
+bootstrap's and the fixed-size baseline's one pass, this estimator's
+main loop and the naive baseline's doubling. Each iteration folds its
+block of sample records into a ``McEraState``, in index order, and hands
 control back to the caller's evaluation. Every sample up to the first
 planned target at which the caller could stop is certain to be folded,
 so that whole range is reserved with the sample stream at once, and a
-pool draws it while the main process folds.
+pool draws it while the main process folds. The main loop's state
+starts from the bootstrap's tallies, so rho, the mean internal length,
+and the cap events count the samples of both.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from .bounds import (McEraState, empirical_peeling, eps_bound, mcera,
 from .graph import Graph
 from .percolation import PercolationModel
 from .rng import BOOTSTRAP_STREAM, ESTIMATE_STREAM, SampleStream
-from .sampling import (DEFAULT_BAG_CAP, NO_CONTRIBUTION, BfsWorkspace,
+from .sampling import (DEFAULT_BAG_CAP, NO_CONTRIBUTION, BfsWorkspace, Contribution,
                        bag_estimate, balanced_bidirectional_bfs, sample_pair,
                        sample_paths)
 from .workers import bind
@@ -120,34 +123,28 @@ class RunReport:
         return {"estimates": self.estimates.tolist(), **self.head()}
 
 
-def stopping_condition(epsilon: float, xi_values, ceiling: int, r_i: int) -> bool:
-    """True once every class bound is within epsilon or the ceiling is hit."""
-    xi = np.asarray(xi_values, dtype=np.float64)
-    return bool(np.all(xi <= epsilon)) or r_i >= ceiling
-
-
 def _draw_pair_sample(graph: Graph, model: PercolationModel, rng,
-                      alpha: float, cap: int, ws: BfsWorkspace | None = None):
-    """One pair sample: (sparse contribution, internal-length obs, capped)."""
+                      alpha: float, cap: int, ws: BfsWorkspace | None = None) -> Contribution:
+    """One pair sample's record; a connected pair that does not percolate
+    draws no paths but records its internal length."""
     s, z = sample_pair(graph.n, rng)
     meet = balanced_bidirectional_bfs(graph, s, z, ws)
-    obs = float(meet.dist - 1) if meet.connected else 0.0
-    if not meet.connected or model.pair_weight(s, z) == 0.0:
-        return NO_CONTRIBUTION, obs, False
-    bag = sample_paths(meet, alpha, rng, cap=cap)
-    return bag_estimate(bag, model), obs, bag.capped
+    if not meet.connected:
+        return NO_CONTRIBUTION
+    if model.pair_weight(s, z) == 0.0:
+        return replace(NO_CONTRIBUTION, internal=meet.dist - 1)
+    return bag_estimate(sample_paths(meet, alpha, rng, cap=cap), model)
 
 
-def _iterations(stream: SampleStream, state: McEraState, sum_f: np.ndarray, target: int,
-                step, could_stop, contrib_of=lambda sample: sample):
-    """Iterations i = 1, 2, ... of a progressive run: fold ``stream``'s
-    samples up to ``target`` (``contrib_of`` picks a sample's
-    contribution) into ``sum_f`` and ``state`` in index order, yield i,
-    then go on to ``step(target)``. The caller stops only at an iteration
-    where ``could_stop(r, i)`` holds, so the samples up to the first
-    planned target at which it holds are reserved first: each of them is
-    folded, as long as the caller's conditions only move that target
-    later while it runs."""
+def _iterations(stream: SampleStream, state: McEraState, target: int,
+                step=None, could_stop=lambda r, i: True):
+    """Iterations i = 1, 2, ... of a run: fold ``stream``'s samples up to
+    ``target`` into ``state`` in index order, yield i, then go on to
+    ``step(target)``; the defaults make one pass. The caller stops only at
+    an iteration where ``could_stop(r, i)`` holds, so the samples up to the
+    first planned target at which it holds are reserved first: each of
+    them is folded, as long as the caller's conditions only move that
+    target later while it runs."""
     i = 0
     while True:
         i += 1
@@ -155,11 +152,8 @@ def _iterations(stream: SampleStream, state: McEraState, sum_f: np.ndarray, targ
         while not could_stop(ahead, j):
             ahead, j = step(ahead), j + 1
         stream.reserve(ahead)
-        signs = state.signs_for_block(target - state.r)
-        for row, sample in zip(signs, stream.take(target)):
-            contrib = contrib_of(sample)
-            sum_f[contrib.idx] += contrib.val
-            state.add_sample(contrib, row)
+        for row, sample in zip(state.signs_for_block(target - state.r), stream.take(target)):
+            state.add_sample(sample, row)
         yield i
         target = step(target)
 
@@ -173,37 +167,17 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
     if model.n != graph.n:
         raise ValueError("model and graph disagree on vertex count")
     n = graph.n
-    min_rho = 1.0 / (n * (n - 1))
     t0 = time.perf_counter()
     draw = bind(_draw_pair_sample, graph, model, pool, alpha=config.alpha, cap=config.bag_cap)
-
-    # bootstrap: squared contributions for peeling, distances for rho
-    r_boot = config.bootstrap_size
-    sq_boot = np.zeros(n)
-    internal_sum = 0.0
-    cap_events = 0
-
-    def fold(sample):
-        """A pair sample's contribution; its internal length and cap flag
-        are counted on the way."""
-        nonlocal internal_sum, cap_events
-        contrib, obs, capped = sample
-        internal_sum += obs
-        cap_events += capped
-        return contrib
-
-    with SampleStream(draw, seed, BOOTSTRAP_STREAM, pool) as boot:
-        for contrib in map(fold, boot.take(r_boot)):
-            sq_boot[contrib.idx] += contrib.val * contrib.val
-
-    rho_substituted = False
-    rho = internal_sum / r_boot
-    if rho == 0.0:
-        rho = min_rho
-        rho_substituted = True
-
-    partition = empirical_peeling(sq_boot, r_boot, config.delta)
-    del sq_boot
+    # the bootstrap's squared contributions set the classes
+    boot = McEraState(n=n, c=0, seed=seed)
+    with SampleStream(draw, seed, BOOTSTRAP_STREAM, pool) as stream:
+        next(_iterations(stream, boot, config.bootstrap_size))
+    partition = empirical_peeling(boot.dense(boot.sq_sums), boot.r, config.delta)
+    # the main loop's state starts from the bootstrap's tallies; the bootstrap's
+    # n-sized arrays go first, so that the main state's take their room
+    tallies = {"internal": boot.internal, "capped": boot.capped}
+    del boot
     sizes = np.bincount(partition.class_of, minlength=partition.t)
     occupied = sizes > 0
     # every vertex lives in some occupied class, so their largest bound
@@ -211,7 +185,14 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
     # log term bounded when the empirical variances are all near zero
     vhat_classes = float(partition.var_bound[occupied].max())
     vhat = min(0.25, max(vhat_classes, config.epsilon))
-    ceiling = sufficient_sample_size(vhat, rho, config.epsilon, config.delta / 2.0)
+    state = McEraState(n=n, c=config.mc_trials, seed=seed, **tallies)
+
+    def rho() -> float:
+        """The mean internal length over the bootstrap's and the main loop's
+        samples, or 1/(n(n-1)) while it is 0 (then it is 0 from the bootstrap on)."""
+        return state.internal / (config.bootstrap_size + state.r) or 1.0 / (n * (n - 1))
+
+    ceiling = sufficient_sample_size(vhat, rho(), config.epsilon, config.delta / 2.0)
     elapsed_boot = time.perf_counter() - t0
 
     def could_stop(r: int, i: int) -> bool:
@@ -226,21 +207,15 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
         return min(math.ceil(config.geom_ratio * target), ceiling)
 
     t1 = time.perf_counter()
-    state = McEraState(n=n, c=config.mc_trials, seed=seed)
-    sum_f = np.zeros(n)
     # empty classes hold no functions: their deviation is trivially zero
     xi = occupied.astype(float)
 
     with SampleStream(draw, seed, ESTIMATE_STREAM, pool) as stream:
-        for iterations in _iterations(stream, state, sum_f, min(config.first_target, ceiling),
-                                      step, could_stop, fold):
-            # refresh rho and, one-sidedly, the ceiling
-            rho = internal_sum / (r_boot + state.r)
-            if rho == 0.0:
-                rho = min_rho
-                rho_substituted = True
+        for iterations in _iterations(stream, state, min(config.first_target, ceiling),
+                                      step, could_stop):
+            # refresh, one-sidedly, the ceiling
             ceiling = max(ceiling, sufficient_sample_size(
-                vhat, rho, config.epsilon, config.delta / 2.0))
+                vhat, rho(), config.epsilon, config.delta / 2.0))
 
             # while the run cannot stop, the bounds are not evaluated
             if could_stop(state.r, iterations):
@@ -250,24 +225,23 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
                     xi[j] = eps_bound(float(rc[j]), float(wimpy[j]),
                                       float(partition.var_bound[j]), partition.t,
                                       config.mc_trials, state.r, delta_b)
-                if stopping_condition(config.epsilon, xi, ceiling, state.r):
+                if (xi <= config.epsilon).all() or state.r >= ceiling:
                     break
 
-    stop_reason = "eps-met" if bool(np.all(xi <= config.epsilon)) else "ceiling-hit"
     return RunReport(
-        estimates=np.divide(sum_f, state.r, out=sum_f),
+        estimates=state.estimates(),
         r_final=state.r,
         iterations=iterations,
         xi_per_class=xi.copy(),
         var_bound_per_class=partition.var_bound.copy(),
-        rho_estimate=rho,
+        rho_estimate=rho(),
         ceiling=ceiling,
-        stop_reason=stop_reason,
+        stop_reason="eps-met" if (xi <= config.epsilon).all() else "ceiling-hit",
         seed=seed,
         elapsed_bootstrap=elapsed_boot,
         elapsed_estimation=time.perf_counter() - t1,
         config=config.as_dict(),
         all_states_equal=model.all_equal,
-        rho_substituted=rho_substituted,
-        bag_cap_events=cap_events,
+        rho_substituted=not tallies["internal"],
+        bag_cap_events=state.capped,
     )

@@ -11,7 +11,7 @@ pair's whole dependency split computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,11 +46,18 @@ class MeetResult:
 
 @dataclass(frozen=True, eq=False)
 class Contribution:
-    """One sample's sparse f, ``val[i]`` at vertex ``idx[i]``. ``idx`` has no repeats, so
-    ``a[idx] += val`` adds each value once; ``len`` counts the (nonzero) entries."""
+    """One sample's record: its sparse f, ``val[i]`` at vertex ``idx[i]``, and the
+    facts a run tallies over its samples. ``idx`` has no repeats, so ``a[idx] +=
+    val`` adds each value once; ``len`` counts the (nonzero) entries. ``internal``
+    is d(s, z) - 1 of a pair whose paths were drawn (or, in the progressive
+    estimator's pair sample, that was searched and found connected), else 0;
+    ``capped`` says the pair's bag met its cap. A new per-sample fact is a new
+    field here, tallied by ``McEraState``."""
 
     idx: np.ndarray                # int64 vertex ids
     val: np.ndarray                # float64 values
+    internal: int = 0
+    capped: bool = False
 
     def __len__(self) -> int:
         return self.idx.size
@@ -287,15 +294,19 @@ def sample_paths(meet: MeetResult, alpha: float, rng,
 
 
 def bag_estimate(bag: PathBag, model: PercolationModel) -> Contribution:
-    """Per-vertex contribution of one bag: (hits/|bag|) * kappa.
+    """Per-vertex contribution of one bag: (hits/|bag|) * kappa, recorded
+    with the bag's internal length and cap flag.
 
     Empty bags (disconnected pairs) contribute nothing but still count
     as one sample on the caller's side. Only vertices with a nonzero
     contribution appear in the result, each once.
     """
-    weight = model.pair_weight(bag.s, bag.z)
-    if not len(bag.paths) or weight == 0.0:
+    if not len(bag.paths):
         return NO_CONTRIBUTION
+    weight = model.pair_weight(bag.s, bag.z)
+    internal, capped = bag.paths.shape[1] - 2, bag.capped
+    if weight == 0.0:
+        return replace(NO_CONTRIBUTION, internal=internal, capped=capped)
     hits = np.sort(bag.paths[:, 1:-1].ravel())
     edge = np.ones(hits.size + 1, dtype=bool)      # run starts, then one past the end
     np.not_equal(hits[1:], hits[:-1], out=edge[1:-1])
@@ -303,7 +314,8 @@ def bag_estimate(bag: PathBag, model: PercolationModel) -> Contribution:
     idx, counts = hits[first[:-1]], first[1:] - first[:-1]
     denom = model.minus_s[idx]
     kept = denom > 0.0
-    return Contribution(idx[kept], counts[kept] * (1.0 / len(bag.paths)) * weight / denom[kept])
+    return Contribution(idx[kept], counts[kept] * (1.0 / len(bag.paths)) * weight / denom[kept],
+                        internal, capped)
 
 
 def sample_pair(n: int, rng) -> tuple[int, int]:

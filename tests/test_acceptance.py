@@ -156,8 +156,7 @@ def test_criterion_5_unbiasedness():
             sqs = np.zeros(g.n)
             rng = np.random.default_rng(9000 + gi)
             for _ in range(draws):
-                contrib, _, _ = _draw_pair_sample(g, model, rng,
-                                                  alpha=math.log(10), cap=1 << 16)
+                contrib = _draw_pair_sample(g, model, rng, alpha=math.log(10), cap=1 << 16)
                 sums[contrib.idx] += contrib.val
                 sqs[contrib.idx] += contrib.val * contrib.val
             mean = sums / draws
@@ -182,7 +181,7 @@ CHOICE_GRAPHS = {
 
 SAMPLERS = {
     "_draw_pair_sample": lambda g, model, rng, ws: _draw_pair_sample(
-        g, model, rng, alpha=math.log(10), cap=1 << 16, ws=ws)[0],
+        g, model, rng, alpha=math.log(10), cap=1 << 16, ws=ws),
     "prk_sample": prk_sample,
     "pab_sample": lambda g, model, rng, ws: pab_sample(g, model, *sample_pair(g.n, rng), ws),
 }

@@ -352,15 +352,13 @@ def test_deviation_bound_coverage():
     trials = 200
     for trial in range(trials):
         state = McEraState(n=g.n, c=c, seed=trial)
-        sum_f = np.zeros(g.n)
         signs = state.signs_for_block(r)
         for i in range(r):
             rng = derive_rng(1000 + trial, 5, i)
-            contrib, _, _ = _draw_pair_sample(g, model, rng, alpha=math.log(10), cap=1 << 16)
-            sum_f[contrib.idx] += contrib.val
-            state.add_sample(contrib, signs[i])
+            state.add_sample(_draw_pair_sample(g, model, rng, alpha=math.log(10), cap=1 << 16),
+                             signs[i])
         xi = eps_bound(*whole(state), 0.25, t=1, c=c, r=r, delta=delta)
-        sd = np.abs(sum_f / r - p).max()
+        sd = np.abs(state.estimates() - p).max()
         hits += sd <= xi
     # should hold in >= (1 - delta) of trials; binomial 3 sigma slack
     assert hits >= trials * (1 - delta) - 3 * math.sqrt(trials * delta * (1 - delta))

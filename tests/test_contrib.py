@@ -98,24 +98,26 @@ def test_pab_sample_matches_dict_oracle(case):
 
 def test_fold_matches_per_vertex_loop(case):
     """One seeded stream folded as estimate folds it: fancy-index updates on
-    one side, the old per-vertex loop over the oracle's dicts on the other."""
+    one side, the old per-vertex loop over the oracle's dicts on the other.
+    The state's tallies total the bags' internal lengths and cap flags."""
     graph, model = case
     state = McEraState(n=graph.n, c=25, seed=4)
     oracle = oracle_mcera.McEraState(n=graph.n, c=25, seed=4)
-    sum_f, oracle_sum_f = np.zeros(graph.n), np.zeros(graph.n)
+    oracle_sum_f = np.zeros(graph.n)
     bags = list(bag_stream(graph, model, 300, seed=5))
     signs = state.signs_for_block(len(bags))
     for bag, row in zip(bags, signs):
         contrib = bag_estimate(bag, model)
-        sum_f[contrib.idx] += contrib.val
         state.add_sample(contrib, row)
         want = oracle_contrib.bag_estimate(bag, model)
         for v, f in want.items():
             oracle_sum_f[v] += f
         oracle_contrib.add_sample(oracle, want, row)
     assert state.r == oracle.r == len(bags)
+    assert state.internal == sum(len(bag.paths[0]) - 2 for bag in bags)
+    assert state.capped == sum(bag.capped for bag in bags)
     assert np.count_nonzero(state.sq_sums) > graph.n // 4
     signed, sq = oracle_mcera.dense_sums(state)
-    for a, b in ((sum_f, oracle_sum_f), (signed, oracle.signed_sums),
+    for a, b in ((state.dense(state.sums), oracle_sum_f), (signed, oracle.signed_sums),
                  (sq, oracle.sq_sums)):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))

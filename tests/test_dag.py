@@ -1,6 +1,7 @@
 """One-pass shortest-path DAG against the code it replaced, bit for bit."""
 
 import ast
+import math
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -11,11 +12,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import percolator
-from percolator import (BfsWorkspace, Contribution, McEraState, PercolationModel, load_edge_list,
-                        pab_sample, random_states)
+from percolator import (BfsWorkspace, Contribution, McEraState, PercolationModel, bag_estimate,
+                        balanced_bidirectional_bfs, load_edge_list, pab_sample, random_states,
+                        sample_paths)
 from percolator import graph as graph_module
 from percolator.exact import _source_sweep
 from percolator.graph import sorted_unique
+from percolator.sampling import DEFAULT_BAG_CAP
 
 import oracle_exact
 from oracle_contrib import as_dict
@@ -215,29 +218,49 @@ def test_samples_draw_through_the_driver():
 
 
 def test_the_progressive_loop_exists_once():
-    """Outside ``rng.py``, the sample stream's ``reserve`` and the
-    Monte-Carlo Rademacher state's ``signs_for_block`` and ``add_sample``
-    are called from one function only, the driver
-    ``progressive._iterations``: a second copy of the progressive loop
-    would have to call them too. A call belongs to its innermost function."""
+    """Outside ``rng.py``, the sample stream's ``take`` and ``reserve`` and
+    the Monte-Carlo Rademacher state's ``signs_for_block`` and
+    ``add_sample`` are called from one function only, the driver
+    ``progressive._iterations``: an estimator with its own fold loop would
+    have to call them too. ``take`` counts on a sample stream, not on a
+    numpy array: on a ``SampleStream(...)`` call, or on a name that the
+    module binds to one (by ``with ... as``, an assignment, or a parameter
+    annotated ``SampleStream``). A call belongs to its innermost function."""
     methods = {"reserve", "signs_for_block", "add_sample"}
     found = {}
 
-    def visit(node, owner):
+    def is_stream(node, streams):
+        return (isinstance(node, ast.Name) and node.id in streams
+                or isinstance(node, ast.Call) and ast.unparse(node.func).endswith("SampleStream"))
+
+    def stream_names(tree):
+        names = {arg.arg for arg in ast.walk(tree) if isinstance(arg, ast.arg)
+                 and arg.annotation is not None and "SampleStream" in ast.unparse(arg.annotation)}
+        for node in ast.walk(tree):
+            bound = ([(node.context_expr, node.optional_vars)] if isinstance(node, ast.withitem)
+                     else [(node.value, t) for t in node.targets] if isinstance(node, ast.Assign)
+                     else [])
+            names.update(target.id for value, target in bound
+                         if isinstance(target, ast.Name) and is_stream(value, ()))
+        return names
+
+    def visit(node, owner, streams):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, f"{owner.split('.')[0]}.{child.name}")
+                visit(child, f"{owner.split('.')[0]}.{child.name}", streams)
                 continue
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr in methods):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and (
+                    child.func.attr in methods
+                    or child.func.attr == "take" and is_stream(child.func.value, streams)):
                 found.setdefault(owner, []).append(child.func.attr)
-            visit(child, owner)
+            visit(child, owner, streams)
 
     for path in sorted(Path(percolator.__file__).parent.glob("*.py")):
         if path.name != "rng.py":
-            visit(ast.parse(path.read_text()), path.stem)
+            tree = ast.parse(path.read_text())
+            visit(tree, path.stem, stream_names(tree))
     assert {k: sorted(v) for k, v in found.items()} == {
-        "progressive._iterations": ["add_sample", "reserve", "signs_for_block"]}
+        "progressive._iterations": ["add_sample", "reserve", "signs_for_block", "take"]}
 
 
 def test_only_the_cli_opens_pools():
@@ -322,33 +345,62 @@ def test_mcera_state_sized_by_touched_vertices():
     assert state.signed_sums.nbytes + state.sq_sums.nbytes <= 2_000_000
 
 
-def test_pab_sample_memory_follows_the_search(tmp_path):
-    """A pair sample on the run's workspace allocates what its search
-    explores: at n = 2,000,000 one n-long float64 array is 16 MB, yet
-    1,000 samples of pairs at most 40 apart on a cycle with chords must
-    peak under 1 MB."""
+@pytest.fixture(scope="module")
+def near_pairs(tmp_path_factory):
+    """A cycle of 2,000,000 vertices with 50 chords, loaded as a file, with
+    a model, one workspace, and 1,000 pairs at most 40 apart."""
     n = 2_000_000
     rng = np.random.default_rng(3)
     tails = np.concatenate((np.arange(n), rng.integers(n, size=50)))
     heads = np.concatenate((np.arange(1, n + 1) % n, (tails[n:] + rng.integers(2, 30, 50)) % n))
-    path = tmp_path / "cycle.txt"
+    path = tmp_path_factory.mktemp("near") / "cycle.txt"
     with open(path, "w") as fh:
         for lo in range(0, tails.size, 1 << 18):
             block = slice(lo, lo + (1 << 18))
             fh.write("".join(map("{} {}\n".format, tails[block].tolist(), heads[block].tolist())))
     with open(path, "rb") as fh:
         graph = load_edge_list(fh)
-    model = PercolationModel(random_states(n, seed=4))
-    ws = BfsWorkspace(n)
     pairs = [(int(s), int(s + gap) % n)
              for s, gap in zip(rng.integers(n, size=1_000), rng.integers(2, 41, 1_000))]
+    return graph, PercolationModel(random_states(n, seed=4)), BfsWorkspace(n), pairs
+
+
+def _pair_bag(graph, model, s, z, ws, rng):
+    """The pair sample as ``progressive._draw_pair_sample`` composes it."""
+    meet = balanced_bidirectional_bfs(graph, s, z, ws)
+    return bag_estimate(sample_paths(meet, math.log(10), rng, cap=DEFAULT_BAG_CAP), model)
+
+
+def _one_path(graph, model, s, z, ws, rng):
+    """The single-path draw, as ``prk_sample`` makes it."""
+    meet = balanced_bidirectional_bfs(graph, s, z, ws)
+    return bag_estimate(sample_paths(meet, 1.0, rng, count=1), model)
+
+
+NEAR_SAMPLERS = {
+    "pab_sample": lambda graph, model, s, z, ws, rng: pab_sample(graph, model, s, z, ws=ws),
+    "pair-bag": _pair_bag,
+    "one-path": _one_path,
+}
+
+
+@pytest.mark.parametrize("sampler", list(NEAR_SAMPLERS))
+def test_pab_sample_memory_follows_the_search(near_pairs, sampler):
+    """A sample on the run's workspace allocates what its search explores,
+    and its record holds nothing n-sized: at n = 2,000,000 one n-long
+    float64 array is 16 MB, yet 1,000 samples of pairs at most 40 apart on
+    a cycle with chords must peak under 1 MB, for the pair-conditional
+    sample, the pair bag (search, ``sample_paths``, ``bag_estimate``) and
+    the one-path draw alike."""
+    graph, model, ws, pairs = near_pairs
+    draw, rng = NEAR_SAMPLERS[sampler], np.random.default_rng(5)
     tracemalloc.start()
     try:
         found = 0
         for s, z in pairs:
             if model.pair_weight(s, z) == 0.0:
                 s, z = z, s
-            found += len(pab_sample(graph, model, s, z, ws=ws)) > 0
+            found += len(draw(graph, model, s, z, ws, rng)) > 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

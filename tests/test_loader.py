@@ -197,6 +197,23 @@ def test_int64_extremes_and_long_zero_padded_ids_load():
     assert g.orig_ids.tolist() == [INT64_MIN, INT64_MAX, 1, 0]
 
 
+@pytest.mark.parametrize("size", [graph_module._CHUNK, 1000])
+def test_ids_past_the_int_digit_limit_load_or_name_their_line(size):
+    """Tokens of more than 4,300 digits, past Python's ``int()`` digit limit:
+    5,000 zeros before a valid id load as that id, with or without a sign;
+    5,000 nines are out of range, an error naming the line."""
+    zeros = "0" * 5_000
+    with chunked(size):
+        for source in sources(f"{zeros}2 1\n-{zeros}7 2\n"):
+            assert load_edge_list(source).orig_ids.tolist() == [2, 1, -7]
+        line = "3 " + "9" * 5_000
+        for source in sources(f"1 2\n{line}\n"):
+            with pytest.raises(EdgeListParseError) as err:
+                load_edge_list(source)
+            assert str(err.value) == (f"line 2: expected two int64 ids, got "
+                                      f"'{line[:80]}...' ({len(line)} bytes)")
+
+
 @pytest.mark.parametrize("text", ["", "\n\n", "# a\n\n% b\n", "  # a\n", "3 3\n# x\n"])
 def test_no_edges_is_an_empty_graph(text):
     with pytest.raises(EdgeListParseError, match="^empty graph"):

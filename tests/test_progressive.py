@@ -7,22 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from percolator import (BfsWorkspace, PercolationModel, ScheduleConfig, bounds, estimate,
-                        exact_all, progressive, random_states, stopping_condition)
-from percolator.rng import ESTIMATE_STREAM, SampleStream
+                        exact_all, progressive, random_states)
+from percolator.rng import BOOTSTRAP_STREAM, ESTIMATE_STREAM, SampleStream, derive_rng
+from percolator.sampling import sample_pair
 
 from gen import build, chung_lu_edges, cycle_edges, erdos_renyi_edges, path_edges
-from oracle_exact import brute_force_percolation
+from oracle_exact import bfs_level_counts, brute_force_percolation
 
 
 def strip_timing(report_dict):
     return {k: v for k, v in report_dict.items()
             if not k.startswith("elapsed")}
-
-
-def test_stopping_condition_cases():
-    assert stopping_condition(0.05, [0.04, 0.03], ceiling=100, r_i=50)
-    assert not stopping_condition(0.05, [0.04, 0.06], ceiling=100, r_i=50)
-    assert stopping_condition(0.05, [0.9, 0.9], ceiling=100, r_i=100)
 
 
 def test_config_validation():
@@ -298,7 +293,36 @@ def test_split_index_range_draws_the_same_samples(a, more, seed):
     stream = SampleStream(DRAW, seed, ESTIMATE_STREAM)
     split = [*stream.take(a), *stream.take(b)]
     assert len(split) == len(whole) == b
-    for (c1, obs1, capped1), (c2, obs2, capped2) in zip(whole, split):
+    for c1, c2 in zip(whole, split):
         assert c1.idx.tobytes() == c2.idx.tobytes()
         assert c1.val.tobytes() == c2.val.tobytes()
-        assert (obs1, capped1) == (obs2, capped2)
+        assert (c1.internal, c1.capped) == (c2.internal, c2.capped)
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_rho_and_cap_events_count_every_sample(seed):
+    """``rho_estimate`` and ``bag_cap_events`` recomputed from outside the
+    samplers: every bootstrap and main-loop pair redrawn from its own
+    generator, its distance and path count from the oracle's BFS. rho is
+    the sum of d - 1 over the connected pairs of both phases over their
+    sample count; a cap event is a connected, percolated pair whose
+    ceil(alpha * sigma_sz) exceeds the cap (3 here). At seed 7 the
+    bootstrap holds 5 of the 36 cap events and 53 of the internal length
+    457, and 7 of the 206 pairs are disconnected."""
+    graph = build(chung_lu_edges(150, 3, 2.3, seed=5))
+    model = PercolationModel(random_states(graph.n, seed=2))
+    config = ScheduleConfig(epsilon=0.1, delta=0.1, bag_cap=3)
+    report = estimate(graph, model, config, seed=seed)
+    internal = capped = 0
+    for stream, r in ((BOOTSTRAP_STREAM, config.bootstrap_size),
+                      (ESTIMATE_STREAM, report.r_final)):
+        for i in range(r):
+            s, z = sample_pair(graph.n, derive_rng(seed, stream, i))
+            _, dist, sigma = bfs_level_counts(graph, s, until=z)
+            if dist[z] > 0:
+                internal += int(dist[z]) - 1
+                capped += (model.pair_weight(s, z) != 0.0
+                           and math.ceil(config.alpha * sigma[z]) > config.bag_cap)
+    assert internal > 0 and capped > 0
+    assert report.bag_cap_events == capped
+    assert report.rho_estimate == internal / (config.bootstrap_size + report.r_final)
