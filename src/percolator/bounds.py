@@ -31,6 +31,7 @@ class Partition:
     t: int
     class_of: np.ndarray           # per-vertex class index in [0, t), int8 (t <= 34)
     var_bound: np.ndarray          # per-class bound, in (0, 1/4]
+    sizes: np.ndarray              # per-class member count
 
 
 @dataclass
@@ -288,13 +289,16 @@ def empirical_peeling(sq_sums: np.ndarray, r: int, delta: float) -> Partition:
     cls = (t - 1) - np.searchsorted(edges[:0:-1], what, side="left")
     class_of = np.full(sq_sums.size, t - 1, dtype=np.int8)
     class_of[nz] = cls
+    # counted on the nonzero vertices: a bincount of class_of would widen it to intp
+    sizes = np.bincount(cls, minlength=t)
+    sizes[t - 1] += sq_sums.size - nz.size
 
     ell = math.log(2.0 * t / delta)
     # the catch-all bucket's edge is its largest member (0 when empty)
     top = np.append(edges[:-1], what[cls == t - 1].max(initial=0.0))
     slack = np.sqrt(2.0 * top * ell / r) + ell / (3.0 * r)
     var_bound = np.minimum(0.25, top + slack)
-    return Partition(t=t, class_of=class_of, var_bound=var_bound)
+    return Partition(t=t, class_of=class_of, var_bound=var_bound, sizes=sizes)
 
 
 def vd_baseline_sample_size(vertex_diameter: int, eps: float, delta: float) -> int:

@@ -178,8 +178,7 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
     # n-sized arrays go first, so that the main state's take their room
     tallies = {"internal": boot.internal, "capped": boot.capped}
     del boot
-    sizes = np.bincount(partition.class_of, minlength=partition.t)
-    occupied = sizes > 0
+    occupied = partition.sizes > 0
     # every vertex lives in some occupied class, so their largest bound
     # covers the whole family; floored at epsilon to keep the ceiling's
     # log term bounded when the empirical variances are all near zero
@@ -220,7 +219,7 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
             # while the run cannot stop, the bounds are not evaluated
             if could_stop(state.r, iterations):
                 delta_b = 0.8 * config.delta_iter(iterations)
-                rc, wimpy = mcera(state, partition.class_of, sizes)
+                rc, wimpy = mcera(state, partition.class_of, partition.sizes)
                 for j in np.flatnonzero(occupied):
                     xi[j] = eps_bound(float(rc[j]), float(wimpy[j]),
                                       float(partition.var_bound[j]), partition.t,

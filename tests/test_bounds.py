@@ -253,9 +253,15 @@ def test_sufficient_sample_size_contract():
         sufficient_sample_size(0.0, 1.0, 0.05, 0.1)
 
 
+def assert_sizes_count_the_classes(part):
+    assert part.sizes.dtype == np.intp
+    assert np.array_equal(part.sizes, np.bincount(part.class_of, minlength=part.t))
+
+
 def test_peeling_all_zero_collapses_to_catch_all():
     part = empirical_peeling(np.zeros(10), r=100, delta=0.1)
     assert (part.class_of == part.t - 1).all()
+    assert_sizes_count_the_classes(part)
     ell = math.log(2 * part.t / 0.1)
     assert part.var_bound[part.t - 1] == pytest.approx(ell / 300)
 
@@ -266,6 +272,7 @@ def test_peeling_bucket_assignment():
     assert part.class_of[0] == 0        # (1/16, 1/4]
     assert part.class_of[1] == 2        # (1/256, 1/64]
     assert part.class_of[0] != part.class_of[1]
+    assert_sizes_count_the_classes(part)
 
 
 def mask_loop_classes(what, t):
@@ -296,6 +303,7 @@ def test_peeling_classes_match_the_mask_loop_at_every_edge():
         r = 1 << log2_r
         part = empirical_peeling(what * r, r, delta=0.1)
         assert np.array_equal(part.class_of, mask_loop_classes(what, part.t))
+        assert_sizes_count_the_classes(part)
         seen.add(part.t)
     assert seen == set(range(2, 14))
 
@@ -307,6 +315,7 @@ def test_peeling_bounds_capped_and_monotone():
     assert (part.var_bound > 0).all()
     assert (np.diff(part.var_bound) <= 1e-15).all()
     assert part.t == math.ceil(math.log(30) / math.log(4)) + 2
+    assert_sizes_count_the_classes(part)
 
 
 def test_vd_baseline_worked_value():

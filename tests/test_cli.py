@@ -7,8 +7,10 @@ import math
 import multiprocessing
 import os
 import resource
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -538,6 +540,80 @@ def test_compare_opens_one_pool_and_joins_it(tmp_path, monkeypatch):
         assert main([*argv, "--graph", graph, "--states", "random:1", "--output", out]) == 0
         assert opened == pools, argv
         assert multiprocessing.active_children() == []
+
+
+def test_only_exact_asks_the_exact_pass_for_betweenness(tmp_path, monkeypatch):
+    """``compare`` scores the estimators against the exact percolation
+    scores alone, so its exact pass skips betweenness; ``exact`` prints
+    ``sum_b`` and keeps the default."""
+    calls = []
+    real = cli.exact_all
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "exact_all", recorded)
+    graph = write_graph(tmp_path, "".join(f"{i} {i + 1}\n" for i in range(20)))
+    out = str(tmp_path / "o")
+    for argv in (["compare", "--epsilon-grid", "0.3", "--repetitions", "1",
+                  "--algorithms", "mcera"], ["exact"]):
+        assert main([*argv, "--graph", graph, "--states", "random:1", "--output", out,
+                     "--threads", "1"]) == 0
+    assert [{k: v for k, v in kw.items() if k != "pool"} for kw in calls] == \
+        [{"betweenness": False}, {}]
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").exists(), reason="needs Linux")
+def test_workers_do_not_outlive_a_killed_command(tmp_path):
+    """A command killed mid-pass takes its pool with it: ``exact --threads
+    2`` runs in its own session, and once both workers are forked only the
+    command is killed; within 10 s no process of its group is left. The
+    exact pass on a 3,000-vertex path (3,000 levels per source) lasts far
+    longer than that, so a worker left alive would still be there."""
+    graph = write_graph(tmp_path, "".join(f"{i} {i + 1}\n" for i in range(2999)))
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.Popen([sys.executable, "-m", "percolator.cli", "exact", "--graph", graph,
+                             "--states", "random:1", "--threads", "2",
+                             "--output", str(tmp_path / "o")],
+                            env=env, start_new_session=True,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    try:
+        deadline = time.monotonic() + 60
+        while len(children.read_text().split()) < 2:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 10
+        while True:
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a worker outlived its command"
+            time.sleep(0.02)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+
+
+def test_a_worker_forked_after_its_parent_died_ends_itself():
+    """A worker whose parent is gone before it asks for the parent-death
+    signal would never get one, so the pool's initializer kills it: here a
+    process forked from this one, told that its parent was another, and
+    not one told the truth."""
+    for parent, exitcode in ((os.getpid() + 1, -signal.SIGKILL), (os.getpid(), 0)):
+        proc = multiprocessing.get_context("fork").Process(target=workers._die_with_parent,
+                                                           args=(parent,))
+        proc.start()
+        proc.join(10)
+        assert proc.exitcode == exitcode
 
 
 @pytest.mark.parametrize("bad_line", [

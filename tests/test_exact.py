@@ -74,9 +74,18 @@ def test_complete_graph_rho_zero():
 ], ids=["directed", "two-components", "chung-lu", "newman-watts", "layered", "star-and-path",
         "reversed-path"])
 def test_rho_and_diameter_pass_matches_sweep(graph):
-    res = exact_all(graph, PercolationModel(random_states(graph.n, seed=16)))
+    model = PercolationModel(random_states(graph.n, seed=16))
+    res = exact_all(graph, model)
     assert exact_rho_and_diameter(graph) == (res.rho, res.diameter)
     assert exact_vertex_diameter(graph) == res.vertex_diameter
+    # the percolation-only pass, serially and in a pool, leaves the rest as it was
+    for threads in (1, 2):
+        with open_pool(graph, model, threads) as pool:
+            alone = exact_all(graph, model, pool=pool, betweenness=False)
+        assert alone.b is None
+        assert alone.p.tobytes() == res.p.tobytes()
+        assert (alone.rho, alone.diameter, alone.vertex_diameter, alone.all_states_equal) == \
+            (res.rho, res.diameter, res.vertex_diameter, res.all_states_equal)
 
 
 def test_single_edge_no_internal():

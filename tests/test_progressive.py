@@ -195,6 +195,60 @@ def test_floor_skip_keeps_eps_met_reports(monkeypatch, name, eps):
         assert set(calls) < set(full_calls)
 
 
+def audit_report(report):
+    """Check an ``estimate`` report dict against its own stop rule, from the
+    report alone, with the formulas of README and SILVAN written out here
+    rather than taken from ``bounds``: the stop reason against xi and eps;
+    each occupied class's xi against its data-free floor at the final
+    iteration's delta share; and the ceiling against the closed-form one
+    at the final rho estimate (the ceiling is a running maximum, so it may
+    exceed that one, never fall below it)."""
+    eps, delta = report["config"]["epsilon"], report["config"]["delta"]
+    xi = np.array(report["xi_per_class"])
+    var = np.array(report["var_bound_per_class"])
+    t, r = xi.size, report["r_final"]
+    occupied = xi > 0
+    assert occupied.any()
+    met = bool((xi[occupied] <= eps).all())
+    assert report["stop_reason"] == ("eps-met" if met else "ceiling-hit")
+    if not met:
+        assert r == report["ceiling"]
+    # the iterations' shares delta / 2^(i+1) sum to delta / 2; 0.8 of one bounds a class
+    ell = math.log(4 * t / (0.8 * delta / 2 ** (report["iterations"] + 1)))
+    floor = 13 / 3 * ell / r + np.sqrt(2 * ell * var[occupied] / r + 16 * ell ** 2 / r ** 2)
+    assert (xi[occupied] >= floor * (1 - 1e-12)).all(), (xi[occupied], floor)
+    vhat = min(0.25, max(eps, var[occupied].max()))
+    closed = (2 * vhat + 2 * eps / 3) / eps ** 2 * (
+        max(0.0, math.log(2 * report["rho_estimate"] / vhat)) + math.log(2 / delta))
+    assert report["ceiling"] >= math.ceil(closed * (1 - 1e-12)), (report["ceiling"], closed)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.2])
+def test_golden_reports_audit_themselves(eps):
+    """The golden graph's reports, at the golden epsilon and at the pinned
+    ``approx`` one, pass the report-only audit."""
+    graph = build(chung_lu_edges(400, 6, 2.3, seed=5))
+    model = PercolationModel(random_states(graph.n, seed=9))
+    report = estimate(graph, model, ScheduleConfig(epsilon=eps, delta=0.1), seed=3)
+    audit_report(report.as_dict())
+
+
+@pytest.mark.parametrize("eps", [0.2, 0.1])
+@pytest.mark.parametrize("name", ["path3", "cycle5"])
+def test_eps_met_reports_audit_themselves(monkeypatch, name, eps):
+    """The ``eps-met`` runs of ``test_floor_skip_keeps_eps_met_reports``
+    pass the report-only audit."""
+    if name == "path3":
+        graph, model = build(path_edges(3)), PercolationModel([1.0, 0.5, 0.0])
+    else:
+        graph, model = build(cycle_edges(5)), PercolationModel(random_states(5, seed=1))
+    monkeypatch.setattr(progressive, "sufficient_sample_size", lambda *args: 1 << 16)
+    for seed in range(2):
+        report = estimate(graph, model, ScheduleConfig(epsilon=eps, delta=0.1), seed)
+        assert report.stop_reason == "eps-met"
+        audit_report(report.as_dict())
+
+
 def floors_on_schedule(eps, delta, v_top, rho):
     """``estimate``'s targets for a run whose largest occupied class bound is
     ``v_top`` and whose ceiling is sized with ``rho``, each as (iteration,
