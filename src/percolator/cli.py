@@ -3,9 +3,9 @@
 Subcommands: ``exact`` (ground truth), ``approx`` (one estimator run),
 ``compare`` (estimator benchmark over an epsilon grid). Exit codes:
 0 success, 2 usage, 3 input (bad format or values, or shortest-path
-counts past float64), 4 budget refusal, 5 out of memory or a worker
-process died (one line names the phase: load, model, exact pass,
-estimation or write).
+counts past float64), 4 budget refusal, 5 out of memory, a worker
+process died or the worker pool could not start (one line names the
+phase: load, model, exact pass, estimation or write).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .percolation import PercolationModel, load_states, random_states
 from .progressive import ScheduleConfig, estimate
 from .rng import combine
 from .sampling import DEFAULT_BAG_CAP
-from .workers import open_pool
+from .workers import PoolNotStarted, open_pool
 
 log = logging.getLogger("percolator")
 
@@ -59,11 +59,26 @@ def _load_graph(args) -> Graph:
             raise ValueError(f"{args.graph}: corrupt gzip data ({exc})") from None
 
 
-def _resolve_states(source: str, graph: Graph) -> np.ndarray:
-    if source.startswith("random:"):
-        return random_states(graph.n, int(source.split(":", 1)[1]))
-    with open(source) as fh:
-        return load_states(fh, graph)
+class _OverBudget(Exception):
+    """An exact pass the command needs would exceed ``--budget``."""
+
+
+def _inputs(args, refuse: str | None = None) -> tuple[Graph, PercolationModel]:
+    """The graph and its percolation model. When ``refuse`` is given, an
+    O(n*m) exact pass is part of the command, and a graph with n*m over
+    ``--budget`` is refused before the states are read, advising to rerun
+    with ``refuse``."""
+    graph = _load_graph(args)
+    if refuse is not None and graph.n * graph.m > args.budget:
+        raise _OverBudget(f"n*m = {graph.n * graph.m} exceeds budget {args.budget}; "
+                          f"rerun with {refuse}")
+    _enter(args, "model", graph)
+    if args.states.startswith("random:"):
+        states = random_states(graph.n, int(args.states.split(":", 1)[1]))
+    else:
+        with open(args.states) as fh:
+            states = load_states(fh, graph)
+    return graph, PercolationModel(states)
 
 
 def _threads(args) -> int:
@@ -106,13 +121,13 @@ def _json_with_estimates(fh, head: dict, graph: Graph, values: np.ndarray) -> No
 
 
 @contextmanager
-def _replacing(path: str, newline: str | None = None):
+def _replacing(path: str):
     """A text file that replaces ``path`` when the block ends: it is written
     as ``path + ".partial"`` and renamed over ``path``, or removed if the
     block or the rename raises, so a failed write leaves ``path`` as it
     was."""
     partial = path + ".partial"
-    fh = open(partial, "w", newline=newline)
+    fh = open(partial, "w", newline="")
     try:
         with fh:
             yield fh
@@ -123,7 +138,7 @@ def _replacing(path: str, newline: str | None = None):
 
 
 def _write_estimates(path: str, graph: Graph, values: np.ndarray, fmt: str) -> None:
-    with _replacing(path, newline="") as fh:
+    with _replacing(path) as fh:
         if fmt == "json":
             _json_with_estimates(fh, {}, graph, values)
             return
@@ -132,19 +147,8 @@ def _write_estimates(path: str, graph: Graph, values: np.ndarray, fmt: str) -> N
         fh.writelines(_estimate_blocks(graph, values, fmt))
 
 
-def _over_budget(graph: Graph, budget: int, advice: str) -> bool:
-    """Whether an O(n*m) exact pass would exceed ``budget``; says so if it would."""
-    if graph.n * graph.m <= budget:
-        return False
-    print(f"refusing exact pass: n*m = {graph.n * graph.m} exceeds "
-          f"budget {budget}; rerun with {advice}", file=sys.stderr)
-    return True
-
-
 def cmd_exact(args) -> int:
-    graph = _load_graph(args)
-    _enter(args, "model", graph)
-    model = PercolationModel(_resolve_states(args.states, graph))
+    graph, model = _inputs(args)
     _enter(args, "exact pass")
     t0 = time.perf_counter()
     with open_pool(graph, model, _threads(args)) as pool:
@@ -192,12 +196,8 @@ def _run_algorithm(name: str, graph: Graph, model: PercolationModel,
 
 def cmd_approx(args) -> int:
     config = _config(args, args.epsilon)
-    graph = _load_graph(args)
     # p-rk-fixed needs the vertex diameter, which only an exact pass gives here
-    if args.algorithm == "p-rk-fixed" and _over_budget(graph, args.budget, "--budget"):
-        return EXIT_BUDGET
-    _enter(args, "model", graph)
-    model = PercolationModel(_resolve_states(args.states, graph))
+    graph, model = _inputs(args, "--budget" if args.algorithm == "p-rk-fixed" else None)
     _enter(args, "estimation")
     with open_pool(graph, model, _threads(args)) as pool:
         head, estimates = _run_algorithm(args.algorithm, graph, model, config, args.seed,
@@ -232,15 +232,10 @@ def cmd_compare(args) -> int:
             print(f"{flag} repeats a value", file=sys.stderr)
             return 2
     configs = [_config(args, eps) for eps in args.epsilon_grid]
-    graph = _load_graph(args)
-    _enter(args, "model", graph)
-    model = PercolationModel(_resolve_states(args.states, graph))
-
     # p-rk-fixed's vertex diameter needs an O(n*m) pass even without the exact one
     exact_pass = not args.no_exact or "p-rk-fixed" in algorithms
-    if exact_pass and _over_budget(graph, args.budget,
-                                   "--budget, or --no-exact without p-rk-fixed"):
-        return EXIT_BUDGET
+    graph, model = _inputs(args, "--budget, or --no-exact without p-rk-fixed"
+                           if exact_pass else None)
     rows = []
     _enter(args, "exact pass" if exact_pass else "estimation")
     # one pool for the exact pass and every sampler; closed before the writes
@@ -272,25 +267,20 @@ def cmd_compare(args) -> int:
                     rows.append([name, config.epsilon, rep, head["r_final"], seconds, sd, mad])
 
     _enter(args, "write")
-    with _replacing(args.output, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RAW_COLUMNS)
-        writer.writerows(rows)
-
+    aggregates = []
+    for eps in args.epsilon_grid:
+        for name in algorithms:
+            cols = np.array([r[3:] for r in rows if r[0] == name and r[1] == eps],
+                            dtype=np.float64)
+            aggregates.append([name, eps, *(float(stat(cols[:, k]))
+                                            for k in range(4) for stat in (np.mean, np.std))])
     base, ext = os.path.splitext(args.output)
-    agg_path = base + ".agg" + (ext or ".csv")
-    with _replacing(agg_path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(AGG_COLUMNS)
-        for eps in args.epsilon_grid:
-            for name in algorithms:
-                sel = [r for r in rows if r[0] == name and r[1] == eps]
-                cols = np.array([[r[3], r[4], r[5], r[6]] for r in sel], dtype=np.float64)
-                out = [name, eps]
-                for k in range(4):
-                    out.append(float(cols[:, k].mean()))
-                    out.append(float(cols[:, k].std()))
-                writer.writerow(out)
+    for path, header, table in ((args.output, RAW_COLUMNS, rows),
+                                (base + ".agg" + (ext or ".csv"), AGG_COLUMNS, aggregates)):
+        with _replacing(path) as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(table)
     return EXIT_OK
 
 
@@ -360,12 +350,16 @@ def main(argv=None) -> int:
     except (ValueError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except _OverBudget as exc:
+        print(f"refusing exact pass: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except MemoryError:      # numpy's allocation failures included
         print(f"error: out of memory during the {args.phase}{args.size}", file=sys.stderr)
         return EXIT_MEMORY
-    except BrokenProcessPool:    # a worker killed, by the kernel's OOM killer say
-        print(f"error: a worker process died during the {args.phase}{args.size}",
-              file=sys.stderr)
+    except BrokenProcessPool as exc:    # a worker killed (by the kernel's OOM killer, say)
+        what = ("the worker pool could not start" if isinstance(exc, PoolNotStarted)
+                else "a worker process died")
+        print(f"error: {what} during the {args.phase}{args.size}", file=sys.stderr)
         return EXIT_MEMORY
 
 

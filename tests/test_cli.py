@@ -388,6 +388,29 @@ def test_approx_prk_fixed_refuses_exact_pass_over_budget(tmp_path, monkeypatch, 
     assert report == expected
 
 
+@pytest.mark.parametrize("argv,advice", [
+    (["compare", "--repetitions", "1"], "--budget, or --no-exact without p-rk-fixed"),
+    (["approx", "--algorithm", "p-rk-fixed"], "--budget")])
+def test_every_command_refuses_over_budget_before_reading_the_states(tmp_path, monkeypatch,
+                                                                     capsys, argv, advice):
+    """The budget is checked right after the load: a states file of the
+    wrong length for the 3-vertex path is never read, the model is never
+    built, and the command exits 4 with its refusal line and no output."""
+    real, built = cli.PercolationModel, []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(cli, "PercolationModel", counted)
+    out = tmp_path / "out"
+    assert main([*argv, "--graph", write_graph(tmp_path), "--states",
+                 write_states(tmp_path, [0.5]), "--output", str(out), "--budget", "2"]) == 4
+    assert capsys.readouterr().err.strip().splitlines()[-1] == \
+        f"refusing exact pass: n*m = 6 exceeds budget 2; rerun with {advice}"
+    assert built == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "states.txt"]
+
+
 @pytest.mark.parametrize("flag,value,code", [("--algorithms", "mcera,bogus", 2),
                                              ("--algorithms", "mcera,mcera", 2),
                                              ("--algorithms", "", 2),
@@ -815,6 +838,96 @@ def test_streamed_writers_match_one_shot_writers(tmp_path, monkeypatch, n, fmt):
     text = io.StringIO()
     cli._json_with_estimates(text, head, graph, values)
     assert text.getvalue() == oracle_writer.json_with_estimates(head, graph, values)
+
+
+POOL_CHILD = """
+import sys
+from concurrent.futures import ProcessPoolExecutor
+from percolator import cli
+
+def status(key):
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith(key)) * 1024
+
+submit = ProcessPoolExecutor.submit
+
+def noted_submit(self, *args, **kwargs):
+    if not getattr(noted_submit, "seen", False):
+        noted_submit.seen = True
+        print(status("VmSize:"), status("VmPeak:"), flush=True)
+    return submit(self, *args, **kwargs)
+
+ProcessPoolExecutor.submit = noted_submit
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux VmSize")
+def test_a_pool_that_cannot_start_exits_5_naming_the_phase(tmp_path):
+    """A pool whose threads cannot start ends the command within 30 s, with
+    one line naming the phase, exit 5, no output and no process of the
+    command left. ``approx --threads 2`` runs in its own session with 8 MiB
+    thread stacks, on 300k lines joining 600k ids in pairs, so that the
+    address space at the pool's first job is above every earlier peak.
+    With the limit half a stack above that point the executor's manager
+    thread cannot start; with one and a half stacks above it the manager
+    starts but the call queue's feeder thread cannot, which ended the
+    manager thread and left the command waiting on its first job for good.
+    """
+    ids = np.random.default_rng(5).permutation(600_000).tolist()
+    graph = write_graph(tmp_path, "".join(f"{a} {b}\n" for a, b in zip(ids[0::2], ids[1::2])))
+    out = tmp_path / "report.json"
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    hard = resource.getrlimit(resource.RLIMIT_STACK)[1]
+    stack = 8 << 20 if hard == resource.RLIM_INFINITY else min(8 << 20, hard)
+
+    def run(limit=None):
+        def cap():
+            resource.setrlimit(resource.RLIMIT_STACK, (stack, hard))
+            if limit is not None:
+                resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+        start = time.monotonic()
+        proc = subprocess.Popen([sys.executable, "-c", POOL_CHILD, "approx", "--graph", graph,
+                                 "--states", "random:7", "--seed", "1", "--epsilon", "0.1",
+                                 "--threads", "2", "--output", str(out)],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, preexec_fn=cap, start_new_session=True)
+        try:
+            stdout, stderr = proc.communicate(timeout=30)
+            elapsed = time.monotonic() - start
+            deadline = time.monotonic() + 10
+            while True:                 # the command's group empties
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "a worker outlived its command"
+                time.sleep(0.02)
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"the command hung at RLIMIT_AS = {limit}")
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()
+        return proc.returncode, [int(x) for x in stdout.split()], stderr, elapsed
+
+    code, (size, peak), stderr, _ = run()
+    assert code == 0, stderr
+    out.unlink()
+    assert peak < size + stack // 2, (size, peak)
+    for limit in (size + stack // 2, size + 3 * stack // 2):
+        code, _, stderr, elapsed = run(limit)
+        assert code == 5, stderr
+        assert "Traceback" not in stderr
+        assert stderr.strip().splitlines()[-1] == (
+            "error: the worker pool could not start during the estimation "
+            "(n = 600000, m = 300000)")
+        assert elapsed < 30
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt"]
 
 
 def test_a_dead_worker_exits_5_naming_the_phase(tmp_path, monkeypatch, capsys):

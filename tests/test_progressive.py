@@ -3,7 +3,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from percolator import (BfsWorkspace, PercolationModel, ScheduleConfig, bounds, estimate,
@@ -287,6 +287,37 @@ def test_ceiling_comes_before_any_class_can_meet_epsilon(eps, delta, rho, share)
     v_top = edge0 + share * (0.25 - edge0)
     for i, target, floor in floors_on_schedule(eps, delta, v_top, rho):
         assert floor > eps, (i, target, floor)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(16, 40), p=st.floats(0.05, 0.3), graph_seed=st.integers(0, 2 ** 32 - 1),
+       states_seed=st.integers(0, 2 ** 32 - 1), seed=st.integers(0, 2 ** 32 - 1),
+       eps=st.floats(0.02, 0.25), delta=st.floats(0.005, 0.1))
+def test_one_class_when_every_exclusion_sum_is_large(n, p, graph_seed, states_seed, seed,
+                                                    eps, delta):
+    """The one-class lemma on small graphs with uniform states. A pair
+    sample gives a vertex v at most 1/minus_s[v], so when min(minus_s) >=
+    2^t, t = ceil(log4 r_boot) + 2, every bootstrap mean square is at most
+    4^-t and every vertex lands in the catch-all class, whose bound is then
+    within epsilon for delta <= 0.1. So only the catch-all is occupied,
+    v-hat is epsilon, and the run ends at the ceiling, which is at least the
+    sample size that v-hat = epsilon and the report's rho estimate ask for:
+    the bootstrap and the Monte-Carlo Rademacher average set only the
+    reported bounds, not the sample count. Nothing here replays bits."""
+    graph = build(erdos_renyi_edges(n, p, seed=graph_seed))
+    assume(graph.n >= 3)
+    model = PercolationModel(random_states(graph.n, seed=states_seed))
+    config = ScheduleConfig(epsilon=eps, delta=delta)
+    t = math.ceil(math.log(config.bootstrap_size) / math.log(4.0)) + 2
+    assume(model.minus_s.min() >= 2.0 ** t)
+    report = estimate(graph, model, config, seed=seed)
+    assert report.xi_per_class.size == t
+    assert np.flatnonzero(report.xi_per_class).tolist() == [t - 1]
+    assert report.var_bound_per_class[-1] <= eps
+    assert report.stop_reason == "ceiling-hit"
+    assert report.r_final == report.ceiling
+    assert report.ceiling >= bounds.sufficient_sample_size(eps, report.rho_estimate, eps,
+                                                           delta / 2)
 
 
 def test_a_huge_rho_lets_the_floor_drop_below_epsilon():
