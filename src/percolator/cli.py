@@ -91,24 +91,75 @@ def _threads(args) -> int:
 
 
 _WRITE_BLOCK = 1 << 13      # vertices formatted per write
+# per format: a row's prefix, the id-value separator, the row's end and the
+# spelling of +0.0; a json row opens with the comma after the row before it
+_ROW_PARTS = {"json": (b',\n  "', b'": ', b"", b"0.0"),
+              "tsv": (b"", b"\t", b"\n", b"0"),
+              "csv": (b"", b",", b"\r\n", b"0")}
+# 10 .. 10^19, unsigned: a uint64 search in a signed table would go through float64
+_POWERS = np.array([10 ** k for k in range(1, 20)], dtype=np.uint64)
+
+
+def _put(buf: np.ndarray, at: np.ndarray, text: bytes) -> None:
+    """Write ``text`` at each offset ``at`` of ``buf``, a column at a time."""
+    for j, byte in enumerate(text):
+        buf[at + j] = byte
+
+
+def _spellings(values: np.ndarray, fmt: str):
+    """``values`` spelled as json spells them (repr, NaN, Infinity) or as
+    ``%.17g``: their characters in one array, each one's start and length."""
+    text = (json.dumps(values.tolist())[1:-1] if fmt == "json"
+            else ", ".join(["%.17g"] * len(values)) % tuple(values.tolist()))
+    chars = np.frombuffer(text.encode() + b", ", dtype=np.uint8)
+    # no spelling holds a comma; with no values the one comma ends nothing
+    ends = np.flatnonzero(chars == ord(","))[:len(values)]
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 2
+    return chars, starts, ends - starts
 
 
 def _estimate_blocks(graph: Graph, values: np.ndarray, fmt: str):
     """The estimate rows in blocks of ``_WRITE_BLOCK`` vertices: 'id<TAB>value'
     lines (tsv), 'id,value' lines (csv, as csv.writer writes them: no field
-    needs quoting), or the members of json.dumps(indent=1)'s estimates object."""
+    needs quoting), or the members of json.dumps(indent=1)'s estimates object.
+    A block is laid out in one byte buffer at offsets summed from its row
+    lengths. The ids' digits come from repeated integer division; the
+    constant parts and +0.0 are scattered as bytes, and only the other
+    values are spelled in Python."""
+    prefix, sep, end, zero = _ROW_PARTS[fmt]
     for start in range(0, graph.n, _WRITE_BLOCK):
-        ids = graph.orig_ids[start:start + _WRITE_BLOCK].tolist()
+        ids = graph.orig_ids[start:start + _WRITE_BLOCK]
         block = values[start:start + _WRITE_BLOCK]
-        if fmt == "json":
-            # json's own float spellings (repr, or NaN/Infinity), split off one list
-            floats = json.dumps(block.tolist())[1:-1].split(", ")
-            yield (",\n  " if start else "\n  ") + ",\n  ".join(
-                f'"{i}": {x}' for i, x in zip(ids, floats))
-        elif fmt == "tsv":
-            yield "".join(f"{i}\t{x:.17g}\n" for i, x in zip(ids, block.tolist()))
-        else:
-            yield "".join(f"{i},{x:.17g}\r\n" for i, x in zip(ids, block.tolist()))
+        neg = ids < 0
+        mag = np.abs(ids).view(np.uint64)       # |INT64_MIN| wraps to 2^63 as unsigned
+        digits = _POWERS.searchsorted(mag, side="right") + 1
+        spelled = (block != 0.0) | np.signbit(block)     # all but +0.0 (NaN included)
+        chars, text_at, text_len = _spellings(block[spelled], fmt)
+        width = np.full(len(block), len(zero))
+        width[spelled] = text_len
+        row = width + digits + neg + len(prefix) + len(sep) + len(end)
+        at = np.cumsum(row)
+        buf = np.empty(int(at[-1]), dtype=np.uint8)
+        at -= row                               # each row's first byte
+        _put(buf, at, prefix)
+        at += len(prefix)
+        buf[at[neg]] = ord("-")
+        at += neg + digits                      # one past the id's last digit
+        for k in range(1, int(digits.max()) + 1):
+            live = digits >= k
+            buf[at[live] - k] = mag[live] % 10 + ord("0")
+            mag //= 10
+        _put(buf, at, sep)
+        at += len(sep)
+        _put(buf, at[~spelled], zero)
+        value_at = at[spelled]
+        for j in range(int(text_len.max(initial=0))):
+            live = text_len > j
+            buf[value_at[live] + j] = chars[text_at[live] + j]
+        at += width
+        _put(buf, at, end)
+        yield str(buf[1:] if fmt == "json" and not start else buf, "ascii")
 
 
 def _json_with_estimates(fh, head: dict, graph: Graph, values: np.ndarray) -> None:

@@ -99,14 +99,15 @@ def _line_error(data: bytes, lines_before: int = 0) -> EdgeListParseError:
     return EdgeListParseError("empty graph: no edges found")
 
 
-def _parse_ids(data: bytes) -> np.ndarray | None:
-    """Id tokens of ``data`` (framed by newlines) outside comments, in order;
-    None if a line breaks the grammar. Whole lines and bytes are checked on
-    ``data`` itself: one regex empties the comment lines, and one
-    ``bytes.translate`` finds any byte outside whitespace, signs and
-    digits. Byte masks then find the tokens, check each sign opens one
-    and is followed by a digit, and check two tokens per line, all before
-    ``np.fromstring``, which stops silently at a bad token and saturates."""
+def _parse_ids(data: bytes) -> tuple[np.ndarray, int] | None:
+    """Id tokens of ``data`` (framed by newlines) outside comments, in order,
+    and the count of its newlines; None if a line breaks the grammar. Whole
+    lines and bytes are checked on ``data`` itself: one regex empties the
+    comment lines, and one ``bytes.translate`` finds any byte outside
+    whitespace, signs and digits. Byte masks then find the tokens, check
+    each sign opens one and is followed by a digit, and check two tokens
+    per line, all before ``np.fromstring``, which stops silently at a bad
+    token and saturates."""
     if b"#" in data or b"%" in data:
         data = _COMMENT_LINE.sub(b"\n", data)
     if data.translate(None, b" \t\r\n+-0123456789"):
@@ -122,14 +123,25 @@ def _parse_ids(data: bytes) -> np.ndarray | None:
     del ws
     bounds += 1
     starts, ends = bounds[0::2], bounds[1::2]
-    # last[i]: a newline lies between token i and the next (always after the last token)
-    last = np.logical_or.reduceat(buf == ord("\n"), ends)
+    # the gaps after a token wider than one byte: their second byte is blank too
+    wide = (buf[1:][ends[:-1]] <= ord(" ")).nonzero()[0]
+    # last[i]: a newline lies between token i and the next (always after the
+    # last token); read off the gap's one byte, or reduced over a wider gap
+    newline = buf == ord("\n")
+    last = newline[ends]
+    if wide.size:
+        spans = np.stack((ends[wide], starts[wide + 1]), axis=1).ravel()
+        last[wide] = np.logical_or.reduceat(newline, spans)[0::2]
+    if last.size:
+        last[-1] = True
+    lines = np.count_nonzero(newline)
+    del newline
     long = ends - starts >= 19
     if (len(last) % 2 or last[0::2].any() or not last[1::2].all()
             or not all(_fits_int64(data[s:e])
                        for s, e in zip(starts[long].tolist(), ends[long].tolist()))):
         return None
-    return np.fromstring(data, dtype=np.int64, count=len(starts), sep=" ")
+    return np.fromstring(data, dtype=np.int64, count=len(starts), sep=" "), lines
 
 
 def _read_ids(stream) -> np.ndarray:
@@ -142,8 +154,8 @@ def _read_ids(stream) -> np.ndarray:
     own, and grows or shrinks such a mapping by remapping its pages, not
     by copying them (no view of the array exists meanwhile); pages never
     written cost no memory. A line longer than a block is kept as its
-    blocks and joined once it ends. A block's lines are counted on its
-    bytes, for the next block's errors."""
+    blocks and joined once it ends. The parse counts a block's lines, for
+    the next block's errors."""
     ids, size, rest, lines = np.empty(_ROOM, dtype=np.int64), 0, [], 0
     while True:
         block = stream.read(_CHUNK)
@@ -157,6 +169,7 @@ def _read_ids(stream) -> np.ndarray:
         parsed = _parse_ids(framed)
         if parsed is None:
             raise _line_error(framed[1:-1], lines)
+        parsed, newlines = parsed
         if size + len(parsed) > len(ids):
             ids.resize(max(2 * len(ids), size + len(parsed)), refcheck=False)
         ids[size:size + len(parsed)] = parsed
@@ -164,7 +177,7 @@ def _read_ids(stream) -> np.ndarray:
         if not block:
             ids.resize(size, refcheck=False)
             return ids
-        lines += framed.count(b"\n") - 2
+        lines += newlines - 2
 
 
 _SLICE = 1 << 16      # elements per temporary in the loader's in-place steps

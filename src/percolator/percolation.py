@@ -22,10 +22,13 @@ def percolation_differences(states) -> tuple[float, np.ndarray]:
     Returns ``(total, minus_s)`` where ``total`` is the sum of
     R(x_j - x_i) over all ordered pairs and ``minus_s[v]`` the same sum
     restricted to pairs not involving v. Works on a sorted copy; the
-    result is indexed by the original vertex order. Each step writes
-    over an array a finished step no longer reads, so besides ``states``
-    and the sort order at most four n-sized float arrays are held; the
-    values are those of the plain expressions in the comments.
+    result is indexed by the original vertex order. Without ties the
+    sorting permutation is unique, so any sort gives the same bits; with
+    them the bits depend on the tied states' order, and the sort is
+    redone stably. Each step writes over an array a finished step no
+    longer reads, so besides ``states`` and the sort order at most four
+    n-sized float arrays are held; the values are those of the plain
+    expressions in the comments.
     """
     x = np.asarray(states, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
@@ -33,8 +36,11 @@ def percolation_differences(states) -> tuple[float, np.ndarray]:
     if not np.all((x >= 0.0) & (x <= 1.0)):      # also rejects NaN
         raise ValueError("percolation states must lie in [0, 1]")
     n = x.size
-    order = np.argsort(x, kind="stable")
+    order = np.argsort(x)
     a = x[order]
+    if (a[1:] == a[:-1]).any():     # tied states: only a stable order fixes the bits
+        order = np.argsort(x, kind="stable")
+        a = x[order]
     pref = np.empty(n + 1)                       # concatenate(([0.0], cumsum(a)))
     pref[0] = 0.0
     np.cumsum(a, out=pref[1:])

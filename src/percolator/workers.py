@@ -76,13 +76,23 @@ def _start(pool: ProcessPoolExecutor, processes: int) -> None:
     The first one forks the workers and starts the executor's manager
     thread, and its hand-off to the workers starts the call queue's
     feeder thread. A thread that cannot start either raises here or ends
-    the manager thread, whose traceback the wait keeps off stderr (no
-    other thread runs then), so no job would ever finish: this raises
+    the manager thread, whose traceback the wait keeps off stderr (an
+    exception in a thread that ran before the wait goes to the hook the
+    wait replaced), so no job would ever finish: this raises
     ``PoolNotStarted`` instead, with the workers killed, so neither the
     pool's shutdown nor the interpreter's exit waits on them."""
     others = set(multiprocessing.active_children())     # the workers fork after this
+    callers = set(threading.enumerate())                # and the pool's threads start
     died = threading.Event()
-    hook, threading.excepthook = threading.excepthook, lambda _: died.set()
+    hook = threading.excepthook
+
+    def pool_thread_died(args):
+        if args.thread in callers:      # the caller's thread, not the pool's: pass it on
+            hook(args)
+        else:
+            died.set()
+
+    threading.excepthook = pool_thread_died
     try:
         jobs = [pool.submit(os.getpid) for _ in range(processes)]
         deadline = time.monotonic() + _START_S

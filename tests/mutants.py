@@ -109,6 +109,13 @@ CATALOGUE = (
            (("counts[kept] * (1.0 / len(bag.paths))", "counts[kept] * (1.0 / bag.requested)"),),
            "a bag's estimate is divided by the requested path count, not the drawn one "
            "(they differ only on capped bags)"),
+    Mutant("M12", "percolation.py",
+           (("if (a[1:] == a[:-1]).any():", "if False:"),),
+           "tied states are never re-sorted stably: their exclusion sums' bits follow "
+           "the default sort's order"),
+    Mutant("M13", "cli.py",
+           (("spelled = (block != 0.0) | np.signbit(block)", "spelled = block != 0.0"),),
+           "the writers spell -0.0 as +0.0"),
 )
 
 # Killing tests (by function name) that compare bits with a replica, a
@@ -119,6 +126,9 @@ REPLAYS = frozenset({
     "test_walk_subtracts_predecessors_in_order", "test_bag_estimate_matches_dict_oracle",
     "test_prk_sample_matches_dict_oracle", "test_fold_matches_per_vertex_loop",
     "test_pab_sample_matches_oracle_on_random_graphs", "test_search_matches_reference_bit_for_bit",
+    "test_exclusion_sums_keep_the_stable_orders_bits",
+    "test_streamed_writers_match_one_shot_writers",
+    "test_bulk_writers_match_the_oracle_on_any_ids_and_values",
     "test_workspace_reuse_matches_fresh_searches", "test_pab_sample_takes_the_dag_from_2_53_paths",
     "test_rho_and_cap_events_count_every_sample",
     "test_approx_prk_fixed_refuses_exact_pass_over_budget",

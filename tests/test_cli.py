@@ -2,6 +2,7 @@ import argparse
 import csv
 import gzip
 import io
+import itertools
 import json
 import math
 import multiprocessing
@@ -10,11 +11,16 @@ import resource
 import signal
 import subprocess
 import sys
+import threading
 import time
+import types
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from percolator import cli, exact_vertex_diameter, vd_baseline_sample_size, workers
 from percolator.cli import main
@@ -840,6 +846,43 @@ def test_streamed_writers_match_one_shot_writers(tmp_path, monkeypatch, n, fmt):
     assert text.getvalue() == oracle_writer.json_with_estimates(head, graph, values)
 
 
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+# every digit count's edges, 10^k - 1 and 10^k, either sign, and int64's ends
+EDGE_IDS = sorted({sign * (10 ** k + d) for k in range(19) for d in (-1, 0) for sign in (1, -1)}
+                  | {INT64_MIN, INT64_MAX})
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310, math.nan,
+               math.inf, -math.inf, 0.1, -1 / 3, 1e16, 1e-300, 123456789.12345679]
+estimate_rows = st.lists(st.tuples(
+    st.one_of(st.sampled_from(EDGE_IDS), st.integers(INT64_MIN, INT64_MAX)),
+    st.one_of(st.just(0.0), st.sampled_from(EDGE_VALUES), st.floats())), min_size=1, max_size=40)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=estimate_rows, block=st.sampled_from([4, 8192]))
+@example(rows=list(zip(EDGE_IDS, itertools.cycle(EDGE_VALUES))), block=4)
+@example(rows=list(zip(EDGE_IDS, itertools.cycle(EDGE_VALUES))), block=8192)
+def test_bulk_writers_match_the_oracle_on_any_ids_and_values(tmp_path, rows, block):
+    """The byte-laid-out blocks spell every id and value as the one-shot
+    writers do, in blocks of 4 and of the default 8,192 vertices: ids of
+    every width, int64's ends, and +0.0 among -0.0, subnormals, NaN, the
+    infinities and other floats. The writers read a graph's ``n`` and
+    ``orig_ids`` only."""
+    import oracle_writer
+    ids, values = zip(*rows)
+    graph = types.SimpleNamespace(n=len(ids), orig_ids=np.array(ids, dtype=np.int64))
+    values = np.array(values)
+    out = tmp_path / "est"
+    with mock.patch.object(cli, "_WRITE_BLOCK", block):
+        for fmt in ("json", "tsv", "csv"):
+            cli._write_estimates(str(out), graph, values, fmt)
+            assert out.read_bytes() == oracle_writer.estimates_text(graph, values, fmt).encode()
+        head = {"algorithm": "mcera", "n": graph.n}
+        text = io.StringIO()
+        cli._json_with_estimates(text, head, graph, values)
+    assert text.getvalue() == oracle_writer.json_with_estimates(head, graph, values)
+
+
 POOL_CHILD = """
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -928,6 +971,41 @@ def test_a_pool_that_cannot_start_exits_5_naming_the_phase(tmp_path):
             "(n = 600000, m = 300000)")
         assert elapsed < 30
         assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt"]
+
+
+def test_a_caller_threads_exception_during_the_pool_start_reaches_its_hook(monkeypatch):
+    """While a pool waits for its workers, an exception in a thread the
+    caller started before goes to the caller's ``threading.excepthook``,
+    and the pool opens: only the pool's own threads count as a failed
+    start. Here the first readiness wait releases such a thread, which
+    raises, and joins it."""
+    from percolator import PercolationModel, random_states
+    graph = build([(0, 1), (1, 2)])
+    model = PercolationModel(random_states(graph.n, 1))
+    seen = []
+    monkeypatch.setattr(threading, "excepthook", seen.append)
+    go = threading.Event()
+
+    def fail():
+        go.wait()
+        raise ValueError("a caller's thread")
+
+    caller = threading.Thread(target=fail)
+    caller.start()
+    wait = workers.wait
+
+    def releasing_wait(*args, **kwargs):
+        if not go.is_set():
+            go.set()
+            caller.join()
+        return wait(*args, **kwargs)
+
+    monkeypatch.setattr(workers, "wait", releasing_wait)
+    with workers.open_pool(graph, model, 2) as pool:
+        assert pool.submit(os.getpid).result() != os.getpid()
+    assert go.is_set()
+    assert [(args.thread, type(args.exc_value)) for args in seen] == [(caller, ValueError)]
+    assert multiprocessing.active_children() == []
 
 
 def test_a_dead_worker_exits_5_naming_the_phase(tmp_path, monkeypatch, capsys):

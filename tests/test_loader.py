@@ -185,6 +185,27 @@ def test_a_line_longer_than_many_blocks_is_gathered_in_linear_time():
     assert seconds < 3.0, seconds
 
 
+# one-byte gaps (a space, a tab, a newline) beside wide ones: runs of
+# blanks and tabs, a CR before a newline, blank and whitespace-only lines
+GAPPED = "1 2\n3\t4\n\n5  \t 6\r\n  \n\t\n7 \t\r 8\n9 10\r\n"
+
+
+def test_one_byte_and_wide_gaps_read_their_line_breaks():
+    """Ids split by one-byte and by wide gaps load as the per-line loader
+    reads them, at every block size that splits a gap; a three-token line
+    behind a wide gap, with a wide gap inside it, is named by its line."""
+    expected = oracle_loader.load_edge_list(io.StringIO(GAPPED))
+    bad = GAPPED + " \t\n\r\n  11 12\t\t13\n14 15\n"
+    for size in (graph_module._CHUNK, *range(1, len(bad) + 2)):
+        with chunked(size):
+            for source in sources(GAPPED):
+                assert_matches_oracle(load_edge_list(source), expected)
+            for source in sources(bad):
+                with pytest.raises(EdgeListParseError) as err:
+                    load_edge_list(source)
+                assert str(err.value) == "line 11: expected two int64 ids, got '11 12\t\t13'"
+
+
 def test_non_ascii_id_named_with_escapes():
     with pytest.raises(EdgeListParseError) as err:
         load_edge_list(io.StringIO(PREAMBLE + "\u0661 2\n"))
@@ -357,7 +378,7 @@ def test_comment_block_parse_peaks_within_6x_its_size(comment_at):
     size = len(block)
     tracemalloc.start()
     try:
-        ids = graph_module._parse_ids(block)
+        ids, _ = graph_module._parse_ids(block)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

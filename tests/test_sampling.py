@@ -172,6 +172,29 @@ def test_bag_cap_and_requested():
     assert bag.capped
 
 
+@pytest.mark.parametrize("cap", [1, 8, 64, 399])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_capped_bag_averages_over_the_paths_it_drew(cap, seed):
+    """A bag's estimate is its hits over the paths drawn, whatever was
+    requested. On s -> 20 -> 20 -> z, complete between the layers (400
+    paths), every internal vertex has minus_s > 0, so each drawn path puts
+    d - 1 = 2 into sum(val * minus_s[idx]) / weight: the sum is exactly 2
+    for a bag capped below its 400 requested paths. Dividing by the
+    requested count would give 2 * cap / 400."""
+    g = build(layered_edges([1, 20, 20, 1]))
+    z = g.n - 1
+    states = np.random.default_rng(seed).random(g.n)
+    states[0], states[z] = 1.0, 0.0
+    model = PercolationModel(states)
+    meet = balanced_bidirectional_bfs(g, 0, z)
+    bag = sample_paths(meet, alpha=1.0, rng=np.random.default_rng(seed), cap=cap)
+    assert bag.capped and len(bag.paths) == cap and bag.requested == 400
+    contrib = bag_estimate(bag, model)
+    assert (model.minus_s[1:z] > 0).all()
+    share = float(np.sum(contrib.val * model.minus_s[contrib.idx])) / model.pair_weight(0, z)
+    assert share == pytest.approx(meet.dist - 1, rel=1e-12)
+
+
 def test_bag_request_saturates_on_huge_sigma():
     # sigma ~ 2^400 is finite but alpha*sigma would not survive a ceil
     g = build(layered_edges([1] + [2] * 400 + [1]))
