@@ -21,7 +21,7 @@ import sys
 import time
 import zlib
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -96,70 +96,55 @@ _WRITE_BLOCK = 1 << 13      # vertices formatted per write
 _ROW_PARTS = {"json": (b',\n  "', b'": ', b"", b"0.0"),
               "tsv": (b"", b"\t", b"\n", b"0"),
               "csv": (b"", b",", b"\r\n", b"0")}
-# 10 .. 10^19, unsigned: a uint64 search in a signed table would go through float64
-_POWERS = np.array([10 ** k for k in range(1, 20)], dtype=np.uint64)
 
 
-def _put(buf: np.ndarray, at: np.ndarray, text: bytes) -> None:
-    """Write ``text`` at each offset ``at`` of ``buf``, a column at a time."""
-    for j, byte in enumerate(text):
-        buf[at + j] = byte
-
-
-def _spellings(values: np.ndarray, fmt: str):
+def _spellings(values: np.ndarray, fmt: str) -> list[str]:
     """``values`` spelled as json spells them (repr, NaN, Infinity) or as
-    ``%.17g``: their characters in one array, each one's start and length."""
+    ``%.17g``; no spelling holds a comma."""
     text = (json.dumps(values.tolist())[1:-1] if fmt == "json"
             else ", ".join(["%.17g"] * len(values)) % tuple(values.tolist()))
-    chars = np.frombuffer(text.encode() + b", ", dtype=np.uint8)
-    # no spelling holds a comma; with no values the one comma ends nothing
-    ends = np.flatnonzero(chars == ord(","))[:len(values)]
-    starts = np.zeros_like(ends)
-    starts[1:] = ends[:-1] + 2
-    return chars, starts, ends - starts
+    return text.split(", ") if text else []
 
 
 def _estimate_blocks(graph: Graph, values: np.ndarray, fmt: str):
     """The estimate rows in blocks of ``_WRITE_BLOCK`` vertices: 'id<TAB>value'
     lines (tsv), 'id,value' lines (csv, as csv.writer writes them: no field
     needs quoting), or the members of json.dumps(indent=1)'s estimates object.
-    A block is laid out in one byte buffer at offsets summed from its row
-    lengths. The ids' digits come from repeated integer division; the
-    constant parts and +0.0 are scattered as bytes, and only the other
-    values are spelled in Python."""
+    A block is one byte table, a row per vertex, in fixed-width columns: the
+    prefix, the sign, 19 digit places, the separator, the value (as wide as
+    the block's longest spelling) and the row end. A byte no column uses is
+    0, and no id digit or spelling holds a 0 byte, so the block's text is
+    its nonzero bytes. The ids' digits come from repeated integer division;
+    +0.0 is copied as bytes, and only the other values are spelled in
+    Python."""
     prefix, sep, end, zero = _ROW_PARTS[fmt]
     for start in range(0, graph.n, _WRITE_BLOCK):
         ids = graph.orig_ids[start:start + _WRITE_BLOCK]
         block = values[start:start + _WRITE_BLOCK]
-        neg = ids < 0
-        mag = np.abs(ids).view(np.uint64)       # |INT64_MIN| wraps to 2^63 as unsigned
-        digits = _POWERS.searchsorted(mag, side="right") + 1
         spelled = (block != 0.0) | np.signbit(block)     # all but +0.0 (NaN included)
-        chars, text_at, text_len = _spellings(block[spelled], fmt)
-        width = np.full(len(block), len(zero))
-        width[spelled] = text_len
-        row = width + digits + neg + len(prefix) + len(sep) + len(end)
-        at = np.cumsum(row)
-        buf = np.empty(int(at[-1]), dtype=np.uint8)
-        at -= row                               # each row's first byte
-        _put(buf, at, prefix)
-        at += len(prefix)
-        buf[at[neg]] = ord("-")
-        at += neg + digits                      # one past the id's last digit
-        for k in range(1, int(digits.max()) + 1):
-            live = digits >= k
-            buf[at[live] - k] = mag[live] % 10 + ord("0")
-            mag //= 10
-        _put(buf, at, sep)
-        at += len(sep)
-        _put(buf, at[~spelled], zero)
-        value_at = at[spelled]
-        for j in range(int(text_len.max(initial=0))):
-            live = text_len > j
-            buf[value_at[live] + j] = chars[text_at[live] + j]
-        at += width
-        _put(buf, at, end)
-        yield str(buf[1:] if fmt == "json" and not start else buf, "ascii")
+        # sized from the spellings: a fixed width would truncate a longer one silently
+        words = np.array(_spellings(block[spelled], fmt), dtype=bytes)
+        ones = len(prefix) + 19                 # the id's last digit place
+        at = ones + 1 + len(sep)                # the value column
+        width = max(words.itemsize, len(zero))
+        rows = np.zeros((len(ids), at + width + len(end)), dtype=np.uint8)
+        rows[:, :len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)
+        rows[ids < 0, len(prefix)] = ord("-")
+        mag = np.abs(ids).view(np.uint64)       # |INT64_MIN| wraps to 2^63 as unsigned
+        live = True                             # every id has its ones digit
+        for place in range(ones, ones - 19, -1):
+            tens = mag // 10                    # a remainder by 10 takes 4x as long
+            rows[:, place] = (mag - 10 * tens + ord("0")) * live
+            mag = tens
+            live = mag > 0
+            if not live.any():
+                break
+        rows[:, ones + 1:at] = np.frombuffer(sep, dtype=np.uint8)
+        rows[spelled, at:at + words.itemsize] = words[:, None].view(np.uint8)
+        rows[~spelled, at:at + len(zero)] = np.frombuffer(zero, dtype=np.uint8)
+        rows[:, at + width:] = np.frombuffer(end, dtype=np.uint8)
+        text = rows[rows != 0]
+        yield str(text[1:] if fmt == "json" and not start else text, "ascii")
 
 
 def _json_with_estimates(fh, head: dict, graph: Graph, values: np.ndarray) -> None:
@@ -172,30 +157,38 @@ def _json_with_estimates(fh, head: dict, graph: Graph, values: np.ndarray) -> No
 
 
 @contextmanager
-def _replacing(path: str):
-    """A text file that replaces ``path`` when the block ends: it is written
-    as ``path + ".partial"`` and renamed over ``path``, or removed if the
-    block or the rename raises, so a failed write leaves ``path`` as it
-    was."""
-    partial = path + ".partial"
-    fh = open(partial, "w", newline="")
+def _replacing(*paths: str):
+    """Text files, one per path, that replace ``paths`` together when the
+    block ends: each is written as ``path + ".partial"``, and only once all
+    are complete are they renamed over their paths, in order. If the block
+    or a rename raises, every partial not yet renamed is removed, so a
+    failed write leaves each path as it was (a failed rename, those renamed
+    before it replaced)."""
+    files = []
     try:
-        with fh:
-            yield fh
-        os.replace(partial, path)
+        for path in paths:
+            files.append(open(path + ".partial", "w", newline=""))
+        yield files
+        for fh in files:
+            fh.close()
+        for path in paths:
+            os.replace(path + ".partial", path)
     except BaseException:
-        os.remove(partial)
+        for fh in files:
+            with suppress(OSError):                 # its last flush failed too
+                fh.close()
+            with suppress(FileNotFoundError):       # renamed already
+                os.remove(fh.name)
         raise
 
 
-def _write_estimates(path: str, graph: Graph, values: np.ndarray, fmt: str) -> None:
-    with _replacing(path) as fh:
-        if fmt == "json":
-            _json_with_estimates(fh, {}, graph, values)
-            return
-        if fmt == "csv":
-            fh.write("original_id,value\r\n")
-        fh.writelines(_estimate_blocks(graph, values, fmt))
+def _write_estimates(fh, graph: Graph, values: np.ndarray, fmt: str) -> None:
+    if fmt == "json":
+        _json_with_estimates(fh, {}, graph, values)
+        return
+    if fmt == "csv":
+        fh.write("original_id,value\r\n")
+    fh.writelines(_estimate_blocks(graph, values, fmt))
 
 
 def cmd_exact(args) -> int:
@@ -206,7 +199,6 @@ def cmd_exact(args) -> int:
         result = exact_all(graph, model, pool=pool)
     elapsed = time.perf_counter() - t0
     _enter(args, "write")
-    _write_estimates(args.output, graph, result.p, args.format)
     sidecar = {
         "n": graph.n,
         "m": graph.m,
@@ -218,9 +210,10 @@ def cmd_exact(args) -> int:
         "elapsed": elapsed,
         "all_states_equal": result.all_states_equal,
     }
-    with _replacing(args.output + ".json") as fh:
-        json.dump(sidecar, fh, indent=1)
-        fh.write("\n")
+    with _replacing(args.output, args.output + ".json") as (fh, side):
+        _write_estimates(fh, graph, result.p, args.format)
+        json.dump(sidecar, side, indent=1)
+        side.write("\n")
     return EXIT_OK
 
 
@@ -254,10 +247,11 @@ def cmd_approx(args) -> int:
         head, estimates = _run_algorithm(args.algorithm, graph, model, config, args.seed,
                                          pool=pool)
     _enter(args, "write")
-    with _replacing(args.output) as fh:
-        _json_with_estimates(fh, {**head, "n": graph.n, "m": graph.m}, graph, estimates)
-    if args.format == "tsv":
-        _write_estimates(args.output + ".tsv", graph, estimates, "tsv")
+    tsv = [args.output + ".tsv"] if args.format == "tsv" else []
+    with _replacing(args.output, *tsv) as (report, *tsv_file):
+        _json_with_estimates(report, {**head, "n": graph.n, "m": graph.m}, graph, estimates)
+        for fh in tsv_file:
+            _write_estimates(fh, graph, estimates, "tsv")
     return EXIT_OK
 
 
@@ -326,9 +320,8 @@ def cmd_compare(args) -> int:
             aggregates.append([name, eps, *(float(stat(cols[:, k]))
                                             for k in range(4) for stat in (np.mean, np.std))])
     base, ext = os.path.splitext(args.output)
-    for path, header, table in ((args.output, RAW_COLUMNS, rows),
-                                (base + ".agg" + (ext or ".csv"), AGG_COLUMNS, aggregates)):
-        with _replacing(path) as fh:
+    with _replacing(args.output, base + ".agg" + (ext or ".csv")) as files:
+        for fh, header, table in zip(files, (RAW_COLUMNS, AGG_COLUMNS), (rows, aggregates)):
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(table)

@@ -116,6 +116,14 @@ CATALOGUE = (
     Mutant("M13", "cli.py",
            (("spelled = (block != 0.0) | np.signbit(block)", "spelled = block != 0.0"),),
            "the writers spell -0.0 as +0.0"),
+    Mutant("M14", "cli.py",
+           (("for place in range(ones, ones - 19, -1):",
+             "for place in range(ones, ones - 18, -1):"),),
+           "the writers' digit places stop at 18: a 19-digit id loses its leading digit"),
+    Mutant("M15", "cli.py",
+           (("width = max(words.itemsize, len(zero))",
+             "width = max(words.itemsize - 1, len(zero))"),),
+           "the writers' value column is one byte narrower than the block's longest spelling"),
 )
 
 # Killing tests (by function name) that compare bits with a replica, a

@@ -679,7 +679,8 @@ def test_bulk_estimate_writers_match_per_row_writers(tmp_path):
 
     for fmt in ("tsv", "csv", "json"):
         out = tmp_path / f"est.{fmt}"
-        _write_estimates(str(out), graph, values, fmt)
+        with open(out, "w", newline="") as fh:
+            _write_estimates(fh, graph, values, fmt)
         ref = tmp_path / f"ref.{fmt}"
         if fmt == "tsv":
             with open(ref, "w") as fh:
@@ -715,7 +716,8 @@ graph = Graph(n=n, m=n, directed=False, fwd_offsets=offsets, fwd_targets=targets
               bwd_offsets=offsets, bwd_targets=targets, orig_ids=np.arange(n) * 1_000_003)
 values = np.random.default_rng(1).random(n)
 before = status_bytes("VmHWM:")
-cli._write_estimates(sys.argv[1], graph, values, sys.argv[2])
+with open(sys.argv[1], "w", newline="") as fh:
+    cli._write_estimates(fh, graph, values, sys.argv[2])
 print(status_bytes("VmHWM:") - before)
 """
 
@@ -724,9 +726,8 @@ print(status_bytes("VmHWM:") - before)
 @pytest.mark.parametrize("fmt", ["json", "tsv"])
 def test_writer_peak_is_bounded_by_its_block(tmp_path, fmt):
     """Writing 300k estimates grows a fresh process's peak by under 6 MB:
-    only one ``_WRITE_BLOCK`` of vertices is formatted at a time (3.1 MB
-    for json and 1.9 MB for tsv at 8,192 vertices, 21.3 and 14.3 MB at
-    65,536)."""
+    only one ``_WRITE_BLOCK`` of vertices is formatted at a time (4.1 MB
+    for json and 3.3 MB for tsv at 8,192 vertices)."""
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     out = subprocess.run([sys.executable, "-c", WRITE_PEAK_CHILD, str(tmp_path / "est"), fmt],
@@ -838,7 +839,8 @@ def test_streamed_writers_match_one_shot_writers(tmp_path, monkeypatch, n, fmt):
     assert graph.orig_ids.tolist() == ids
     values = np.resize(np.array(SPECIAL_FLOATS + [-math.inf, -1e-5]), n)
     out = tmp_path / f"est.{fmt}"
-    cli._write_estimates(str(out), graph, values, fmt)
+    with open(out, "w", newline="") as fh:
+        cli._write_estimates(fh, graph, values, fmt)
     assert out.read_bytes() == oracle_writer.estimates_text(graph, values, fmt).encode()
     head = {"algorithm": "mcera", "xi": [math.nan, math.inf], "n": graph.n}
     text = io.StringIO()
@@ -875,7 +877,8 @@ def test_bulk_writers_match_the_oracle_on_any_ids_and_values(tmp_path, rows, blo
     out = tmp_path / "est"
     with mock.patch.object(cli, "_WRITE_BLOCK", block):
         for fmt in ("json", "tsv", "csv"):
-            cli._write_estimates(str(out), graph, values, fmt)
+            with open(out, "w", newline="") as fh:
+                cli._write_estimates(fh, graph, values, fmt)
             assert out.read_bytes() == oracle_writer.estimates_text(graph, values, fmt).encode()
         head = {"algorithm": "mcera", "n": graph.n}
         text = io.StringIO()
@@ -1032,6 +1035,36 @@ def test_a_dead_worker_exits_5_naming_the_phase(tmp_path, monkeypatch, capsys):
     assert not out.exists() and not Path(str(out) + ".json").exists()
 
 
+@pytest.mark.parametrize("command,module,name,phase", [
+    ("approx", "progressive", "sample_paths", "estimation"),
+    ("exact", "exact", "_source_sweep", "exact pass")])
+def test_running_out_of_memory_in_a_workers_job_exits_5_naming_the_phase(
+        tmp_path, monkeypatch, capsys, command, module, name, phase):
+    """A job that runs out of memory in a pool worker at ``--threads 2``
+    ends the command as one in its own process does: exit 5 with one line
+    naming the phase, no traceback, no output and no worker left. Here
+    every path draw (approx) or source sweep (exact) run in a worker, not
+    in the command's process, raises ``MemoryError``."""
+    target = sys.modules[f"percolator.{module}"]
+    main_pid, real = os.getpid(), getattr(target, name)
+
+    def failing(*args, **kwargs):
+        if os.getpid() != main_pid:
+            raise MemoryError
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(target, name, failing)      # before the pool forks
+    graph = write_graph(tmp_path, "".join(f"{i} {i + 1}\n" for i in range(599)))
+    assert main([command, "--graph", graph, "--states", "random:1",
+                 "--output", str(tmp_path / "out"), "--threads", "2"]) == 5
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1] == \
+        f"error: out of memory during the {phase} (n = 600, m = 599)"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt"]
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("command,fmt", [("exact", "tsv"), ("exact", "json"), ("exact", "csv"),
                                          ("approx", "json"), ("approx", "tsv")])
 def test_a_failed_write_leaves_no_partial_output(tmp_path, monkeypatch, capsys, command, fmt):
@@ -1053,6 +1086,30 @@ def test_a_failed_write_leaves_no_partial_output(tmp_path, monkeypatch, capsys, 
     out.write_text("old\n")
     assert main([command, "--graph", graph, "--states", "random:1", "--output", str(out),
                  "--format", fmt, "--threads", "1"]) == 5
+    assert capsys.readouterr().err.strip().splitlines()[-1] == \
+        "error: out of memory during the write (n = 12, m = 11)"
+    assert out.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.txt", "out"]
+
+
+@pytest.mark.parametrize("command,target,name", [("approx", cli, "_write_estimates"),
+                                                 ("exact", json, "dump")],
+                         ids=["approx-tsv", "exact-sidecar"])
+def test_a_failed_second_output_leaves_the_first_as_it_was(tmp_path, monkeypatch, capsys,
+                                                           command, target, name):
+    """A command's outputs replace their paths together: when the write of
+    its second file (approx's tsv, exact's ``.json`` sidecar) runs out of
+    memory, the first, complete by then, is not renamed over its path
+    either, and no ``.partial`` file is left."""
+    def failing(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(target, name, failing)
+    graph = write_graph(tmp_path, "".join(f"{i} {i + 1}\n" for i in range(11)))
+    out = tmp_path / "out"
+    out.write_text("old\n")
+    assert main([command, "--graph", graph, "--states", "random:1", "--output", str(out),
+                 "--format", "tsv", "--threads", "1"]) == 5
     assert capsys.readouterr().err.strip().splitlines()[-1] == \
         "error: out of memory during the write (n = 12, m = 11)"
     assert out.read_text() == "old\n"

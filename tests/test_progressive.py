@@ -11,7 +11,8 @@ from percolator import (BfsWorkspace, PercolationModel, ScheduleConfig, bounds, 
 from percolator.rng import BOOTSTRAP_STREAM, ESTIMATE_STREAM, SampleStream, derive_rng
 from percolator.sampling import sample_pair
 
-from gen import build, chung_lu_edges, cycle_edges, erdos_renyi_edges, path_edges
+from gen import (build, chung_lu_edges, complete_edges, cycle_edges, erdos_renyi_edges,
+                 path_edges)
 from oracle_exact import bfs_level_counts, brute_force_percolation
 
 
@@ -247,6 +248,27 @@ def test_eps_met_reports_audit_themselves(monkeypatch, name, eps):
         report = estimate(graph, model, ScheduleConfig(epsilon=eps, delta=0.1), seed)
         assert report.stop_reason == "eps-met"
         audit_report(report.as_dict())
+
+
+@pytest.mark.parametrize("n", [12, 30])
+@pytest.mark.parametrize("eps,delta", [(0.05, 0.1), (0.1, 0.05), (0.2, 0.2), (0.02, 0.1)])
+def test_a_complete_graphs_ceiling_is_the_closed_form_at_half_delta(n, eps, delta):
+    """On a complete graph every connected pair is adjacent, so no sample
+    has an internal vertex: the rho estimate is the 1/(n(n-1)) substitute
+    at every iteration, and the ceiling, a running maximum, is one value.
+    It is the closed form at delta / 2, written out here as in
+    ``audit_report``, with v-hat the occupied classes' largest bound
+    floored at eps; sized at delta / 4 it would be larger."""
+    graph = build(complete_edges(n))
+    model = PercolationModel(random_states(n, seed=1))
+    report = estimate(graph, model, ScheduleConfig(epsilon=eps, delta=delta), seed=2)
+    rho = 1 / (n * (n - 1))
+    assert report.rho_substituted and report.rho_estimate == rho
+    occupied = report.xi_per_class > 0
+    vhat = min(0.25, max(eps, report.var_bound_per_class[occupied].max()))
+    closed = (2 * vhat + 2 * eps / 3) / eps ** 2 * (
+        max(0.0, math.log(2 * rho / vhat)) + math.log(2 / delta))
+    assert report.ceiling == math.ceil(closed), (report.ceiling, closed)
 
 
 def floors_on_schedule(eps, delta, v_top, rho):
