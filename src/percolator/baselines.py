@@ -41,8 +41,7 @@ def run_prk_fixed(graph: Graph, model: PercolationModel, config: ScheduleConfig,
     epsilon and delta, single-path draws, in ``pool``'s workers when given
     (``workers.open_pool``). Without ``vertex_diameter`` it runs
     ``exact_vertex_diameter``, an O(n*m) pass, in the same pool."""
-    if model.n != graph.n:
-        raise ValueError("model and graph disagree on vertex count")
+    draw = bind(_prk_draw, graph, model, pool)     # refuses a bad model before the O(n*m) pass
     t0 = time.perf_counter()
     if vertex_diameter is None:
         vertex_diameter = exact_vertex_diameter(graph, pool=pool)
@@ -51,7 +50,7 @@ def run_prk_fixed(graph: Graph, model: PercolationModel, config: ScheduleConfig,
     samples = vd_baseline_sample_size(vertex_diameter, config.epsilon, config.delta)
     t1 = time.perf_counter()
     state = McEraState(n=graph.n, c=0, seed=seed)
-    with SampleStream(bind(_prk_draw, graph, model, pool), seed, BASELINE_STREAM, pool) as stream:
+    with SampleStream(draw, seed, BASELINE_STREAM, pool) as stream:
         next(_iterations(stream, state, samples))
     return {
         "algorithm": "p-rk-fixed",
@@ -79,8 +78,6 @@ def run_pab_naive(graph: Graph, model: PercolationModel, config: ScheduleConfig,
     delta, the trial count, the first target and the per-iteration delta
     shares are ``config``'s.
     """
-    if model.n != graph.n:
-        raise ValueError("model and graph disagree on vertex count")
     if max_samples < 1:
         raise ValueError("max_samples must be >= 1")
     t0 = time.perf_counter()

@@ -111,11 +111,9 @@ class McEraState:
         if self.rows > self.sums.size:
             # a power of two, at least double the old capacity, up to n
             size = min(self.n, max(64, 1 << (self.rows - 1).bit_length()))
-            old = (self.signed_sums, self.sums, self.sq_sums, self.vertex_of)
-            grown = [np.zeros((size, *a.shape[1:]), a.dtype) for a in old]
-            for a, b in zip(grown, old):
-                a[:len(b)] = b
-            self.signed_sums, self.sums, self.sq_sums, self.vertex_of = grown
+            # in place, zero-filled; no view of the four outlives a call
+            for a in (self.signed_sums, self.sums, self.sq_sums, self.vertex_of):
+                a.resize((size, *a.shape[1:]), refcheck=False)
         self.row_of[vertices] = new
         self.vertex_of[new] = vertices
         return new

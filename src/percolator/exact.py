@@ -118,8 +118,6 @@ def exact_all(graph: Graph, model: PercolationModel, pool=None, *,
     sweeps run in ``pool``'s workers (``workers.open_pool``) when given.
     With ``betweenness=False`` the sweeps skip the betweenness half of
     their accumulation and ``b`` is None; every other field is the same."""
-    if model.n != graph.n:
-        raise ValueError("model and graph disagree on vertex count")
     n = graph.n
     acc_p, acc_b, internal, max_d = _fold(
         _per_block(_sweep_block, graph, model, pool, betweenness=betweenness), n, betweenness)

@@ -57,9 +57,6 @@ class Graph:
         starts = offsets[frontier]
         counts = (self.in_degrees if backward else self.out_degrees)[frontier]
         total = int(counts.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
         srcs = frontier.repeat(counts)
         # arc i of the output reads targets[i + starts[f] - (arcs before f)]
         starts -= np.add.accumulate(counts)

@@ -164,8 +164,6 @@ def estimate(graph: Graph, model: PercolationModel, config: ScheduleConfig,
     samples are drawn in ``pool``'s workers when given (``workers.open_pool``)."""
     if graph.n < 3:
         raise ValueError("need at least 3 vertices for internal vertices to exist")
-    if model.n != graph.n:
-        raise ValueError("model and graph disagree on vertex count")
     n = graph.n
     t0 = time.perf_counter()
     draw = bind(_draw_pair_sample, graph, model, pool, alpha=config.alpha, cap=config.bag_cap)

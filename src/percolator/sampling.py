@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graph import BfsWorkspace, Graph, _next_level, _renumber, shortest_path_dag, sorted_unique
+from .graph import (BfsWorkspace, Graph, _next_level, _renumber, _run_starts,
+                    shortest_path_dag, sorted_unique)
 from .percolation import PercolationModel
 
 DEFAULT_BAG_CAP = 1 << 16
@@ -308,14 +309,20 @@ def bag_estimate(bag: PathBag, model: PercolationModel) -> Contribution:
     if weight == 0.0:
         return replace(NO_CONTRIBUTION, internal=internal, capped=capped)
     hits = np.sort(bag.paths[:, 1:-1].ravel())
-    edge = np.ones(hits.size + 1, dtype=bool)      # run starts, then one past the end
-    np.not_equal(hits[1:], hits[:-1], out=edge[1:-1])
-    first = np.flatnonzero(edge)
-    idx, counts = hits[first[:-1]], first[1:] - first[:-1]
+    first = np.flatnonzero(_run_starts(hits))
+    counts = np.diff(first, append=hits.size)
+    return _scores(hits[first], counts * (1.0 / len(bag.paths)), weight, model, internal, capped)
+
+
+def _scores(idx: np.ndarray, share: np.ndarray, weight: float, model: PercolationModel,
+            internal: int = 0, capped: bool = False) -> Contribution:
+    """The record of one pair of weight ``weight`` whose share ``share[i]``
+    of shortest paths runs through vertex ``idx[i]``: ``share * weight /
+    minus_s`` at each vertex with minus_s > 0, and none at the others,
+    whose score is 0. Every estimator's values come from here."""
     denom = model.minus_s[idx]
     kept = denom > 0.0
-    return Contribution(idx[kept], counts[kept] * (1.0 / len(bag.paths)) * weight / denom[kept],
-                        internal, capped)
+    return Contribution(idx[kept], share[kept] * weight / denom[kept], internal, capped)
 
 
 def sample_pair(n: int, rng) -> tuple[int, int]:
@@ -374,14 +381,13 @@ def pab_sample(graph: Graph, model: PercolationModel, s: int, z: int,
     weight = model.pair_weight(s, z)
     if weight == 0.0:
         return NO_CONTRIBUTION
-    if ws is None:
-        ws = BfsWorkspace(graph.n)
     meet = balanced_bidirectional_bfs(graph, s, z, ws)
     if not meet.connected:
         return NO_CONTRIBUTION
+    ws = meet.ws
     if meet.sigma_sz >= 2.0 ** 53:
         return _pab_sample_dag(graph, model, s, z, weight, ws)
-    found, values = [NO_CONTRIBUTION.idx], [NO_CONTRIBUTION.val]    # z next to s: none
+    found, through = [NO_CONTRIBUTION.idx], [NO_CONTRIBUTION.val]    # z next to s: none
     cands = (meet.cand_s, meet.cand_z)
     for side, (dist, sigma) in enumerate(zip(ws.dist, ws.sigma)):
         ends, shares = cands[side], ws.sigma[1 - side, cands[1 - side]]
@@ -390,15 +396,13 @@ def pab_sample(graph: Graph, model: PercolationModel, s: int, z: int,
             level = sorted_unique(ends)
             ws.place[level] = np.arange(level.size)
             walked = np.bincount(ws.place[ends], weights=shares, minlength=level.size)
-            denom = model.minus_s[level]
-            kept = denom > 0.0
-            found.append(level[kept])
-            values.append(sigma[level[kept]] * walked[kept] / meet.sigma_sz * weight / denom[kept])
+            found.append(level)
+            through.append(sigma[level] * walked)
             if depth > 1:
                 srcs, ends = graph.expand_frontier(level, backward=not side)
                 below = (dist[ends] == depth - 1).nonzero()[0]
                 ends, shares = ends.take(below), walked[ws.place[srcs.take(below)]]
-    return Contribution(np.concatenate(found), np.concatenate(values))
+    return _scores(np.concatenate(found), np.concatenate(through) / meet.sigma_sz, weight, model)
 
 
 def _pab_sample_dag(graph: Graph, model: PercolationModel, s: int, z: int,
@@ -421,7 +425,7 @@ def _pab_sample_dag(graph: Graph, model: PercolationModel, s: int, z: int,
         raise OverflowError("shortest-path count overflowed float64")
     level = np.array([z], dtype=np.int64)
     omega = np.ones(1)
-    found, values = [NO_CONTRIBUTION.idx], [NO_CONTRIBUTION.val]    # z next to s: none
+    found, through = [NO_CONTRIBUTION.idx], [NO_CONTRIBUTION.val]    # z next to s: none
     for depth in range(int(dist[z]) - 1, 0, -1):
         _, tails = graph.expand_frontier(level, backward=True)
         shares = omega.repeat(graph.in_degrees[level])
@@ -429,8 +433,6 @@ def _pab_sample_dag(graph: Graph, model: PercolationModel, s: int, z: int,
         # fresh (``_renumber`` overwrites it) and never empty: each vertex has a predecessor
         rank, level = _renumber(tails.take(on_path))
         omega = np.bincount(rank, weights=shares.take(on_path), minlength=level.size)
-        denom = model.minus_s[level]
-        kept = denom > 0.0
-        found.append(level[kept])
-        values.append(sigma[level[kept]] * omega[kept] / sigma[z] * weight / denom[kept])
-    return Contribution(np.concatenate(found), np.concatenate(values))
+        found.append(level)
+        through.append(sigma[level] * omega)
+    return _scores(np.concatenate(found), np.concatenate(through) / sigma[z], weight, model)

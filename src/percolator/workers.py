@@ -130,7 +130,11 @@ def bind(fn, graph: Graph, model: PercolationModel, pool, **params):
     Without a pool it runs on a fresh workspace; with one, on the inputs
     ``open_pool`` installed in the process that runs it, so a job pickles
     ``fn`` (private, module-level) and ``params`` only; those must be
-    ``graph`` and, unless ``model`` is None, ``model``."""
+    ``graph`` and, unless ``model`` is None, ``model``. Every sampler and
+    exact job is bound here, so this is where a model of another size
+    than the graph is refused, before any of them runs."""
+    if model is not None and model.n != graph.n:
+        raise ValueError("model and graph disagree on vertex count")
     if pool is None:
         return partial(fn, graph, model, ws=BfsWorkspace(graph.n), **params)
     if _inputs[0] is not graph or model is not None and _inputs[1] is not model:

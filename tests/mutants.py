@@ -106,7 +106,7 @@ CATALOGUE = (
            "a directed walk reads the wrong CSR side: successors on the s side, "
            "predecessors on the z side"),
     Mutant("M11", "sampling.py",
-           (("counts[kept] * (1.0 / len(bag.paths))", "counts[kept] * (1.0 / bag.requested)"),),
+           (("counts * (1.0 / len(bag.paths))", "counts * (1.0 / bag.requested)"),),
            "a bag's estimate is divided by the requested path count, not the drawn one "
            "(they differ only on capped bags)"),
     Mutant("M12", "percolation.py",
@@ -124,6 +124,12 @@ CATALOGUE = (
            (("width = max(words.itemsize, len(zero))",
              "width = max(words.itemsize - 1, len(zero))"),),
            "the writers' value column is one byte narrower than the block's longest spelling"),
+    Mutant("M16", "sampling.py",
+           (("share[kept] * weight / denom[kept]", "share[kept] / denom[kept]"),),
+           "every estimator's scores drop the pair weight"),
+    Mutant("M17", "workers.py",
+           (("if model is not None and model.n != graph.n:", "if False:"),),
+           "a model of another size than the graph is not refused"),
 )
 
 # Killing tests (by function name) that compare bits with a replica, a
@@ -134,6 +140,7 @@ REPLAYS = frozenset({
     "test_walk_subtracts_predecessors_in_order", "test_bag_estimate_matches_dict_oracle",
     "test_prk_sample_matches_dict_oracle", "test_fold_matches_per_vertex_loop",
     "test_pab_sample_matches_oracle_on_random_graphs", "test_search_matches_reference_bit_for_bit",
+    "test_pab_sample_matches_dict_oracle", "test_pab_sample_matches_reference",
     "test_exclusion_sums_keep_the_stable_orders_bits",
     "test_streamed_writers_match_one_shot_writers",
     "test_bulk_writers_match_the_oracle_on_any_ids_and_values",

@@ -325,6 +325,39 @@ def test_accuracy_relative_to_the_scores():
                 assert not accurate(mutant), (name, seed)
 
 
+def test_top_k_overlap_with_the_exact_ranking():
+    """A ranking check beside the relative one, on the same 400-vertex hub
+    graph: of the exact top 20 vertices by p, at least 10 rank in the
+    estimate's top 20, strictly above its 21st value so that ties count
+    against it. Over seeds 0-19 mcera keeps 13-16 and p-rk-fixed 13-18
+    (the naive baseline 18-19 over seeds 0-3). Zeros and estimates with
+    the top tenth by p zeroed keep none. Doubled estimates keep the
+    ranking, and so do path draws that pick their arc uniformly or always
+    take a walker's first predecessor (13-16 over seeds 0-9): the ranking
+    does not see them."""
+    graph = build(chung_lu_edges(400, 6, 2.3, seed=5))
+    model = PercolationModel(random_states(graph.n, seed=9))
+    exact = exact_all(graph, model)
+    top = np.argsort(exact.p)[-20:]
+    cfg = ScheduleConfig(epsilon=0.05, delta=0.1)
+
+    def kept(est):
+        return int((est[top] > np.sort(est)[-21]).sum())
+
+    runs = [
+        ("mcera", lambda seed: estimate(graph, model, cfg, seed=seed).estimates),
+        ("p-rk-fixed", lambda seed: run_prk_fixed(
+            graph, model, cfg, seed, exact.vertex_diameter)["estimates"]),
+    ]
+    for name, run in runs:
+        for seed in range(10):
+            est = run(seed)
+            assert kept(est) >= 10, (name, seed, kept(est))
+            hubs_dropped = est.copy()
+            hubs_dropped[np.argsort(exact.p)[-(graph.n // 10):]] = 0.0
+            assert kept(np.zeros_like(est)) == kept(hubs_dropped) == 0, (name, seed)
+
+
 def test_criterion_8_sample_size_improvement(er1000, er1000_exact, smallworld5k):
     with criterion(8, "progressive sample size beats the vertex-diameter baseline"):
         er_graph, er_model = er1000

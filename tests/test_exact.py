@@ -230,6 +230,30 @@ def test_every_entry_point_takes_any_thread_count(two_blocks, monkeypatch, threa
     assert vertex_diameter == serial.vertex_diameter
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda g, m, cfg, pool: estimate(g, m, cfg, seed=1, pool=pool), id="estimate"),
+    pytest.param(lambda g, m, cfg, pool: baselines.run_prk_fixed(g, m, cfg, seed=1, pool=pool),
+                 id="run_prk_fixed"),
+    pytest.param(lambda g, m, cfg, pool: baselines.run_pab_naive(g, m, cfg, seed=1, pool=pool),
+                 id="run_pab_naive"),
+    pytest.param(lambda g, m, cfg, pool: exact_all(g, m, pool=pool), id="exact_all"),
+])
+def test_every_entry_point_refuses_a_model_one_vertex_short(monkeypatch, run, threads):
+    """The size check, made once where every sampler and exact job is
+    bound, refuses the model before any search runs, in one process and in
+    a pool's workers alike: a search would fail on the patched reset."""
+    def searched(ws):
+        raise AssertionError("a search ran before the size check")
+
+    monkeypatch.setattr(BfsWorkspace, "reset", searched)
+    g = build(cycle_edges(8))
+    m = PercolationModel(random_states(g.n - 1, seed=3))
+    with open_pool(g, m, threads) as pool:
+        with pytest.raises(ValueError, match="^model and graph disagree on vertex count$"):
+            run(g, m, ScheduleConfig(epsilon=0.3, delta=0.2), pool)
+
+
 CONFIG = ScheduleConfig(epsilon=0.1, delta=0.1)
 SOLVERS = {
     "estimate": lambda g, m, pool: estimate(g, m, CONFIG, seed=0, pool=pool),

@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 
 from percolator import EdgeListParseError, load_edge_list
@@ -37,6 +38,10 @@ def test_self_loops_dropped_and_counted():
     g = load_edge_list(io.StringIO("0 0\n0 1\n1 1\n"))
     assert g.m == 1
     assert g.self_loops_dropped == 2
+    # a vertex whose only line is a self-loop keeps its id and has no arcs
+    g = load_edge_list(io.StringIO("0 1\n2 2\n"))
+    assert (g.n, g.m, g.self_loops_dropped) == (3, 1, 1)
+    assert_no_arcs(g.expand_frontier(np.array([2])))
 
 
 def test_malformed_lines_name_the_line():
@@ -53,10 +58,20 @@ def test_comment_styles_skipped():
     assert g.n == 2 and g.m == 1
 
 
+def assert_no_arcs(expanded):
+    """A frontier with no arcs expands to two empty int64 arrays."""
+    assert len(expanded) == 2
+    for part in expanded:
+        assert part.dtype == np.int64 and part.shape == (0,)
+
+
 def test_directed_adjacency_mirrors():
     g = load_edge_list(io.StringIO("0 1\n"), directed=True)
     assert out_neighbors(g, 1).size == 0
     assert in_neighbors(g, 1).tolist() == [0]
+    # the sink has no out-arcs and the source no in-arcs
+    assert_no_arcs(g.expand_frontier(np.array([1])))
+    assert_no_arcs(g.expand_frontier(np.array([0]), backward=True))
 
 
 def test_four_cycle_degrees():
